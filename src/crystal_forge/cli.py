@@ -62,6 +62,15 @@ def _weight(text: str) -> tuple[int, ...]:
         raise ValueError(f"cannot parse weight {text!r}; expected e.g. 1,0,2")
 
 
+def _dimension_vector(text: str) -> tuple[int, ...]:
+    parts = _weight(text)
+    if any(c < 0 for c in parts):
+        raise argparse.ArgumentTypeError(
+            f"dimension vector {text!r} has a negative entry; entries must be >= 0"
+        )
+    return parts
+
+
 def _triple(text: str) -> tuple[int, ...]:
     parts = _weight(text)
     if len(parts) != 3:
@@ -154,12 +163,12 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("dims", help="dimension formulas for quiver strata")
     add_common(p, cap=False)
-    p.add_argument("--d", type=_weight, required=True)
-    p.add_argument("--v", type=_weight, required=True)
-    p.add_argument("--v0", type=_weight)
-    p.add_argument("--d-tuple", type=_weight, nargs="+")
-    p.add_argument("--v-tuple", type=_weight, nargs="+")
-    p.add_argument("--vt-tuple", type=_weight, nargs="+")
+    p.add_argument("--d", type=_dimension_vector, required=True)
+    p.add_argument("--v", type=_dimension_vector, required=True)
+    p.add_argument("--v0", type=_dimension_vector)
+    p.add_argument("--d-tuple", type=_dimension_vector, nargs="+")
+    p.add_argument("--v-tuple", type=_dimension_vector, nargs="+")
+    p.add_argument("--vt-tuple", type=_dimension_vector, nargs="+")
 
     p = sub.add_parser("sl2", help="the explicit one-vertex chain model")
     sl2_sub = p.add_subparsers(dest="sl2_command", required=True)

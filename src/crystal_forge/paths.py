@@ -1,30 +1,47 @@
 """Highest-weight crystals from root operators on piecewise-linear paths.
 
-A path is a finite tuple of rational displacement vectors in weight
-space, starting at the origin; only the traversed polygonal line matters,
-so paths are kept in a canonical form (no zero segments, consecutive
-segments pointing the same way merged).  The lowering operator for color
-i looks at the height function h(t) = i-th coordinate along the path,
-locates the last time t1 the minimum m is attained and the first time t2
-after it with h = m+1, and reflects the directions of the piece between
-t1 and t2; the raising operator mirrors this around the first minimum.
-This is Littelmann's root-operator calculus; starting from the straight
-dominant path it generates the highest-weight crystal.
+A path is a polygonal line in weight space starting at the origin; only
+the traversed line matters, so paths are kept in a canonical form (no
+zero segments, consecutive segments pointing the same way merged).  The
+lowering operator for color i looks at the height function h(t) = i-th
+coordinate along the path, locates the last time t1 the minimum m is
+attained and the first time t2 after it with h = m+1, and reflects the
+directions of the piece between t1 and t2; the raising operator is the
+lowering operator conjugated by path reversal (run the path backwards
+from its endpoint).  This is Littelmann's root-operator calculus;
+starting from the straight dominant path it generates the highest-weight
+crystal.
 
-All arithmetic is exact rational; floats never appear.  Height minima of
-reachable paths must be integers, which is asserted, not assumed.
+Internally a segment is a pair (direction, length): a primitive integer
+direction (gcd of its entries 1) and a positive integer length, standing
+for the displacement direction * length / D over one denominator D shared
+by every path of a crystal.  The reflection s_i is an integral involution,
+so it keeps directions primitive: two segments point the same way exactly
+when their directions are equal, merging adds lengths, and heights are
+integer prefix sums over D.  D starts at 1 and grows only when a split
+point (D * (m+1) - prefix height) / direction[i] is not an integer; the
+breadth-first build then restarts with the larger D, which yields the
+same vertex order because canonical paths do not depend on D.
+
+Public functions take and return paths as tuples of Fraction tuples, the
+form crystal payloads carry; conversion happens only at that boundary.
+Floats never appear.  Height minima and endpoints of reachable paths must
+be integers, which is asserted, not assumed.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from fractions import Fraction
+from math import gcd, lcm
 
 from .crystal import CrystalGraph
 from .dynkin import DynkinDiagram, Weight
 
 Segment = tuple[Fraction, ...]
 Path = tuple[Segment, ...]
+
+# Internal form: ((direction, length), ...) over a separate denominator.
+_IntPath = tuple[tuple[tuple[int, ...], int], ...]
 
 DEFAULT_VERTEX_CAP = 200_000
 
@@ -42,40 +59,115 @@ class VertexCapError(RuntimeError):
         self.cap = cap
 
 
-def _positively_proportional(u: Segment, w: Segment) -> bool:
-    k = next((j for j, c in enumerate(u) if c != 0), None)
-    if k is None or w[k] == 0:
-        return False
-    ratio = w[k] / u[k]
-    if ratio <= 0:
-        return False
-    return all(w[j] == ratio * u[j] for j in range(len(u)))
+class _Denominator(Exception):
+    """A split point needs the common denominator multiplied by args[0]."""
+
+
+class _Reflection(dict):
+    """s_i on integer directions, memoised: d -> d - d[i] * alpha_i."""
+
+    def __init__(self, diagram: DynkinDiagram, i: int):
+        super().__init__()
+        self.i = i
+        self.alpha = diagram.simple_root(i)
+
+    def __missing__(self, d):
+        c = d[self.i]
+        image = self[d] = tuple(x - c * a for x, a in zip(d, self.alpha))
+        return image
+
+
+def _join(left: _IntPath, right: _IntPath) -> _IntPath:
+    """Concatenate canonical paths, merging the seam if it points one way."""
+    if left and right and left[-1][0] == right[0][0]:
+        seam = ((right[0][0], left[-1][1] + right[0][1]),)
+        return left[:-1] + seam + right[1:]
+    return left + right
+
+
+def _lower(path: _IntPath, i: int, denominator: int, reflect: _Reflection):
+    """Lowering operator on a canonical integer path, or None."""
+    heights = [0]
+    h = 0
+    for d, n in path:
+        h += d[i] * n
+        heights.append(h)
+    m = min(heights)
+    if m % denominator or h % denominator:
+        raise AssertionError(
+            f"height minimum {m}/{denominator} or end height {h}/{denominator} "
+            "is not an integer; path left the integral class"
+        )
+    target = m + denominator
+    if h < target:
+        return None
+    k1 = len(heights) - 1 - heights[::-1].index(m)
+    j = k1
+    while heights[j + 1] < target:
+        j += 1
+    if heights[j + 1] == target:
+        piece, rest = path[k1 : j + 1], path[j + 1 :]
+    else:
+        d, n = path[j]
+        rise, c = target - heights[j], d[i]
+        if rise % c:
+            raise _Denominator(c // gcd(rise, c))
+        piece = path[k1:j] + ((d, rise // c),)
+        rest = ((d, n - rise // c),) + path[j + 1 :]
+    mid = tuple([(reflect[d], n) for d, n in piece])
+    return _join(_join(path[:k1], mid), rest)
+
+
+def _reverse(path: _IntPath) -> _IntPath:
+    """The path run backwards from its endpoint, translated to the origin."""
+    return tuple([(tuple([-x for x in d]), n) for d, n in reversed(path)])
+
+
+def _endpoint(path: _IntPath, rank: int, denominator: int) -> Weight:
+    end = [0] * rank
+    for d, n in path:
+        for k, x in enumerate(d):
+            end[k] += x * n
+    if any(c % denominator for c in end):
+        shown = ", ".join(f"{c}/{denominator}" for c in end)
+        raise AssertionError(f"path endpoint ({shown}) is not integral")
+    return tuple([c // denominator for c in end])
+
+
+def _from_fractions(segments) -> tuple[_IntPath, int]:
+    """Canonical integer form and denominator of rational segments."""
+    segments = [[Fraction(c) for c in seg] for seg in segments]
+    denominator = lcm(*(c.denominator for seg in segments for c in seg))
+    path: _IntPath = ()
+    for seg in segments:
+        scaled = [c.numerator * (denominator // c.denominator) for c in seg]
+        n = gcd(*scaled)
+        if n:
+            path = _join(path, ((tuple([x // n for x in scaled]), n),))
+    return path, denominator
+
+
+def _to_fractions(path: _IntPath, denominator: int, cache: dict) -> Path:
+    """Fraction form; cache lets equal segments share one tuple across paths."""
+    out = []
+    for seg in path:
+        frac = cache.get(seg)
+        if frac is None:
+            d, n = seg
+            frac = cache[seg] = tuple([Fraction(x * n, denominator) for x in d])
+        out.append(frac)
+    return tuple(out)
 
 
 def canonical_path(segments) -> Path:
     """Drop zero segments and merge consecutive same-direction segments."""
-    out: list[Segment] = []
-    for seg in segments:
-        seg = tuple(seg)
-        if all(c == 0 for c in seg):
-            continue
-        if out and _positively_proportional(out[-1], seg):
-            out[-1] = tuple(a + b for a, b in zip(out[-1], seg))
-        else:
-            out.append(seg)
-    return tuple(out)
+    return _to_fractions(*_from_fractions(segments), {})
 
 
 def path_endpoint(path: Path, rank: int) -> Weight:
     """Endpoint of the path; must land on the integer weight lattice."""
-    end = [Fraction(0)] * rank
-    for seg in path:
-        for j, c in enumerate(seg):
-            end[j] += c
-    for c in end:
-        if c.denominator != 1:
-            raise AssertionError(f"path endpoint {tuple(end)} is not integral")
-    return tuple(int(c) for c in end)
+    ints, denominator = _from_fractions(path)
+    return _endpoint(ints, rank, denominator)
 
 
 def highest_path(diagram: DynkinDiagram, hw) -> Path:
@@ -83,77 +175,65 @@ def highest_path(diagram: DynkinDiagram, hw) -> Path:
     hw = diagram.check_weight(hw)
     if not diagram.is_dominant(hw):
         raise ValueError(f"highest weight {hw} is not dominant")
-    return canonical_path([tuple(Fraction(c) for c in hw)])
+    return canonical_path([hw])
 
 
-def _heights(path: Path, i: int) -> list[Fraction]:
-    h = [Fraction(0)]
-    for seg in path:
-        h.append(h[-1] + seg[i])
-    return h
+def _growing(run, path: _IntPath, denominator: int):
+    """(run(path, D), D), retried with path and D rescaled while run needs it."""
+    while True:
+        try:
+            return run(path, denominator), denominator
+        except _Denominator as grow:
+            factor = grow.args[0]
+            path = tuple([(d, n * factor) for d, n in path])
+            denominator *= factor
 
 
-def _min_height(h: list[Fraction]) -> Fraction:
-    m = min(h)
-    if m.denominator != 1:
-        raise AssertionError(f"height minimum {m} is not an integer; path left the integral class")
-    return m
-
-
-def _reflect(diagram: DynkinDiagram, i: int, seg: Segment) -> Segment:
-    alpha = diagram.simple_root(i)
-    c = seg[i]
-    return tuple(x - c * a for x, a in zip(seg, alpha))
-
-
-def _scale(seg: Segment, c: Fraction) -> Segment:
-    return tuple(c * x for x in seg)
+def _apply(diagram: DynkinDiagram, i: int, path: Path, raising: bool) -> Path | None:
+    ints, denominator = _from_fractions(path)
+    reflect = _Reflection(diagram, i)
+    new, denominator = _growing(
+        lambda p, d: _lower(p, i, d, reflect), _reverse(ints) if raising else ints, denominator
+    )
+    if new is None:
+        return None
+    return _to_fractions(_reverse(new) if raising else new, denominator, {})
 
 
 def path_f(diagram: DynkinDiagram, i: int, path: Path) -> Path | None:
     """Lowering operator for color i, or None when the string is exhausted."""
-    h = _heights(path, i)
-    m = _min_height(h)
-    if h[-1] - m < 1:
-        return None
-    target = m + 1
-    k1 = max(k for k, v in enumerate(h) if v == m)
-    j = k1
-    while h[j + 1] < target:
-        j += 1
-    if h[j + 1] == target:
-        mid = tuple(_reflect(diagram, i, s) for s in path[k1 : j + 1])
-        new = path[:k1] + mid + path[j + 1 :]
-    else:
-        a = (target - h[j]) / (h[j + 1] - h[j])
-        left = _scale(path[j], a)
-        right = _scale(path[j], 1 - a)
-        mid = tuple(_reflect(diagram, i, s) for s in path[k1:j] + (left,))
-        new = path[:k1] + mid + (right,) + path[j + 1 :]
-    return canonical_path(new)
+    return _apply(diagram, i, path, raising=False)
 
 
 def path_e(diagram: DynkinDiagram, i: int, path: Path) -> Path | None:
     """Raising operator for color i, or None when the string is exhausted."""
-    h = _heights(path, i)
-    m = _min_height(h)
-    if -m < 1:
-        return None
-    target = m + 1
-    k2 = min(k for k, v in enumerate(h) if v == m)
-    j = k2 - 1
-    while h[j] < target:
-        j -= 1
-    if h[j] == target:
-        mid = tuple(_reflect(diagram, i, s) for s in path[j:k2])
-        new = path[:j] + mid + path[k2:]
-    else:
-        a = (target - h[j]) / (h[j + 1] - h[j])
-        left = _scale(path[j], a)
-        right = _scale(path[j], 1 - a)
-        mid = tuple(_reflect(diagram, i, s) for s in (right,) + path[j + 1 : k2])
-        new = path[:j] + (left,) + mid + path[k2:]
-    return canonical_path(new)
+    return _apply(diagram, i, path, raising=True)
+
+
+def _close(
+    diagram: DynkinDiagram, hw: Weight, start: _IntPath, denominator: int, max_vertices: int
+):
+    """Breadth-first closure of start under lowering: (paths, f_maps)."""
+    ids: dict[_IntPath, int] = {start: 0}
+    order: list[_IntPath] = [start]
+    reflections = [_Reflection(diagram, i) for i in range(diagram.rank)]
+    f_maps: list[dict[int, int]] = [{} for _ in reflections]
+    vid = 0
+    while vid < len(order):
+        path = order[vid]
+        for i, reflect in enumerate(reflections):
+            child = _lower(path, i, denominator, reflect)
+            if child is None:
+                continue
+            cid = ids.get(child)
+            if cid is None:
+                if len(order) >= max_vertices:
+                    raise VertexCapError(diagram, hw, max_vertices)
+                cid = ids[child] = len(order)
+                order.append(child)
+            f_maps[i][vid] = cid
+        vid += 1
+    return order, f_maps
 
 
 def build_crystal(
@@ -162,31 +242,17 @@ def build_crystal(
     """Close the straight dominant path under all lowering operators.
 
     Breadth-first; canonical paths are the vertex keys, so the vertex ids
-    and edge lists are deterministic.  Raises VertexCapError when the
-    crystal would exceed max_vertices.
+    and edge lists are deterministic.  Raises ValueError for a cap below
+    1 and VertexCapError when the crystal would exceed max_vertices.
     """
-    start = highest_path(diagram, hw)
+    if max_vertices < 1:
+        raise ValueError(f"max_vertices must be at least 1, got {max_vertices}")
+    start, denominator = _from_fractions(highest_path(diagram, hw))
     hw = diagram.check_weight(hw)
-    ids: dict[Path, int] = {start: 0}
-    order: list[Path] = [start]
-    f_maps: list[dict[int, int]] = [{} for _ in range(diagram.rank)]
-    queue: deque[Path] = deque([start])
-    while queue:
-        path = queue.popleft()
-        vid = ids[path]
-        for i in range(diagram.rank):
-            child = path_f(diagram, i, path)
-            if child is None:
-                continue
-            cid = ids.get(child)
-            if cid is None:
-                if len(order) >= max_vertices:
-                    raise VertexCapError(diagram, hw, max_vertices)
-                cid = len(order)
-                ids[child] = cid
-                order.append(child)
-                queue.append(child)
-            f_maps[i][vid] = cid
-    weights = [path_endpoint(p, diagram.rank) for p in order]
-    payloads = [("path", p) for p in order]
+    (order, f_maps), denominator = _growing(
+        lambda p, d: _close(diagram, hw, p, d, max_vertices), start, denominator
+    )
+    weights = [_endpoint(p, diagram.rank, denominator) for p in order]
+    cache: dict = {}
+    payloads = [("path", _to_fractions(p, denominator, cache)) for p in order]
     return CrystalGraph(diagram, weights, f_maps, payloads)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -42,6 +43,38 @@ def test_crystal_vertex_cap_exit_code(capsys):
     )
     assert code == 2
     assert "cap" in err
+
+
+@pytest.mark.parametrize("cap", ["0", "-3"])
+def test_nonpositive_vertex_cap_is_domain_error(capsys, cap):
+    code, out, err = run_cli(
+        capsys, "crystal", "--diagram", "A2", "--hw", "1,1", "--max-vertices", cap
+    )
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1 and "max_vertices must be at least 1" in err
+
+
+# sha256 of `crystal --format json` stdout: any change to vertex order, edges
+# or path payloads shows here.  A2 (30,2) and A3 (3,1,3) make the common path
+# denominator grow (to 240 and 84).
+GOLDEN_CRYSTAL_JSON = {
+    ("A2", "15,15"): "7deeee475f2c7317e3611019441aa8bd2f9cd5db2bcdedfa2fa42e9d5a91ec48",
+    ("A2", "30,2"): "c92bc02cf280ef245c8bb3ac55eacd2bff254cef709cfa7742fea6396ffb2fe0",
+    ("A3", "3,1,3"): "e1902fed415d6c9cf0bd67ac0580c98a63399254372179fa265b300bdc7dafe0",
+    ("A4", "2,1,1,2"): "2d01c23fe18a5b364ea26761a32709d02d825f1676e6ba257af7361adde878bf",
+    ("D4", "2,0,0,2"): "a9b8f7f137f207a2ae50622382ac73fc7e350bbdba8ca8565033f27c3c9c5f3c",
+    ("E6", "0,0,0,0,0,2"): "2197e061f64e8877fca7bddfd9fd9b16abfdd6df2598ee174a2949eab0416930",
+}
+
+
+@pytest.mark.parametrize("diagram,hw", sorted(GOLDEN_CRYSTAL_JSON))
+def test_crystal_json_is_byte_identical_to_golden(capsys, diagram, hw):
+    code, out, err = run_cli(
+        capsys, "crystal", "--diagram", diagram, "--hw", hw, "--format", "json"
+    )
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_CRYSTAL_JSON[diagram, hw]
 
 
 def test_mult_prints_bare_count_by_default(capsys):
@@ -98,6 +131,20 @@ def test_dims_json(capsys):
     assert payload["gprime_weight"] == [[1, 1], [1, 0]]
     assert payload["gprime_integrable"] is True
     assert "dim_tensor_variety" in payload["strata"]
+
+
+@pytest.mark.parametrize(
+    "option,value", [("--d", "-1,0"), ("--v", "0,-2"), ("--v0", "-1,0")]
+)
+def test_dims_rejects_negative_dimension_vectors(capsys, option, value):
+    argv = {"--d": "2,0", "--v": "1,0", "--v0": "1,0"}
+    argv[option] = value
+    code, out, err = run_cli(
+        capsys, "dims", "--diagram", "A2", *(t for kv in argv.items() for t in kv)
+    )
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1 and option in err and "negative" in err
 
 
 def test_sl2_subcommands(capsys):

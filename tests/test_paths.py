@@ -2,6 +2,7 @@ from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from crystal_forge.dynkin import dynkin
 from crystal_forge.paths import (
@@ -121,3 +122,47 @@ def test_vertex_cap():
 def test_nondominant_rejected():
     with pytest.raises(ValueError):
         build_crystal(A2, (0, -1))
+
+
+def test_nonpositive_vertex_cap_rejected():
+    for cap in (0, -3):
+        with pytest.raises(ValueError, match="max_vertices"):
+            build_crystal(A2, (1, 1), max_vertices=cap)
+
+
+SMALL_WEIGHTS = st.one_of(
+    st.tuples(st.just(A1), st.tuples(st.integers(0, 9))),
+    st.tuples(st.just(A2), st.tuples(st.integers(0, 4), st.integers(0, 4))),
+    st.tuples(st.just(dynkin("A", 3)), st.tuples(*(st.integers(0, 2) for _ in range(3)))),
+    st.tuples(st.just(D4), st.tuples(*(st.integers(0, 1) for _ in range(4)))),
+).filter(lambda case: case[0].weyl_dimension(case[1]) <= 400)
+
+
+@settings(max_examples=25, deadline=None)
+@given(SMALL_WEIGHTS)
+def test_crystal_matches_oracles_and_operators_invert(case):
+    diagram, hw = case
+    crystal = build_crystal(diagram, hw)
+    assert len(crystal) == diagram.weyl_dimension(hw)
+    assert crystal.character() == freudenthal_character(diagram, hw)
+    for v, (_, path) in enumerate(crystal.payloads):
+        assert path_endpoint(path, diagram.rank) == crystal.weights[v]
+        for i in range(diagram.rank):
+            down = path_f(diagram, i, path)
+            assert (down is None) == (crystal.f(i, v) is None)
+            if down is not None:
+                assert down == crystal.payloads[crystal.f(i, v)][1]
+                assert path_e(diagram, i, down) == path
+
+
+def test_integrality_assertions_fire():
+    # heights 0, 1/2, -1/2: the minimum is not an integer
+    half_off = ((Fraction(1, 2),), (Fraction(-1),))
+    with pytest.raises(AssertionError, match="integral class"):
+        path_f(A1, 0, half_off)
+    with pytest.raises(AssertionError, match="integral class"):
+        path_e(A1, 0, half_off)
+    with pytest.raises(AssertionError, match="not integral"):
+        path_endpoint(((Fraction(1, 2),),), 1)
+    with pytest.raises(AssertionError, match="not integral"):
+        path_endpoint(((Fraction(1, 3), Fraction(1)), (Fraction(1, 3), Fraction(0))), 2)
