@@ -29,6 +29,7 @@ from .linalg import (
     intersect,
     kernel,
     mat,
+    matadd,
     matmul,
     matneg,
     preimage,
@@ -105,17 +106,9 @@ def preprojective_residual(datum: ADHMDatum) -> tuple[Mat, ...]:
             term = matmul(datum.x_map(h), datum.x_map((i, j)))
             if sign < 0:
                 term = matneg(term)
-            acc = _madd(acc, term)
+            acc = matadd(acc, term)
         out.append(acc)
     return tuple(out)
-
-
-def _madd(a: Mat, b: Mat) -> Mat:
-    return Mat(
-        a.rows,
-        a.cols,
-        tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a.data, b.data)),
-    )
 
 
 def check_preprojective(datum: ADHMDatum) -> bool:
@@ -123,16 +116,20 @@ def check_preprojective(datum: ADHMDatum) -> bool:
     return all(m.is_zero() for m in preprojective_residual(datum))
 
 
+def _push(datum: ADHMDatum, cur: GradedSubspace, base: GradedSubspace) -> GradedSubspace:
+    """base plus the image of cur under every edge map, vertex by vertex."""
+    nxt = list(base)
+    for src, dst in datum.diagram.oriented_edges:
+        img = image_of(datum.x_map((src, dst)), cur[src])
+        nxt[dst] = subspace_sum(nxt[dst], img)
+    return tuple(nxt)
+
+
 def closure(datum: ADHMDatum, spaces: GradedSubspace) -> GradedSubspace:
     """Smallest x-invariant graded subspace containing the given one."""
-    diagram = datum.diagram
     cur = tuple(column_space(s) for s in spaces)
     while True:
-        nxt = list(cur)
-        for src, dst in diagram.oriented_edges:
-            img = image_of(datum.x_map((src, dst)), cur[src])
-            nxt[dst] = subspace_sum(nxt[dst], img)
-        nxt = tuple(nxt)
+        nxt = _push(datum, cur, cur)
         if nxt == cur:
             return cur
         cur = nxt
@@ -180,15 +177,10 @@ def is_nilpotent(datum: ADHMDatum) -> bool:
     is decreasing, so stabilizing anywhere above zero means a product of
     arbitrary length survives.
     """
-    diagram = datum.diagram
     cur = full_graded(datum.v)
-    steps = sum(datum.v)
-    for _ in range(steps):
-        nxt = list(zero_graded(datum.v))
-        for src, dst in diagram.oriented_edges:
-            img = image_of(datum.x_map((src, dst)), cur[src])
-            nxt[dst] = subspace_sum(nxt[dst], img)
-        nxt = tuple(nxt)
+    zero = zero_graded(datum.v)
+    for _ in range(sum(datum.v)):
+        nxt = _push(datum, cur, zero)
         if all(c == 0 for c in _space_dims(nxt)):
             return True
         if nxt == cur:
@@ -389,11 +381,51 @@ def random_preprojective(
 # -- JSON interchange ---------------------------------------------------------
 
 
-def _mat_from_json(rows_data, rows: int, cols: int) -> Mat:
+def _list(value, where: str, length: int | None = None) -> list:
+    if not isinstance(value, list) or length is not None and len(value) != length:
+        size = "a list" if length is None else f"a list of {length} entries"
+        raise ValueError(f"{where} must be {size}")
+    return value
+
+
+def _fractions(value, where: str, length: int | None = None) -> list[Fraction]:
+    """A list of [numerator, denominator] integer pairs as Fractions."""
+    out = []
+    for k, pair in enumerate(_list(value, where, length)):
+        if not (isinstance(pair, list) and len(pair) == 2 and all(type(c) is int for c in pair)):
+            raise ValueError(f"{where}[{k}] must be a [numerator, denominator] pair of integers")
+        if pair[1] == 0:
+            raise ValueError(f"{where}[{k}] has denominator 0")
+        out.append(Fraction(*pair))
+    return out
+
+
+def _mat_from_json(rows_data, rows: int, cols: int, where: str) -> Mat:
     entries = [
-        [Fraction(int(num), int(den)) for num, den in row] for row in rows_data
+        _fractions(row, f"{where}[{r}]") for r, row in enumerate(_list(rows_data, where))
     ]
-    return mat(entries, rows=rows, cols=cols)
+    try:
+        return mat(entries, rows=rows, cols=cols)
+    except ValueError:
+        raise ValueError(f"{where} must be a {rows}x{cols} matrix") from None
+
+
+def _dims(payload: dict, key: str, diagram: DynkinDiagram) -> Weight:
+    value = _list(payload[key], key, diagram.rank)
+    if not all(type(c) is int and c >= 0 for c in value):
+        raise ValueError(f"{key} must list non-negative integers")
+    return tuple(value)
+
+
+def _edge(key: str, diagram: DynkinDiagram) -> tuple[int, int]:
+    src, _, dst = key.partition("->")
+    try:
+        h = (int(src), int(dst))
+    except ValueError:
+        h = None
+    if h not in diagram.oriented_edges:
+        raise ValueError(f"x key {key!r} is not an oriented edge \"src->dst\" of {diagram.label}")
+    return h
 
 
 def datum_from_json(payload: dict) -> tuple[ADHMDatum, GradedFlag | None]:
@@ -401,34 +433,41 @@ def datum_from_json(payload: dict) -> tuple[ADHMDatum, GradedFlag | None]:
 
     Matrices are arrays of rows whose entries are [numerator, denominator]
     pairs; edge matrices are keyed "src->dst", and the optional flag is a
-    list of steps, each a per-vertex list of spanning vectors in D.
+    list of steps, each a per-vertex list of spanning vectors in D.  A
+    payload of the wrong shape raises ValueError naming the offending key.
     """
+    if not isinstance(payload, dict):
+        raise ValueError("an ADHM datum must be a JSON object")
+    for key in ("diagram", "d", "v", "p", "q"):
+        if key not in payload:
+            raise ValueError(f"ADHM datum has no {key!r} entry")
+    if not isinstance(payload["diagram"], str):
+        raise ValueError("diagram must be a name such as \"A2\"")
     diagram = parse_diagram(payload["diagram"])
-    v = diagram.check_weight(payload["v"])
-    d = diagram.check_weight(payload["d"])
+    v = _dims(payload, "v", diagram)
+    d = _dims(payload, "d", diagram)
+    x_data = payload.get("x", {})
+    if not isinstance(x_data, dict):
+        raise ValueError("x must be an object keyed \"src->dst\"")
     x = {}
-    for key, rows_data in payload.get("x", {}).items():
-        src_s, dst_s = key.split("->")
-        h = (int(src_s), int(dst_s))
-        x[h] = _mat_from_json(rows_data, rows=v[h[1]], cols=v[h[0]])
-    p = tuple(
-        _mat_from_json(payload["p"][i], rows=v[i], cols=d[i])
-        for i in range(diagram.rank)
-    )
-    q = tuple(
-        _mat_from_json(payload["q"][i], rows=d[i], cols=v[i])
-        for i in range(diagram.rank)
-    )
+    for key, rows_data in x_data.items():
+        h = _edge(key, diagram)
+        x[h] = _mat_from_json(rows_data, v[h[1]], v[h[0]], f"x[{key!r}]")
+    p_data = _list(payload["p"], "p", diagram.rank)
+    q_data = _list(payload["q"], "q", diagram.rank)
+    p = tuple(_mat_from_json(p_data[i], v[i], d[i], f"p[{i}]") for i in range(diagram.rank))
+    q = tuple(_mat_from_json(q_data[i], d[i], v[i], f"q[{i}]") for i in range(diagram.rank))
     datum = ADHMDatum(diagram, d, v, x, p, q)
     flag = None
     if "flag" in payload:
         steps = []
-        for step in payload["flag"]:
+        for s, step in enumerate(_list(payload["flag"], "flag")):
             pieces = []
-            for i in range(diagram.rank):
+            for i, piece in enumerate(_list(step, f"flag[{s}]", diagram.rank)):
+                where = f"flag[{s}][{i}]"
                 vectors = [
-                    [Fraction(int(num), int(den)) for num, den in vec]
-                    for vec in step[i]
+                    _fractions(vec, f"{where}[{k}]", d[i])
+                    for k, vec in enumerate(_list(piece, where))
                 ]
                 pieces.append(
                     column_space(

@@ -28,7 +28,13 @@ from .adhm import (
     stratum_membership,
 )
 from .crystal import SCHEMA, CrystalGraph, tensor_many
-from .decompose import Decomposition, branch, decompose, multiplicity
+from .decompose import (
+    Decomposition,
+    _check_product_size,
+    branch,
+    decompose,
+    multiplicity,
+)
 from .dimensions import (
     StratumParams,
     basic_dims,
@@ -231,20 +237,11 @@ def _run(args) -> int:
         return 0
 
     if args.command == "tensor":
-        diagram = parse_diagram(args.diagram)
-        crystal = tensor_many(
-            build_crystal(diagram, f, max_vertices=args.max_vertices)
-            for f in args.factors
-        )
-        _crystal_output(crystal, args.format)
+        _crystal_output(_product(args), args.format)
         return 0
 
     if args.command == "decompose":
-        diagram = parse_diagram(args.diagram)
-        product = tensor_many(
-            build_crystal(diagram, f, max_vertices=args.max_vertices)
-            for f in args.factors
-        )
+        product = _product(args)
         _decomposition_output(decompose(product, max_vertices=args.max_vertices), args.format)
         return 0
 
@@ -285,7 +282,7 @@ def _run(args) -> int:
         payload = {
             "schema": SCHEMA,
             "diagram": diagram.label,
-            "basic": _jsonable(basic_dims(diagram, args.d, args.v, args.v0)),
+            "basic": basic_dims(diagram, args.d, args.v, args.v0),
         }
         if args.v0 is not None:
             payload["hw_weight"] = list(hw_weight(diagram, args.d, args.v0))
@@ -303,7 +300,7 @@ def _run(args) -> int:
                 tuple(args.v_tuple),
                 tuple(args.vt_tuple) if args.vt_tuple else None,
             )
-            payload["strata"] = _jsonable(strat_dims(params))
+            payload["strata"] = strat_dims(params)
         _emit_json(payload)
         return 0
 
@@ -329,14 +326,15 @@ def _run(args) -> int:
     raise ValueError(f"unknown command {args.command!r}")
 
 
-def _jsonable(record: dict) -> dict:
-    out = {}
-    for k, v in record.items():
-        if isinstance(v, tuple):
-            out[k] = list(v)
-        else:
-            out[k] = v
-    return out
+def _product(args) -> CrystalGraph:
+    """Tensor product of the --factors crystals, refused above --max-vertices
+    before anything is built."""
+    diagram = parse_diagram(args.diagram)
+    _check_product_size(diagram, args.factors, args.max_vertices)
+    return tensor_many(
+        build_crystal(diagram, f, max_vertices=args.max_vertices)
+        for f in args.factors
+    )
 
 
 def _run_sl2(args) -> int:

@@ -19,6 +19,11 @@ from .dynkin import DynkinDiagram, Weight, vadd, vsub
 
 SCHEMA = "crystal-forge/1"
 
+
+class DecompositionError(ValueError):
+    """The input graph is not a direct sum of highest-weight crystals."""
+
+
 # DOT edge palette, indexed by color (vertex index) modulo the list length.
 DOT_COLORS = (
     "red",
@@ -53,12 +58,6 @@ class CrystalGraph:
 
     def __len__(self) -> int:
         return len(self.weights)
-
-    def cardinality(self) -> int:
-        return len(self.weights)
-
-    def weight(self, v: int) -> Weight:
-        return self.weights[v]
 
     def f(self, i: int, v: int) -> int | None:
         return self.f_maps[i].get(v)
@@ -346,8 +345,21 @@ def _pair_from_sources(a: CrystalGraph, b: CrystalGraph, src_a: int, src_b: int)
     return fwd
 
 
-def _component_sources(crystal: CrystalGraph, comp: list[int]) -> list[int]:
-    return [v for v in comp if crystal.is_source(v)]
+def _rooted_components(crystal: CrystalGraph) -> list[tuple[list[int], int]]:
+    """Connected components paired with their unique source vertex.
+
+    Raises DecompositionError when a component has no source or several.
+    """
+    out = []
+    for comp in _connected_components(crystal):
+        sources = [v for v in comp if crystal.is_source(v)]
+        if len(sources) != 1:
+            raise DecompositionError(
+                f"component containing vertex {comp[0]} has {len(sources)} source "
+                "vertices; not a highest-weight crystal"
+            )
+        out.append((comp, sources[0]))
+    return out
 
 
 def is_isomorphic(a: CrystalGraph, b: CrystalGraph) -> dict[int, int] | None:
@@ -355,37 +367,18 @@ def is_isomorphic(a: CrystalGraph, b: CrystalGraph) -> dict[int, int] | None:
 
     Every connected component of both inputs must have a unique source
     vertex (all raising operators undefined); this always holds for the
-    highest-weight crystals built here.  Components are matched greedily.
+    highest-weight crystals built here, and DecompositionError is raised
+    otherwise.  Components are matched greedily.
     """
     if a.diagram != b.diagram or len(a) != len(b):
         return None
-    comps_a = _connected_components(a)
-    comps_b = _connected_components(b)
-    if len(comps_a) != len(comps_b):
+    pairs_a = _rooted_components(a)
+    pairs_b = _rooted_components(b)
+    if len(pairs_a) != len(pairs_b):
         return None
-    pairs_a = []
-    for comp in comps_a:
-        srcs = _component_sources(a, comp)
-        if len(srcs) != 1:
-            raise ValueError(
-                f"component containing vertex {comp[0]} has {len(srcs)} sources; "
-                "isomorphism search needs a unique source per component"
-            )
-        pairs_a.append((comp, srcs[0]))
-    pairs_b = []
-    for comp in comps_b:
-        srcs = _component_sources(b, comp)
-        if len(srcs) != 1:
-            raise ValueError(
-                f"component containing vertex {comp[0]} has {len(srcs)} sources; "
-                "isomorphism search needs a unique source per component"
-            )
-        pairs_b.append((comp, srcs[0]))
-
     used = [False] * len(pairs_b)
     total: dict[int, int] = {}
     for comp_a, src_a in pairs_a:
-        matched = False
         for k, (comp_b, src_b) in enumerate(pairs_b):
             if used[k] or len(comp_b) != len(comp_a):
                 continue
@@ -393,8 +386,7 @@ def is_isomorphic(a: CrystalGraph, b: CrystalGraph) -> dict[int, int] | None:
             if m is not None and len(m) == len(comp_a):
                 used[k] = True
                 total.update(m)
-                matched = True
                 break
-        if not matched:
+        else:
             return None
     return total

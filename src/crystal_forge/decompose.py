@@ -12,23 +12,29 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from math import prod
 
 from .crystal import (
     SCHEMA,
     CrystalGraph,
-    _connected_components,
+    DecompositionError,
     _pair_from_sources,
+    _rooted_components,
     tensor_many,
 )
 from .dynkin import DynkinDiagram, Weight, induced_subdiagram
-from .paths import DEFAULT_VERTEX_CAP, build_crystal
-
-
-class DecompositionError(ValueError):
-    """The input graph is not a direct sum of highest-weight crystals."""
+from .paths import DEFAULT_VERTEX_CAP, VertexCapError, build_crystal
 
 
 _reference_cache: dict[tuple, CrystalGraph] = {}
+
+
+def _check_product_size(diagram: DynkinDiagram, factors, max_vertices: int) -> None:
+    """Raise VertexCapError when the product of the factors' crystals,
+    prod |B(factor)|, is above max_vertices."""
+    size = prod(diagram.weyl_dimension(f) for f in factors)
+    if size > max_vertices:
+        raise VertexCapError(f"tensor product of {size} vertices on {diagram.label}", max_vertices)
 
 
 def _reference_crystal(diagram: DynkinDiagram, hw: Weight, max_vertices: int) -> CrystalGraph:
@@ -91,24 +97,15 @@ def decompose(crystal: CrystalGraph, max_vertices: int = DEFAULT_VERTEX_CAP) -> 
     """
     diagram = crystal.diagram
     result = Decomposition(diagram)
-    for comp in _connected_components(crystal):
-        sources = [v for v in comp if crystal.is_source(v)]
-        if len(sources) != 1:
-            raise DecompositionError(
-                f"component containing vertex {comp[0]} has {len(sources)} source "
-                "vertices; not a highest-weight crystal"
-            )
-        src = sources[0]
+    for comp, src in _rooted_components(crystal):
         hw = crystal.weights[src]
         if not diagram.is_dominant(hw):
             raise DecompositionError(
                 f"component source {src} has non-dominant weight {hw}"
             )
         ref = _reference_crystal(diagram, hw, max_vertices)
-        iso = None
-        if len(ref) == len(comp):
-            ref_src = next(v for v in range(len(ref)) if ref.is_source(v))
-            iso = _pair_from_sources(crystal, ref, src, ref_src)
+        # vertex 0 of a built crystal is its highest path, the unique source
+        iso = _pair_from_sources(crystal, ref, src, 0) if len(ref) == len(comp) else None
         if iso is None or len(iso) != len(comp):
             raise DecompositionError(
                 f"component containing vertex {comp[0]} is not isomorphic to the "
@@ -139,7 +136,8 @@ def multiplicity(
     """Multiplicity of the highest weight `target` in a tensor product.
 
     Counts source vertices of that weight in the left-nested tensor
-    product of the highest-weight crystals of `factors`.
+    product of the highest-weight crystals of `factors`; raises
+    VertexCapError before building a product above max_vertices.
     """
     target = diagram.check_weight(target)
     if not diagram.is_dominant(target):
@@ -150,6 +148,7 @@ def multiplicity(
     for f in factors:
         if not diagram.is_dominant(f):
             raise ValueError(f"factor weight {f} is not dominant")
+    _check_product_size(diagram, factors, max_vertices)
     product = tensor_many(
         _reference_crystal(diagram, f, max_vertices) for f in factors
     )

@@ -51,20 +51,21 @@ def basic_dims(diagram: DynkinDiagram, d, v, v0=None) -> dict:
     dv = pairing(d, v)
     vv = pairing(v, v)
     delta = dominance_vector(diagram, d, v)
+    locus = xvv + 2 * dv - vv
+    variety = locus - vv
     out = {
         "dim_preprojective": _half(xvv),
-        "dim_stable_locus": xvv + 2 * dv - vv,
-        "dim_bistable_locus": xvv + 2 * dv - vv,
-        "dim_quiver_variety": xvv + 2 * dv - 2 * vv,
-        "dim_bistable_variety": xvv + 2 * dv - 2 * vv,
+        "dim_stable_locus": locus,
+        "dim_bistable_locus": locus,
+        "dim_quiver_variety": variety,
+        "dim_bistable_variety": variety,
         "bistable_nonempty": all(c >= 0 for c in delta),
         "dominance_vector": delta,
     }
     if v0 is not None:
         v0 = diagram.check_weight(v0)
-        ms = out["dim_quiver_variety"]
         mss0 = _xvv(diagram, v0) + 2 * pairing(d, v0) - 2 * pairing(v0, v0)
-        out["dim_graded_variety"] = _half(ms) + _half(mss0)
+        out["dim_graded_variety"] = _half(variety) + _half(mss0)
     return out
 
 
@@ -149,12 +150,12 @@ def strat_dims(params: StratumParams) -> dict:
         for ds, vs in zip(params.d_tuple, params.v_tuple)
     )
     dim_stratum = _half(xvv + 2 * dv + per_step)
-    doubled_t = xvv + 2 * dv - 2 * vv + per_step
+    dim_variety = dim_stratum - vv
     out = {
         "dim_stratum": dim_stratum,
         "dim_stratum_bistable": dim_stratum,
-        "dim_tensor_variety": _half(doubled_t),
-        "dim_mult_variety": _half(doubled_t),
+        "dim_tensor_variety": dim_variety,
+        "dim_mult_variety": dim_variety,
         "dim_stratum_flag": None,
         "dim_stratum_vvt": None,
         "flag_variety_dim": None,

@@ -22,6 +22,8 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
+from .linalg import hstack, identity, mat, rref
+
 Weight = tuple[int, ...]
 
 _DIAGRAM_RE = re.compile(r"^([ADE])(\d+)$")
@@ -33,10 +35,6 @@ def vadd(u: Weight, w: Weight) -> Weight:
 
 def vsub(u: Weight, w: Weight) -> Weight:
     return tuple(a - b for a, b in zip(u, w, strict=True))
-
-
-def vneg(u: Weight) -> Weight:
-    return tuple(-a for a in u)
 
 
 def pairing(v, u) -> int:
@@ -188,14 +186,6 @@ class DynkinDiagram:
     # -- oriented edges ---------------------------------------------------
 
     @staticmethod
-    def edge_out(h: tuple[int, int]) -> int:
-        return h[0]
-
-    @staticmethod
-    def edge_in(h: tuple[int, int]) -> int:
-        return h[1]
-
-    @staticmethod
     def reversed_edge(h: tuple[int, int]) -> tuple[int, int]:
         return (h[1], h[0])
 
@@ -238,21 +228,8 @@ class DynkinDiagram:
     def inverse_cartan(self) -> tuple[tuple[Fraction, ...], ...]:
         if self._inv_cartan is None:
             n = self.rank
-            aug = [
-                [Fraction(self.cartan[i][j]) for j in range(n)]
-                + [Fraction(1 if j == i else 0) for j in range(n)]
-                for i in range(n)
-            ]
-            for col in range(n):
-                piv = next(r for r in range(col, n) if aug[r][col] != 0)
-                aug[col], aug[piv] = aug[piv], aug[col]
-                inv = 1 / aug[col][col]
-                aug[col] = [x * inv for x in aug[col]]
-                for r in range(n):
-                    if r != col and aug[r][col] != 0:
-                        f = aug[r][col]
-                        aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-            self._inv_cartan = tuple(tuple(row[n:]) for row in aug)
+            red, _ = rref(hstack(mat(self.cartan), identity(n)))
+            self._inv_cartan = tuple(row[n:] for row in red.data)
         return self._inv_cartan
 
     def solve_cartan(self, rhs) -> tuple[Fraction, ...]:

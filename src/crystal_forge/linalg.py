@@ -23,10 +23,6 @@ class Mat:
         if len(self.data) != self.rows or any(len(r) != self.cols for r in self.data):
             raise ValueError("matrix data does not match declared shape")
 
-    def __getitem__(self, rc):
-        r, c = rc
-        return self.data[r][c]
-
     def column(self, c: int) -> tuple[Fraction, ...]:
         return tuple(self.data[r][c] for r in range(self.rows))
 

@@ -47,15 +47,12 @@ DEFAULT_VERTEX_CAP = 200_000
 
 
 class VertexCapError(RuntimeError):
-    """A crystal build exceeded its vertex cap."""
+    """A crystal build, or a tensor product, exceeded its vertex cap."""
 
-    def __init__(self, diagram: DynkinDiagram, hw: Weight, cap: int):
+    def __init__(self, what: str, cap: int):
         super().__init__(
-            f"crystal for highest weight {hw} on {diagram.label} exceeded "
-            f"the vertex cap of {cap}; pass a larger max_vertices to override"
+            f"{what} exceeded the vertex cap of {cap}; pass a larger max_vertices to override"
         )
-        self.diagram = diagram
-        self.hw = hw
         self.cap = cap
 
 
@@ -228,7 +225,9 @@ def _close(
             cid = ids.get(child)
             if cid is None:
                 if len(order) >= max_vertices:
-                    raise VertexCapError(diagram, hw, max_vertices)
+                    raise VertexCapError(
+                        f"crystal for highest weight {hw} on {diagram.label}", max_vertices
+                    )
                 cid = ids[child] = len(order)
                 order.append(child)
             f_maps[i][vid] = cid

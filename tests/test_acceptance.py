@@ -7,6 +7,9 @@ line.  The report is computed once per session.
 
 import pytest
 
+from crystal_forge import selftest
+from crystal_forge.crystal import CrystalGraph
+from crystal_forge.dynkin import vadd
 from crystal_forge.selftest import CRITERIA, run_criteria
 
 
@@ -24,8 +27,31 @@ def test_criterion(report, cid, name):
     assert result.passed, f"{cid} {name}: {result.details}"
 
 
-def test_injected_tensor_fault_is_detected():
-    results = run_criteria(faults={"tensor-sign-flip"}, only={"c5"})
-    (c5,) = results
+def _tensor_with_flipped_rule(left, right):
+    """Tensor with the signature comparison inverted: a planted fault that
+    the axiom check must catch."""
+    diagram = left.diagram
+    nr = len(right)
+    weights = [vadd(wa, wb) for wa in left.weights for wb in right.weights]
+    f_maps = [{} for _ in range(diagram.rank)]
+    for i in range(diagram.rank):
+        for a in range(len(left)):
+            for b in range(nr):
+                if left.phi(a, i) < right.epsilon(b, i):  # inverted on purpose
+                    fa = left.f(i, a)
+                    if fa is not None:
+                        f_maps[i][a * nr + b] = fa * nr + b
+                else:
+                    fb = right.f(i, b)
+                    if fb is not None:
+                        f_maps[i][a * nr + b] = a * nr + fb
+    return CrystalGraph(diagram, weights, f_maps)
+
+
+def test_injected_tensor_fault_is_detected(monkeypatch):
+    # c3 records its tensor square before decomposing it; c5 must reject it
+    monkeypatch.setattr(selftest, "tensor", _tensor_with_flipped_rule)
+    results = {r.cid: r for r in run_criteria(only={"c3", "c5"})}
+    c5 = results["c5"]
     assert not c5.passed
-    assert "injected" in c5.details
+    assert c5.details.startswith("tensor #0:")

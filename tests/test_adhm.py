@@ -1,7 +1,13 @@
+import contextlib
+import io
 import json
+import re
+import tempfile
+from pathlib import Path
 from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from crystal_forge.adhm import (
     ADHMDatum,
@@ -19,6 +25,7 @@ from crystal_forge.adhm import (
     stratum_membership,
     zero_graded,
 )
+from crystal_forge.cli import main
 from crystal_forge.dynkin import dynkin
 from crystal_forge.linalg import (
     contains,
@@ -232,3 +239,115 @@ def test_json_roundtrip_via_string():
     datum, flag = datum_from_json(json.loads(json.dumps(payload)))
     assert flag is None
     assert check_preprojective(datum)
+
+
+STRATUM_PAYLOAD = {
+    "diagram": "A1",
+    "d": [2],
+    "v": [1],
+    "x": {},
+    "p": [[[[0, 1], [1, 1]]]],
+    "q": [[[[1, 1]], [[0, 1]]]],
+    "flag": [
+        [[[[1, 1], [0, 1]]]],
+        [[[[1, 1], [0, 1]], [[0, 1], [1, 1]]]],
+    ],
+}
+EDGE_PAYLOAD = {
+    "diagram": "A2",
+    "d": [1, 0],
+    "v": [1, 1],
+    "x": {"0->1": [[[1, 1]]], "1->0": [[[0, 1]]]},
+    "p": [[[[1, 1]]], [[]]],
+    "q": [[[[0, 1]]], []],
+}
+
+
+def _with(payload, key, value):
+    out = json.loads(json.dumps(payload))
+    out[key] = value
+    return out
+
+
+@pytest.mark.parametrize(
+    "payload,key",
+    [
+        ([1, 2], "JSON object"),
+        ("A1", "JSON object"),
+        ({k: v for k, v in EDGE_PAYLOAD.items() if k != "q"}, "'q'"),
+        (_with(EDGE_PAYLOAD, "diagram", 2), "diagram"),
+        (_with(EDGE_PAYLOAD, "v", [1, "1"]), "v "),
+        (_with(EDGE_PAYLOAD, "d", [1, -1]), "d "),
+        (_with(EDGE_PAYLOAD, "p", [[[1]], [[]]]), "p[0][0][0]"),
+        (_with(EDGE_PAYLOAD, "p", [[[[1, 0]]], [[]]]), "p[0][0][0] has denominator 0"),
+        (_with(EDGE_PAYLOAD, "p", [[[[1, 1], [1, 1]]], [[]]]), "p[0] must be a 1x1 matrix"),
+        (_with(EDGE_PAYLOAD, "q", [[[[0, 1]]]]), "q must be a list of 2 entries"),
+        (_with(EDGE_PAYLOAD, "x", {"0->5": [[[1, 1]]]}), "'0->5'"),
+        (_with(EDGE_PAYLOAD, "x", {"0->1": 7}), "x['0->1']"),
+        (_with(STRATUM_PAYLOAD, "flag", [[[[[1, 1]]]]]), "flag[0][0][0]"),
+        (_with(STRATUM_PAYLOAD, "flag", [[[[[1, 1], 5]]]]), "flag[0][0][0][1]"),
+    ],
+)
+def test_malformed_json_names_the_key(payload, key):
+    with pytest.raises(ValueError, match=re.escape(key)):
+        datum_from_json(payload)
+
+
+def _adhm_check(payload):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "datum.json"
+        path.write_text(json.dumps(payload))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["adhm", "check", str(path)])
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [[1, 2], _with(EDGE_PAYLOAD, "p", [[[1]], [[]]]), _with(EDGE_PAYLOAD, "q", [[[[0, 0]]], []])],
+)
+def test_cli_malformed_json_exits_1_with_one_line(payload):
+    code, out, err = _adhm_check(payload)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 3) | st.floats(-2, 2) | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@st.composite
+def mutated_payloads(draw):
+    """A valid payload with one sub-value replaced or removed, or any JSON."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(JSON_VALUES)
+    payload = json.loads(json.dumps(draw(st.sampled_from([STRATUM_PAYLOAD, EDGE_PAYLOAD]))))
+    node = payload
+    while True:
+        keys = list(node) if isinstance(node, dict) else list(range(len(node)))
+        if not keys:
+            return payload
+        key = draw(st.sampled_from(keys))
+        child = node[key]
+        if not isinstance(child, (dict, list)) or not child or draw(st.booleans()):
+            if isinstance(node, dict) and draw(st.integers(0, 4)) == 0:
+                del node[key]
+            else:
+                node[key] = draw(JSON_VALUES)
+            return payload
+        node = child
+
+
+@settings(max_examples=200, deadline=None)
+@given(mutated_payloads())
+def test_adhm_check_fuzz_exit_codes(payload):
+    code, out, err = _adhm_check(payload)
+    assert code in (0, 1)
+    if code == 0:
+        assert err == "" and json.loads(out)["schema"] == "crystal-forge/1"
+    else:
+        assert out == "" and err.count("\n") == 1 and err.endswith("\n")

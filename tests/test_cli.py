@@ -45,6 +45,15 @@ def test_crystal_vertex_cap_exit_code(capsys):
     assert "cap" in err
 
 
+@pytest.mark.parametrize("command", ["tensor", "decompose"])
+def test_product_vertex_cap_exit_code(capsys, command):
+    code, out, err = run_cli(
+        capsys, command, "--max-vertices", "10", "--diagram", "A2", "--factors", "1,1", "1,1"
+    )
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and "64 vertices" in err and "cap of 10" in err
+
+
 @pytest.mark.parametrize("cap", ["0", "-3"])
 def test_nonpositive_vertex_cap_is_domain_error(capsys, cap):
     code, out, err = run_cli(

@@ -4,6 +4,7 @@ import pytest
 
 from crystal_forge.crystal import (
     CrystalGraph,
+    DecompositionError,
     direct_sum,
     is_isomorphic,
     tensor,
@@ -142,6 +143,13 @@ def test_is_isomorphic_examples():
     assert is_isomorphic(a1_chain([2, 0, -2]), a1_chain([1, -1])) is None
     # the explicit one-vertex model agrees with the generic realization
     assert is_isomorphic(sl2_crystal(3, 1), build_crystal(A1, (1,))) is not None
+
+
+def test_is_isomorphic_rejects_component_with_two_sources():
+    # 0 -f_0-> 2 <-f_1- 1: one component, two vertices without raising edges
+    two_tops = CrystalGraph(A2, [(1, 0), (0, 1), (-1, 1)], [{0: 2}, {1: 2}])
+    with pytest.raises(DecompositionError, match="2 source vertices"):
+        is_isomorphic(two_tops, two_tops)
 
 
 def test_tensor_associative_up_to_isomorphism():

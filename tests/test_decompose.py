@@ -13,7 +13,7 @@ from crystal_forge.decompose import (
     multiplicity,
 )
 from crystal_forge.dynkin import dynkin, vadd, vsub
-from crystal_forge.paths import build_crystal
+from crystal_forge.paths import VertexCapError, build_crystal
 
 from oracles import character_product, freudenthal_character, peel_character
 
@@ -184,6 +184,12 @@ def test_decompose_rejects_corrupted_input():
     bad = CrystalGraph(A1, [(2,), (0,), (-1,)], [{0: 1, 1: 2}])
     with pytest.raises(DecompositionError):
         decompose(bad)
+
+
+def test_multiplicity_refuses_product_above_cap():
+    # 64**3 = 262,144 vertices, above the default cap of 200,000
+    with pytest.raises(VertexCapError, match="262144 vertices"):
+        multiplicity(A2, (3, 3), [(3, 3)] * 3)
 
 
 def test_associativity_and_commutativity_multisets():

@@ -113,11 +113,19 @@ def test_weyl_dimension(label, hw, dim):
     assert parse_diagram(label).weyl_dimension(hw) == dim
 
 
-def test_inverse_cartan_roundtrip():
-    e6 = dynkin("E", 6)
-    v = (3, -1, 4, 0, 2, -5)
-    sol = e6.solve_cartan(v)
-    assert e6.apply_cartan(sol) == v
+@pytest.mark.parametrize(
+    "label",
+    [f"A{n}" for n in range(1, 9)] + [f"D{n}" for n in range(4, 9)] + ["E6", "E7", "E8"],
+)
+def test_inverse_cartan_roundtrip(label):
+    diagram = parse_diagram(label)
+    n = diagram.rank
+    inv = diagram.inverse_cartan()
+    for i in range(n):
+        for j in range(n):
+            assert sum(diagram.cartan[i][k] * inv[k][j] for k in range(n)) == (1 if i == j else 0)
+    v = tuple((3, -1, 4, 0, 2, -5, 1, 7)[:n])
+    assert diagram.apply_cartan(diagram.solve_cartan(v)) == v
 
 
 def test_induced_subdiagram():
