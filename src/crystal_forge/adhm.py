@@ -281,6 +281,11 @@ def random_preprojective(
     integer entries; the reversed-orientation matrices and p then satisfy
     a linear system, and a random solution is taken.  This is a sampling
     heuristic, not a uniform measure on the variety.
+
+    A draw whose x and p are all zero is retried, up to 20 draws in all.
+    When every draw is trivial (likely when the solution space is small,
+    e.g. v = d = (1, 0) on A2), the last one is returned: it still
+    satisfies the moment-map equation, but p = 0 and every x is zero.
     """
     if rng is None or isinstance(rng, int):
         rng = Random(rng)

@@ -55,10 +55,19 @@ from .sl2 import (
 )
 
 
+_NEGATIVE_VALUE = re.compile(r"^-\d[\d,-]*$")
+
+
 class _Parser(argparse.ArgumentParser):
     # argument errors are domain errors: exit 1, not argparse's default 2
     def error(self, message):
         raise ValueError(message)
+
+    def _parse_optional(self, arg_string):
+        # "-1,0" is a value, never an option, also among several values
+        if _NEGATIVE_VALUE.match(arg_string):
+            return None
+        return super()._parse_optional(arg_string)
 
 
 def _weight(text: str) -> tuple[int, ...]:
@@ -402,35 +411,10 @@ def _run_adhm(args) -> int:
     raise ValueError(f"unknown adhm command {args.adhm_command!r}")
 
 
-_NEGATIVE_VALUE = re.compile(r"^-\d[\d,-]*$")
-
-
-def _join_negative_values(argv):
-    """Glue values like "-1,0" onto their option so argparse keeps them."""
-    out = []
-    k = 0
-    while k < len(argv):
-        tok = argv[k]
-        if (
-            tok.startswith("--")
-            and "=" not in tok
-            and k + 1 < len(argv)
-            and _NEGATIVE_VALUE.match(argv[k + 1])
-        ):
-            out.append(f"{tok}={argv[k + 1]}")
-            k += 2
-        else:
-            out.append(tok)
-            k += 1
-    return out
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(_join_negative_values(
-            sys.argv[1:] if argv is None else list(argv)
-        ))
+        args = parser.parse_args(sys.argv[1:] if argv is None else list(argv))
         return _run(args)
     except VertexCapError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -198,19 +198,22 @@ def tensor(left: CrystalGraph, right: CrystalGraph) -> CrystalGraph:
     nr = len(right)
     weights = [vadd(wa, wb) for wa in left.weights for wb in right.weights]
     f_maps: list[dict[int, int]] = [{} for _ in range(diagram.rank)]
+    phi_left = left._string_data()[1]
+    eps_right = right._string_data()[0]
     for i in range(diagram.rank):
         fm = f_maps[i]
-        f_left, f_right = left.f_maps[i], right.f_maps[i]
-        for a in range(len(left)):
-            phi_a = left.phi(a, i)
+        f_left = left.f_maps[i]
+        f_right = [right.f_maps[i].get(b) for b in range(nr)]
+        eps_i = eps_right[i]
+        for a, phi_a in enumerate(phi_left[i]):
             base = a * nr
-            for b in range(nr):
-                if phi_a > right.epsilon(b, i):
-                    fa = f_left.get(a)
-                    if fa is not None:
-                        fm[base + b] = fa * nr + b
+            # phi_a > eps >= 0 means f_i is defined on a
+            fa_base = f_left[a] * nr if phi_a else 0
+            for b, eps_b in enumerate(eps_i):
+                if phi_a > eps_b:
+                    fm[base + b] = fa_base + b
                 else:
-                    fb = f_right.get(b)
+                    fb = f_right[b]
                     if fb is not None:
                         fm[base + b] = base + fb
     payloads = [("pair", a, b) for a in range(len(left)) for b in range(nr)]

@@ -5,7 +5,8 @@ a unique source vertex; the component is then certified isomorphic to the
 generic highest-weight crystal of the source weight.  Multiplicities of
 highest weights in tensor products are read off as counts of source
 vertices, which is the combinatorial shadow of the tensor-decomposition
-bijection between irreducible components of quiver strata.
+bijection between irreducible components of quiver strata; `multiplicity`
+counts them from the factors alone, through the signature rule.
 """
 
 from __future__ import annotations
@@ -20,9 +21,8 @@ from .crystal import (
     DecompositionError,
     _pair_from_sources,
     _rooted_components,
-    tensor_many,
 )
-from .dynkin import DynkinDiagram, Weight, induced_subdiagram
+from .dynkin import DynkinDiagram, Weight, induced_subdiagram, vadd
 from .paths import DEFAULT_VERTEX_CAP, VertexCapError, build_crystal
 
 
@@ -136,8 +136,12 @@ def multiplicity(
     """Multiplicity of the highest weight `target` in a tensor product.
 
     Counts source vertices of that weight in the left-nested tensor
-    product of the highest-weight crystals of `factors`; raises
-    VertexCapError before building a product above max_vertices.
+    product of the highest-weight crystals of `factors` without building
+    the product.  Under the signature rule a vertex of B(lam) x B(mu) is a
+    source iff it is u_lam x b with eps_i(b) <= lam_i for every color i,
+    so the highest weights of the partial products are carried as a
+    multiset and each later factor is read once.  Raises VertexCapError
+    when the product would have more than max_vertices vertices.
     """
     target = diagram.check_weight(target)
     if not diagram.is_dominant(target):
@@ -149,14 +153,18 @@ def multiplicity(
         if not diagram.is_dominant(f):
             raise ValueError(f"factor weight {f} is not dominant")
     _check_product_size(diagram, factors, max_vertices)
-    product = tensor_many(
-        _reference_crystal(diagram, f, max_vertices) for f in factors
-    )
-    return sum(
-        1
-        for v in highest_vertices(product)
-        if product.weights[v] == target
-    )
+    tops = Counter({factors[0]: 1})
+    for mu in factors[1:]:
+        ref = _reference_crystal(diagram, mu, max_vertices)
+        # (eps(b), wt(b)) with multiplicity: vertices sharing both add alike
+        vertices = Counter(zip(zip(*ref._string_data()[0]), ref.weights))
+        nxt: Counter = Counter()
+        for lam, m in tops.items():
+            for (eps, wt), k in vertices.items():
+                if all(e <= c for e, c in zip(eps, lam)):
+                    nxt[vadd(lam, wt)] += m * k
+        tops = nxt
+    return tops[target]
 
 
 def levi_maps(diagram: DynkinDiagram, d, v, keep) -> tuple[Weight, Weight]:

@@ -15,6 +15,7 @@ from __future__ import annotations
 import time
 from collections import Counter, deque
 from dataclasses import dataclass
+from functools import cache
 from random import Random
 
 from .adhm import (
@@ -104,26 +105,25 @@ def _dominant_weights_upto(diagram: DynkinDiagram, bound: int):
     return sorted(out)
 
 
-def crystal_family(ctx: dict) -> list[tuple[DynkinDiagram, tuple, CrystalGraph]]:
+@cache
+def crystal_family() -> tuple[tuple[DynkinDiagram, tuple, CrystalGraph], ...]:
     """The shared crystal test family over A1..A4 and D4.
 
     All dominant weights of module dimension <= 300 per diagram, plus a
-    deterministic sample of larger weights up to dimension 5000.
+    deterministic sample of larger weights up to dimension 5000.  It does
+    not depend on the seed, so it is built once per process.
     """
-    fam = ctx.get("family")
-    if fam is None:
-        fam = []
-        for label in ("A1", "A2", "A3", "A4", "D4"):
-            diagram = dynkin(label[0], int(label[1:]))
-            lams = _dominant_weights_upto(diagram, _FAMILY_EXHAUSTIVE_BOUND)
-            for extra in _FAMILY_EXTRAS[label]:
-                dim = diagram.weyl_dimension(extra)
-                if dim <= _FAMILY_EXTRA_BOUND and extra not in lams:
-                    lams.append(extra)
-            for lam in lams:
-                fam.append((diagram, lam, build_crystal(diagram, lam)))
-        ctx["family"] = fam
-    return fam
+    fam = []
+    for label in ("A1", "A2", "A3", "A4", "D4"):
+        diagram = dynkin(label[0], int(label[1:]))
+        lams = _dominant_weights_upto(diagram, _FAMILY_EXHAUSTIVE_BOUND)
+        for extra in _FAMILY_EXTRAS[label]:
+            dim = diagram.weyl_dimension(extra)
+            if dim <= _FAMILY_EXTRA_BOUND and extra not in lams:
+                lams.append(extra)
+        for lam in lams:
+            fam.append((diagram, lam, build_crystal(diagram, lam)))
+    return tuple(fam)
 
 
 def _record_tensor(ctx: dict, crystal: CrystalGraph) -> CrystalGraph:
@@ -240,7 +240,7 @@ def criterion_cartan_component(ctx: dict):
 
 def criterion_crystal_axioms(ctx: dict):
     """Axioms hold on the whole crystal family and all recorded tensors."""
-    family = crystal_family(ctx)
+    family = crystal_family()
     for diagram, lam, crystal in family:
         report = verify_axioms(crystal)
         if report:
@@ -299,7 +299,7 @@ def criterion_levi_identities(ctx: dict):
         if lhs != rhs:
             return False, f"{diagram.label} keep={kept}: {lhs} != {rhs}"
 
-    family = crystal_family(ctx)
+    family = crystal_family()
     checked = 0
     for diagram, lam, crystal in family:
         subsets = [[]]
@@ -393,7 +393,7 @@ def criterion_dimension_consistency(ctx: dict):
 def criterion_gprime_positivity(ctx: dict):
     """Extended weights of every family crystal stay coordinatewise >= 0."""
     rng: Random = ctx["rng"]
-    family = crystal_family(ctx)
+    family = crystal_family()
     checked = 0
     for diagram, lam, crystal in family:
         choices = [((0,) * diagram.rank)]

@@ -136,6 +136,14 @@ def test_zero_framing_solutions_are_nilpotent():
             assert is_nilpotent(datum)
 
 
+def test_random_preprojective_falls_back_to_the_last_trivial_draw():
+    # with seed 8 all twenty draws come out trivial (x and p zero)
+    datum = random_preprojective(A2, (1, 0), (1, 0), 8)
+    assert check_preprojective(datum)
+    assert all(m.is_zero() for m in datum.p)
+    assert all(m.is_zero() for m in datum.x.values())
+
+
 def test_stratum_membership_examples():
     datum = ADHMDatum(A1, (2,), (1,), {}, (mat([[0, 1]]),), (mat([[1], [0]]),))
     member = GradedFlag(A1, (2,), ((span([(1, 0)], 2),), (full_space(2),)))

@@ -156,6 +156,30 @@ def test_dims_rejects_negative_dimension_vectors(capsys, option, value):
     assert err.count("\n") == 1 and option in err and "negative" in err
 
 
+@pytest.mark.parametrize("command", ["tensor", "decompose", "mult"])
+@pytest.mark.parametrize("factors", [("1,1", "-1,1"), ("-1,1", "1,1")])
+def test_negative_value_among_several_factors(capsys, command, factors):
+    target = ("--target", "0,0") if command == "mult" else ()
+    code, out, err = run_cli(
+        capsys, command, "--diagram", "A2", *target, "--factors", *factors
+    )
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and err.endswith("weight (-1, 1) is not dominant\n")
+
+
+def test_dims_negative_value_after_another_tuple_entry(capsys):
+    code, out, err = run_cli(
+        capsys,
+        "dims", "--diagram", "A2", "--d", "2,0", "--v", "1,0",
+        "--d-tuple", "1,0", "-1,0", "--v-tuple", "1,0", "0,0",
+    )
+    assert code == 1 and out == ""
+    assert err == (
+        "error: argument --d-tuple: dimension vector '-1,0' has a negative "
+        "entry; entries must be >= 0\n"
+    )
+
+
 def test_sl2_subcommands(capsys):
     code, out, _ = run_cli(capsys, "sl2", "crystal", "--d", "3", "--v0", "1")
     assert code == 0

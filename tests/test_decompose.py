@@ -1,7 +1,9 @@
 from collections import Counter
+from itertools import product as cartesian
 from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from crystal_forge.crystal import CrystalGraph, tensor, tensor_many, trivial_crystal
 from crystal_forge.decompose import (
@@ -203,3 +205,49 @@ def test_associativity_and_commutativity_multisets():
         ab = decompose(tensor(a, b)).summands
         ba = decompose(tensor(b, a)).summands
         assert ab == ba
+
+
+# dominant factor weights per diagram: coordinates below the bound, module
+# dimension at most 300
+_FACTOR_POOLS = {
+    diagram: [
+        w
+        for w in cartesian(range(bound), repeat=diagram.rank)
+        if diagram.weyl_dimension(w) <= 300
+    ]
+    for diagram, bound in ((A1, 16), (A2, 6), (A3, 4), (D4, 3))
+}
+
+
+@st.composite
+def _small_products(draw):
+    """(diagram, factors, target) with 2-3 factors, at most 3,000 product
+    vertices, and a dominant target at or below the top weight."""
+    diagram = draw(st.sampled_from(list(_FACTOR_POOLS)))
+    pool = _FACTOR_POOLS[diagram]
+    factors, budget = [], 3000
+    for _ in range(draw(st.integers(2, 3))):
+        mu = draw(st.sampled_from([w for w in pool if diagram.weyl_dimension(w) <= budget]))
+        factors.append(mu)
+        budget //= diagram.weyl_dimension(mu)
+    top = tuple(map(sum, zip(*factors)))
+    # top minus a few simple roots; raising negative coordinates to 0
+    # usually leaves the root lattice of top, where the multiplicity is 0
+    steps = draw(st.tuples(*(st.integers(0, 3) for _ in range(diagram.rank))))
+    lowered = top
+    for i, c in enumerate(steps):
+        lowered = vsub(lowered, tuple(c * a for a in diagram.simple_root(i)))
+    return diagram, factors, tuple(max(0, c) for c in lowered)
+
+
+# the Fraction oracles dominate: ~0.6 s per case on average, up to 2 s on
+# A3 and D4 products near 3,000 vertices
+@settings(max_examples=10, deadline=None)
+@given(_small_products())
+def test_multiplicity_matches_the_product_and_character_peeling(case):
+    diagram, factors, target = case
+    count = multiplicity(diagram, target, factors)
+    product = tensor_many(build_crystal(diagram, f) for f in factors)
+    sources = sum(1 for v in highest_vertices(product) if product.weights[v] == target)
+    char = character_product(*(freudenthal_character(diagram, f) for f in factors))
+    assert count == sources == peel_character(diagram, char)[target]
