@@ -251,7 +251,7 @@ def _run(args) -> int:
 
     if args.command == "decompose":
         product = _product(args)
-        _decomposition_output(decompose(product, max_vertices=args.max_vertices), args.format)
+        _decomposition_output(decompose(product), args.format)
         return 0
 
     if args.command == "mult":
@@ -276,7 +276,7 @@ def _run(args) -> int:
     if args.command == "branch":
         diagram = parse_diagram(args.diagram)
         crystal = build_crystal(diagram, args.hw, max_vertices=args.max_vertices)
-        dec, sub_diagram = branch(crystal, args.keep, max_vertices=args.max_vertices)
+        dec, sub_diagram = branch(crystal, args.keep)
         if args.format == "table":
             _decomposition_output(dec, "table")
         else:

@@ -261,16 +261,21 @@ def verify_axioms(crystal: CrystalGraph) -> list[str]:
                 violations.append(
                     f"vertex {a}, color {i}: wt(f a) != wt(a) - simple_root({i})"
                 )
-        # finite chains: walking f from any vertex must terminate
+        # finite chains: walking f from any vertex must terminate.  Each
+        # vertex is walked once; cyclic[v] is None while v is on the walk
+        cyclic: dict[int, bool | None] = {}
         for a in fm:
-            seen = {a}
+            walk = []
             cur = a
-            while cur in fm:
+            while cur in fm and cur not in cyclic:
+                cyclic[cur] = None
+                walk.append(cur)
                 cur = fm[cur]
-                if cur in seen:
-                    violations.append(f"color {i}: f-cycle through vertex {a}")
-                    break
-                seen.add(cur)
+            ends_in_cycle = cur in cyclic and cyclic[cur] is not False
+            for v in walk:
+                cyclic[v] = ends_in_cycle
+            if cyclic[a]:
+                violations.append(f"color {i}: f-cycle through vertex {a}")
     if violations:
         return violations
 
@@ -283,39 +288,19 @@ def verify_axioms(crystal: CrystalGraph) -> list[str]:
     return violations
 
 
-def _connected_components(crystal: CrystalGraph) -> list[list[int]]:
-    """Components under all colored edges, ordered by smallest vertex id."""
-    n = len(crystal)
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for fm in crystal.f_maps:
-        for a, b in fm.items():
-            adj[a].append(b)
-            adj[b].append(a)
-    seen = [False] * n
-    comps: list[list[int]] = []
-    for v in range(n):
-        if seen[v]:
-            continue
-        comp = [v]
-        seen[v] = True
-        queue = deque([v])
-        while queue:
-            w = queue.popleft()
-            for nb in adj[w]:
-                if not seen[nb]:
-                    seen[nb] = True
-                    comp.append(nb)
-                    queue.append(nb)
-        comps.append(sorted(comp))
-    return comps
+def highest_vertices(crystal: CrystalGraph) -> list[int]:
+    """Vertices on which every raising operator is undefined."""
+    return [v for v in range(len(crystal)) if crystal.is_source(v)]
 
 
 def _pair_from_sources(a: CrystalGraph, b: CrystalGraph, src_a: int, src_b: int) -> dict[int, int] | None:
-    """Pair vertices of two connected crystals by parallel traversal.
+    """Pair the f-closures of two sources by walking the f maps in lockstep.
 
-    Starting from the two sources, walk every f_i and e_i in lockstep;
-    definedness and weights must match throughout.  Returns the bijection
-    or None.
+    Definedness and weights must match throughout, and the pairing must
+    stay injective.  Returns the bijection of the closures, or None.  On
+    closures that `_rooted_components` accepted (no vertex lies below two
+    sources) an e_i edge into the closure comes from the closure itself,
+    so matching f maps imply matching e maps.
     """
     if a.weights[src_a] != b.weights[src_b]:
         return None
@@ -325,51 +310,66 @@ def _pair_from_sources(a: CrystalGraph, b: CrystalGraph, src_a: int, src_b: int)
     while queue:
         va = queue.popleft()
         vb = fwd[va]
-        for i in range(a.diagram.rank):
-            for map_a, map_b in ((a.f_maps[i], b.f_maps[i]), (a.e_maps[i], b.e_maps[i])):
-                ta = map_a.get(va)
-                tb = map_b.get(vb)
-                if (ta is None) != (tb is None):
+        for map_a, map_b in zip(a.f_maps, b.f_maps):
+            ta = map_a.get(va)
+            tb = map_b.get(vb)
+            if (ta is None) != (tb is None):
+                return None
+            if ta is None:
+                continue
+            known = fwd.get(ta)
+            if known is not None:
+                if known != tb:
                     return None
-                if ta is None:
-                    continue
-                known = fwd.get(ta)
-                if known is not None:
-                    if known != tb:
-                        return None
-                    continue
-                if tb in bwd:
-                    return None
-                if a.weights[ta] != b.weights[tb]:
-                    return None
-                fwd[ta] = tb
-                bwd[tb] = ta
-                queue.append(ta)
+                continue
+            if tb in bwd:
+                return None
+            if a.weights[ta] != b.weights[tb]:
+                return None
+            fwd[ta] = tb
+            bwd[tb] = ta
+            queue.append(ta)
     return fwd
 
 
-def _rooted_components(crystal: CrystalGraph) -> list[tuple[list[int], int]]:
-    """Connected components paired with their unique source vertex.
+def _rooted_components(crystal: CrystalGraph) -> list[tuple[int, list[int]]]:
+    """Each source vertex with its f-closure, in increasing source id.
 
-    Raises DecompositionError when a component has no source or several.
+    A highest-weight crystal is generated by its source under the f maps,
+    so the closures are the connected components.  Raises
+    DecompositionError when a vertex lies below no source or below two.
     """
+    owner: list[int | None] = [None] * len(crystal)
     out = []
-    for comp in _connected_components(crystal):
-        sources = [v for v in comp if crystal.is_source(v)]
-        if len(sources) != 1:
-            raise DecompositionError(
-                f"component containing vertex {comp[0]} has {len(sources)} source "
-                "vertices; not a highest-weight crystal"
-            )
-        out.append((comp, sources[0]))
+    for src in highest_vertices(crystal):
+        owner[src] = src
+        closure = [src]
+        for v in closure:  # grows while it is walked: breadth-first
+            for fm in crystal.f_maps:
+                w = fm.get(v)
+                if w is None or owner[w] == src:
+                    continue
+                if owner[w] is not None:
+                    raise DecompositionError(
+                        f"vertex {w} lies below 2 source vertices, {owner[w]} and {src}; "
+                        "not a highest-weight crystal"
+                    )
+                owner[w] = src
+                closure.append(w)
+        out.append((src, closure))
+    if None in owner:
+        raise DecompositionError(
+            f"vertex {owner.index(None)} lies below no source vertex; "
+            "not a highest-weight crystal"
+        )
     return out
 
 
 def is_isomorphic(a: CrystalGraph, b: CrystalGraph) -> dict[int, int] | None:
     """Crystal isomorphism as a vertex map, or None.
 
-    Every connected component of both inputs must have a unique source
-    vertex (all raising operators undefined); this always holds for the
+    Every vertex of both inputs must lie below exactly one source vertex
+    (all raising operators undefined); this always holds for the
     highest-weight crystals built here, and DecompositionError is raised
     otherwise.  Components are matched greedily.
     """
@@ -381,12 +381,12 @@ def is_isomorphic(a: CrystalGraph, b: CrystalGraph) -> dict[int, int] | None:
         return None
     used = [False] * len(pairs_b)
     total: dict[int, int] = {}
-    for comp_a, src_a in pairs_a:
-        for k, (comp_b, src_b) in enumerate(pairs_b):
+    for src_a, comp_a in pairs_a:
+        for k, (src_b, comp_b) in enumerate(pairs_b):
             if used[k] or len(comp_b) != len(comp_a):
                 continue
             m = _pair_from_sources(a, b, src_a, src_b)
-            if m is not None and len(m) == len(comp_a):
+            if m is not None:
                 used[k] = True
                 total.update(m)
                 break

@@ -1,8 +1,8 @@
 """Direct-sum decomposition, tensor multiplicities and Levi branching.
 
-A normal crystal decomposes into connected components, each generated by
-a unique source vertex; the component is then certified isomorphic to the
-generic highest-weight crystal of the source weight.  Multiplicities of
+A normal crystal is the direct sum of the f-closures of its source
+vertices; each closure is certified isomorphic to the generic
+highest-weight crystal of its source weight.  Multiplicities of
 highest weights in tensor products are read off as counts of source
 vertices, which is the combinatorial shadow of the tensor-decomposition
 bijection between irreducible components of quiver strata; `multiplicity`
@@ -21,27 +21,30 @@ from .crystal import (
     DecompositionError,
     _pair_from_sources,
     _rooted_components,
+    highest_vertices,  # re-exported
 )
 from .dynkin import DynkinDiagram, Weight, induced_subdiagram, vadd
-from .paths import DEFAULT_VERTEX_CAP, VertexCapError, build_crystal
+from .paths import DEFAULT_VERTEX_CAP, VertexCapError, build_crystal, check_vertex_cap
 
 
 _reference_cache: dict[tuple, CrystalGraph] = {}
 
 
 def _check_product_size(diagram: DynkinDiagram, factors, max_vertices: int) -> None:
-    """Raise VertexCapError when the product of the factors' crystals,
-    prod |B(factor)|, is above max_vertices."""
+    """Raise ValueError for a cap below 1 and VertexCapError when the
+    product of the factors' crystals, prod |B(factor)|, is above it."""
+    check_vertex_cap(max_vertices)
     size = prod(diagram.weyl_dimension(f) for f in factors)
     if size > max_vertices:
         raise VertexCapError(f"tensor product of {size} vertices on {diagram.label}", max_vertices)
 
 
-def _reference_crystal(diagram: DynkinDiagram, hw: Weight, max_vertices: int) -> CrystalGraph:
+def _reference_crystal(diagram: DynkinDiagram, hw: Weight) -> CrystalGraph:
+    """B(hw), built once per process; its Weyl dimension is its exact size."""
     key = (diagram.key, hw)
     ref = _reference_cache.get(key)
     if ref is None:
-        ref = build_crystal(diagram, hw, max_vertices=max_vertices)
+        ref = build_crystal(diagram, hw, max_vertices=diagram.weyl_dimension(hw))
         _reference_cache[key] = ref
     return ref
 
@@ -82,33 +85,31 @@ class Decomposition:
         }
 
 
-def highest_vertices(crystal: CrystalGraph) -> list[int]:
-    """Vertices on which every raising operator is undefined."""
-    return [v for v in range(len(crystal)) if crystal.is_source(v)]
-
-
-def decompose(crystal: CrystalGraph, max_vertices: int = DEFAULT_VERTEX_CAP) -> Decomposition:
+def decompose(crystal: CrystalGraph) -> Decomposition:
     """Split a normal crystal into highest-weight summands.
 
-    Components are rooted at their unique source; each is matched against
-    the reference crystal of the source weight.  Instance ids follow the
-    order in which components are discovered when scanning vertices
-    upward from id 0.
+    Each summand is the f-closure of a source vertex.  A closure whose
+    size is not the Weyl dimension of its source weight is refused before
+    anything is built; otherwise it is matched against the reference
+    crystal of that weight.  Instance ids follow increasing source id;
+    f raises vertex ids in every crystal the library builds, so this is
+    also the order of the summands' smallest vertices.
     """
     diagram = crystal.diagram
     result = Decomposition(diagram)
-    for comp, src in _rooted_components(crystal):
+    for src, comp in _rooted_components(crystal):
         hw = crystal.weights[src]
         if not diagram.is_dominant(hw):
             raise DecompositionError(
                 f"component source {src} has non-dominant weight {hw}"
             )
-        ref = _reference_crystal(diagram, hw, max_vertices)
-        # vertex 0 of a built crystal is its highest path, the unique source
-        iso = _pair_from_sources(crystal, ref, src, 0) if len(ref) == len(comp) else None
-        if iso is None or len(iso) != len(comp):
+        iso = None
+        if len(comp) == diagram.weyl_dimension(hw):
+            # vertex 0 of a built crystal is its highest path, the unique source
+            iso = _pair_from_sources(crystal, _reference_crystal(diagram, hw), src, 0)
+        if iso is None:
             raise DecompositionError(
-                f"component containing vertex {comp[0]} is not isomorphic to the "
+                f"component containing vertex {min(comp)} is not isomorphic to the "
                 f"highest-weight crystal of {hw}"
             )
         inst_id = len(result.instances)
@@ -116,14 +117,6 @@ def decompose(crystal: CrystalGraph, max_vertices: int = DEFAULT_VERTEX_CAP) -> 
         result.summands[hw] += 1
         for v in comp:
             result.assignment[v] = inst_id
-    total = sum(
-        m * len(_reference_crystal(diagram, w, max_vertices))
-        for w, m in result.summands.items()
-    )
-    if total != len(crystal):
-        raise DecompositionError(
-            f"summand cardinalities sum to {total}, crystal has {len(crystal)} vertices"
-        )
     return result
 
 
@@ -140,8 +133,9 @@ def multiplicity(
     the product.  Under the signature rule a vertex of B(lam) x B(mu) is a
     source iff it is u_lam x b with eps_i(b) <= lam_i for every color i,
     so the highest weights of the partial products are carried as a
-    multiset and each later factor is read once.  Raises VertexCapError
-    when the product would have more than max_vertices vertices.
+    multiset and each later factor is read once.  Raises ValueError for a
+    cap below 1 and VertexCapError when the product would have more than
+    max_vertices vertices.
     """
     target = diagram.check_weight(target)
     if not diagram.is_dominant(target):
@@ -155,7 +149,7 @@ def multiplicity(
     _check_product_size(diagram, factors, max_vertices)
     tops = Counter({factors[0]: 1})
     for mu in factors[1:]:
-        ref = _reference_crystal(diagram, mu, max_vertices)
+        ref = _reference_crystal(diagram, mu)
         # (eps(b), wt(b)) with multiplicity: vertices sharing both add alike
         vertices = Counter(zip(zip(*ref._string_data()[0]), ref.weights))
         nxt: Counter = Counter()
@@ -186,9 +180,7 @@ def levi_maps(diagram: DynkinDiagram, d, v, keep) -> tuple[Weight, Weight]:
     return framing, restriction
 
 
-def branch(
-    crystal: CrystalGraph, keep, max_vertices: int = DEFAULT_VERTEX_CAP
-) -> tuple[Decomposition, DynkinDiagram]:
+def branch(crystal: CrystalGraph, keep) -> tuple[Decomposition, DynkinDiagram]:
     """Restrict a crystal to a subdiagram and decompose it there.
 
     Edges with colors outside `keep` are forgotten and weights are read
@@ -198,4 +190,4 @@ def branch(
     weights = [tuple(w[j] for j in kept) for w in crystal.weights]
     f_maps = [crystal.f_maps[j] for j in kept]
     restricted = CrystalGraph(sub, weights, f_maps, crystal.payloads)
-    return decompose(restricted, max_vertices=max_vertices), sub
+    return decompose(restricted), sub

@@ -28,6 +28,9 @@ Weight = tuple[int, ...]
 
 _DIAGRAM_RE = re.compile(r"^([ADE])(\d+)$")
 
+# Diagrams carry rank x rank tables, so the rank is bounded before any is built.
+MAX_RANK = 100
+
 
 def vadd(u: Weight, w: Weight) -> Weight:
     return tuple(a + b for a, b in zip(u, w, strict=True))
@@ -277,6 +280,8 @@ class DynkinDiagram:
 def dynkin(family: str, rank: int) -> DynkinDiagram:
     """Build the standard ADE diagram of the given family and rank."""
     family = family.upper()
+    if rank > MAX_RANK:
+        raise ValueError(f"{family}{rank} has rank {rank}, above the maximum rank {MAX_RANK}")
     return DynkinDiagram(rank, _family_edges(family, rank), f"{family}{rank}")
 
 

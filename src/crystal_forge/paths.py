@@ -56,6 +56,12 @@ class VertexCapError(RuntimeError):
         self.cap = cap
 
 
+def check_vertex_cap(max_vertices: int) -> None:
+    """Raise ValueError for a vertex cap below 1."""
+    if max_vertices < 1:
+        raise ValueError(f"max_vertices must be at least 1, got {max_vertices}")
+
+
 class _Denominator(Exception):
     """A split point needs the common denominator multiplied by args[0]."""
 
@@ -244,8 +250,7 @@ def build_crystal(
     and edge lists are deterministic.  Raises ValueError for a cap below
     1 and VertexCapError when the crystal would exceed max_vertices.
     """
-    if max_vertices < 1:
-        raise ValueError(f"max_vertices must be at least 1, got {max_vertices}")
+    check_vertex_cap(max_vertices)
     start, denominator = _from_fractions(highest_path(diagram, hw))
     hw = diagram.check_weight(hw)
     (order, f_maps), denominator = _growing(

@@ -22,7 +22,9 @@ def freudenthal_character(diagram: DynkinDiagram, hw) -> Counter:
     rank = diagram.rank
     hw = diagram.check_weight(hw)
     rho = (1,) * rank
-    pos_roots = [diagram.apply_cartan(r) for r in diagram.positive_roots()]
+    # (alpha in fundamental coordinates, alpha in root coordinates r):
+    # the pairing (nu, alpha) is then the integer sum of nu_i * r_i
+    pos_roots = [(diagram.apply_cartan(r), r) for r in diagram.positive_roots()]
     simple_roots = [diagram.simple_root(i) for i in range(rank)]
     top_norm = _form(diagram, vadd(hw, rho), vadd(hw, rho))
 
@@ -34,15 +36,15 @@ def freudenthal_character(diagram: DynkinDiagram, hw) -> Counter:
         for mu in candidates:
             if mu in mult:
                 continue
-            num = Fraction(0)
-            for alpha in pos_roots:
+            num = 0
+            for alpha, r in pos_roots:
                 k = 1
                 while True:
                     nu = tuple(m + k * a for m, a in zip(mu, alpha))
                     c = mult.get(nu)
                     if c is None:
                         break  # alpha-strings through weights are unbroken
-                    num += 2 * c * _form(diagram, nu, alpha)
+                    num += 2 * c * sum(n * ri for n, ri in zip(nu, r))
                     k += 1
             if num == 0:
                 continue
@@ -76,16 +78,15 @@ def peel_character(diagram: DynkinDiagram, char: Counter) -> Counter:
     maximal weight of what remains must always be dominant.
     """
 
-    def height(mu) -> Fraction:
-        return sum(diagram.solve_cartan(mu))
-
+    # height in root coordinates, once per weight
+    height = {mu: sum(diagram.solve_cartan(mu)) for mu in char}
     remaining = Counter(char)
     out: Counter = Counter()
     while True:
         remaining = +remaining
         if not remaining:
             return out
-        mu = max(remaining, key=lambda m: (height(m), m))
+        mu = max(remaining, key=lambda m: (height[m], m))
         assert diagram.is_dominant(mu), f"maximal weight {mu} is not dominant"
         m = remaining[mu]
         out[mu] += m

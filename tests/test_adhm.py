@@ -321,6 +321,12 @@ def test_cli_malformed_json_exits_1_with_one_line(payload):
     assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
 
 
+def test_cli_refuses_a_diagram_rank_above_the_bound():
+    code, out, err = _adhm_check(_with(EDGE_PAYLOAD, "diagram", "A100000"))
+    assert (code, out) == (1, "")
+    assert err.count("\n") == 1 and "rank 100000" in err and "maximum rank 100" in err
+
+
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers(-2, 3) | st.floats(-2, 2) | st.text(max_size=4),
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),

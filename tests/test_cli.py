@@ -1,5 +1,6 @@
 import hashlib
 import json
+import time
 
 import pytest
 
@@ -64,6 +65,33 @@ def test_nonpositive_vertex_cap_is_domain_error(capsys, cap):
     assert err.count("\n") == 1 and "max_vertices must be at least 1" in err
 
 
+_CAPPED_REQUESTS = {
+    "crystal": ("--hw", "1,1"),
+    "tensor": ("--factors", "1,1", "1,0"),
+    "decompose": ("--factors", "1,1", "1,0"),
+    "mult": ("--target", "1,1", "--factors", "1,1", "1,0"),
+    "branch": ("--hw", "1,1", "--keep", "0"),
+}
+
+
+@pytest.mark.parametrize("cap", ["0", "-3"])
+@pytest.mark.parametrize("command", sorted(_CAPPED_REQUESTS))
+def test_nonpositive_vertex_cap_exits_1_on_every_command(capsys, command, cap):
+    code, out, err = run_cli(
+        capsys, command, "--diagram", "A2", *_CAPPED_REQUESTS[command], "--max-vertices", cap
+    )
+    assert (code, out) == (1, "")
+    assert err == f"error: max_vertices must be at least 1, got {cap}\n"
+
+
+def test_rank_above_the_bound_exits_1_at_once(capsys):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "roots", "--diagram", "A100000")
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (1, "")
+    assert err.count("\n") == 1 and "rank 100000" in err and "maximum rank 100" in err
+
+
 # sha256 of `crystal --format json` stdout: any change to vertex order, edges
 # or path payloads shows here.  A2 (30,2) and A3 (3,1,3) make the common path
 # denominator grow (to 240 and 84).
@@ -84,6 +112,38 @@ def test_crystal_json_is_byte_identical_to_golden(capsys, diagram, hw):
     )
     assert code == 0 and err == ""
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_CRYSTAL_JSON[diagram, hw]
+
+
+# sha256 of `decompose` and `branch` stdout (json): summands, assignment and
+# instance ids, which follow increasing source id.
+GOLDEN_DECOMPOSE_JSON = {
+    ("A2", "1,1 1,1"): "e33149f5525f8e0fdd54afe77ff91e4b21b3142401010dc44fb6e463cb158468",
+    ("A2", "3,3 4,2"): "4a67b84a1baedefa1c31c0c169dc5beac6dc37b008f77544f416fc82754d2d7d",
+    ("A3", "1,0,1 0,1,0 1,0,0"): "0d22cecbe21730f2e6eabe60228739f20edda534dbd04d964343d62fe68cf6ae",
+    ("D4", "1,0,0,0 0,0,1,0 0,0,0,1"): "5b0b49dceb56ad75fafe2f2087f7bfe4aa4c91bccc4cafdb29402bf1984f3c54",
+}
+GOLDEN_BRANCH_JSON = {
+    ("D4", "0,1,0,0", "1,2,3"): "8249692ea0d5b3233536a6af2443e659905bbf0a343aa6f47851a78426641498",
+    ("E6", "1,0,0,0,0,1", "0,1,2,3,4"): "77509b0a7210175c82e37aaa0952a145fcf1b8968d5f6bcd730ef5acbaf49155",
+}
+
+
+@pytest.mark.parametrize("diagram,factors", sorted(GOLDEN_DECOMPOSE_JSON))
+def test_decompose_json_is_byte_identical_to_golden(capsys, diagram, factors):
+    code, out, err = run_cli(
+        capsys, "decompose", "--diagram", diagram, "--factors", *factors.split()
+    )
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_DECOMPOSE_JSON[diagram, factors]
+
+
+@pytest.mark.parametrize("diagram,hw,keep", sorted(GOLDEN_BRANCH_JSON))
+def test_branch_json_is_byte_identical_to_golden(capsys, diagram, hw, keep):
+    code, out, err = run_cli(
+        capsys, "branch", "--diagram", diagram, "--hw", hw, "--keep", keep
+    )
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_BRANCH_JSON[diagram, hw, keep]
 
 
 def test_mult_prints_bare_count_by_default(capsys):

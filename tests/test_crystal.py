@@ -40,6 +40,40 @@ def test_corrupted_weight_is_reported():
     assert any("vertex 0" in line or "vertex 1" in line for line in report)
 
 
+def _wt(i, a):
+    return f"vertex {a}, color {i}: wt(f a) != wt(a) - simple_root({i})"
+
+
+def _cycle(i, a):
+    return f"color {i}: f-cycle through vertex {a}"
+
+
+@pytest.mark.parametrize(
+    "graph,expected",
+    [
+        # 1 <-> 2 is a cycle, 3 -> 0 -> 1 a tail into it; 0 and 2 both map to 1
+        (
+            CrystalGraph(A1, [(2,), (0,), (-2,), (4,)], [{0: 1, 1: 2, 2: 1, 3: 0}]),
+            ["color 0: f is not injective at target vertex 1", _wt(0, 2)]
+            + [_cycle(0, a) for a in (0, 1, 2, 3)],
+        ),
+        # a pure 3-cycle
+        (
+            CrystalGraph(A1, [(2,), (0,), (-2,)], [{0: 1, 1: 2, 2: 0}]),
+            [_wt(0, 2), _cycle(0, 0), _cycle(0, 1), _cycle(0, 2)],
+        ),
+        # a 2-cycle in color 0 and a 3-cycle in color 1
+        (
+            CrystalGraph(A2, [(0, 0)] * 4, [{0: 1, 1: 0}, {1: 2, 2: 3, 3: 1}]),
+            [_wt(0, 0), _wt(0, 1), _cycle(0, 0), _cycle(0, 1)]
+            + [_wt(1, 1), _wt(1, 2), _wt(1, 3), _cycle(1, 1), _cycle(1, 2), _cycle(1, 3)],
+        ),
+    ],
+)
+def test_f_cycles_are_reported_in_order(graph, expected):
+    assert verify_axioms(graph) == expected
+
+
 def test_epsilon_phi_on_b2():
     b2 = a1_chain([2, 0, -2])
     assert (b2.epsilon(0, 0), b2.phi(0, 0)) == (0, 2)
@@ -150,6 +184,13 @@ def test_is_isomorphic_rejects_component_with_two_sources():
     two_tops = CrystalGraph(A2, [(1, 0), (0, 1), (-1, 1)], [{0: 2}, {1: 2}])
     with pytest.raises(DecompositionError, match="2 source vertices"):
         is_isomorphic(two_tops, two_tops)
+
+
+def test_is_isomorphic_rejects_a_vertex_below_no_source():
+    # an f-cycle has no source, so nothing generates its vertices
+    cycle = CrystalGraph(A1, [(0,), (0,)], [{0: 1, 1: 0}])
+    with pytest.raises(DecompositionError, match="vertex 0 lies below no source"):
+        is_isomorphic(cycle, cycle)
 
 
 def test_tensor_associative_up_to_isomorphism():

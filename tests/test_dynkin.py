@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from crystal_forge.dynkin import (
+    MAX_RANK,
     dynkin,
     induced_subdiagram,
     pairing,
@@ -35,6 +36,13 @@ def test_d4_shape():
 def test_invalid_diagrams(family, rank):
     with pytest.raises(ValueError):
         dynkin(family, rank)
+
+
+def test_rank_bound():
+    assert dynkin("A", MAX_RANK).rank == MAX_RANK
+    message = f"D{MAX_RANK + 1} has rank {MAX_RANK + 1}, above the maximum rank {MAX_RANK}"
+    with pytest.raises(ValueError, match=message):
+        dynkin("D", MAX_RANK + 1)
 
 
 def test_parse_diagram():
