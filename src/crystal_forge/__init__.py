@@ -11,6 +11,10 @@ The package has three layers:
 * an exact-arithmetic laboratory (`linalg`, `adhm`) for checking explicit
   ADHM data against the moment-map equation, stability and stratum
   membership.
+
+The package exports the function `decompose`, which hides the submodule
+of the same name: `crystal_forge.decompose` is the function.  Reach the
+module with `importlib.import_module("crystal_forge.decompose")`.
 """
 
 from .dynkin import (

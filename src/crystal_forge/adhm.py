@@ -25,6 +25,7 @@ from .linalg import (
     column_space,
     contains,
     full_space,
+    hstack,
     image_of,
     intersect,
     kernel,
@@ -33,12 +34,15 @@ from .linalg import (
     matmul,
     matneg,
     preimage,
-    subspace_sum,
     zero_space,
     zeros,
 )
 
 GradedSubspace = tuple[Mat, ...]
+
+# Exact elimination on dense rational data grows fast with the dimension, so
+# a JSON datum may declare at most this much in sum(v) and in sum(d).
+MAX_TOTAL_DIM = 32
 
 
 def _space_dims(spaces: GradedSubspace) -> Weight:
@@ -116,44 +120,42 @@ def check_preprojective(datum: ADHMDatum) -> bool:
     return all(m.is_zero() for m in preprojective_residual(datum))
 
 
+def _fixpoint(step, start):
+    """Apply step from start until it returns its argument."""
+    while (nxt := step(start)) != start:
+        start = nxt
+    return start
+
+
 def _push(datum: ADHMDatum, cur: GradedSubspace, base: GradedSubspace) -> GradedSubspace:
     """base plus the image of cur under every edge map, vertex by vertex."""
-    nxt = list(base)
-    for src, dst in datum.diagram.oriented_edges:
-        img = image_of(datum.x_map((src, dst)), cur[src])
-        nxt[dst] = subspace_sum(nxt[dst], img)
-    return tuple(nxt)
+    x, diagram = datum.x_map, datum.diagram
+    return tuple(
+        column_space(hstack(base[i], *(matmul(x((j, i)), cur[j]) for j in diagram.neighbors(i))))
+        for i in range(diagram.rank)
+    )
 
 
 def closure(datum: ADHMDatum, spaces: GradedSubspace) -> GradedSubspace:
-    """Smallest x-invariant graded subspace containing the given one."""
-    cur = tuple(column_space(s) for s in spaces)
-    while True:
-        nxt = _push(datum, cur, cur)
-        if nxt == cur:
-            return cur
-        cur = nxt
+    """Smallest x-invariant graded subspace containing the given spans."""
+    return _fixpoint(lambda cur: _push(datum, cur, cur), tuple(spaces))
 
 
 def core(datum: ADHMDatum, spaces: GradedSubspace) -> GradedSubspace:
-    """Largest x-invariant graded subspace contained in the given one."""
-    diagram = datum.diagram
-    cur = tuple(column_space(s) for s in spaces)
-    while True:
-        nxt = list(cur)
+    """Largest x-invariant graded subspace contained in the given spans."""
+    x, diagram = datum.x_map, datum.diagram
+
+    def step(cur):
+        out = []
         for src in range(diagram.rank):
-            piece = nxt[src]
+            piece = cur[src]
             for dst in diagram.neighbors(src):
-                piece = intersect(piece, preimage(datum.x_map((src, dst)), cur[dst]))
-            nxt[src] = piece
-        nxt = tuple(nxt)
-        if nxt == cur:
-            return cur
-        cur = nxt
+                # S meet m^{-1}(T) is S (m S)^{-1}(T) for a spanning matrix S
+                piece = image_of(piece, preimage(matmul(x((src, dst)), piece), cur[dst]))
+            out.append(piece)
+        return tuple(out)
 
-
-def image_of_p(datum: ADHMDatum) -> GradedSubspace:
-    return tuple(column_space(m) for m in datum.p)
+    return _fixpoint(step, tuple(column_space(s) for s in spaces))
 
 
 def kernel_of_q(datum: ADHMDatum) -> GradedSubspace:
@@ -162,7 +164,7 @@ def kernel_of_q(datum: ADHMDatum) -> GradedSubspace:
 
 def is_stable(datum: ADHMDatum) -> bool:
     """Whether the closure of the image of p is all of V."""
-    return _space_dims(closure(datum, image_of_p(datum))) == datum.v
+    return _space_dims(closure(datum, datum.p)) == datum.v
 
 
 def is_ast_stable(datum: ADHMDatum) -> bool:
@@ -173,20 +175,15 @@ def is_ast_stable(datum: ADHMDatum) -> bool:
 def is_nilpotent(datum: ADHMDatum) -> bool:
     """Whether every edge-matrix product of length |dim V| vanishes.
 
-    Iterates the sum-of-images operator from the full space; the sequence
-    is decreasing, so stabilizing anywhere above zero means a product of
-    arbitrary length survives.
+    Iterates the sum-of-images step from the full space.  The image W_k
+    of V under the paths of length k is the step applied to W_(k-1), and
+    W_1 sits in W_0 = V, so W_k decreases with k: the fixpoint is reached
+    within |dim V| + 1 steps, and it is zero exactly when the datum is
+    nilpotent.
     """
-    cur = full_graded(datum.v)
     zero = zero_graded(datum.v)
-    for _ in range(sum(datum.v)):
-        nxt = _push(datum, cur, zero)
-        if all(c == 0 for c in _space_dims(nxt)):
-            return True
-        if nxt == cur:
-            return False
-        cur = nxt
-    return all(c == 0 for c in _space_dims(cur))
+    image = _fixpoint(lambda cur: _push(datum, cur, zero), full_graded(datum.v))
+    return all(c == 0 for c in _space_dims(image))
 
 
 @dataclass(frozen=True)
@@ -242,13 +239,14 @@ def stratum_membership(
     """
     if datum.diagram != flag.diagram or datum.d != flag.d:
         raise ValueError("flag and datum live on different framing spaces")
-    if not is_stable(datum):
-        raise ValueError("stratum membership is defined for stable data only")
     diagram = datum.diagram
-    closures = [closure(datum, tuple(image_of(datum.p[i], flag.steps[k][i]) for i in range(diagram.rank)))
-                for k in range(flag.n)]
-    cores = [core(datum, tuple(preimage(datum.q[i], flag.steps[k][i]) for i in range(diagram.rank)))
-             for k in range(flag.n)]
+    closures = [closure(datum, tuple(matmul(datum.p[i], step[i]) for i in range(diagram.rank)))
+                for step in flag.steps]
+    # the last flag step is all of D, so its closure is the stability closure
+    if _space_dims(closures[-1]) != datum.v:
+        raise ValueError("stratum membership is defined for stable data only")
+    cores = [core(datum, tuple(preimage(datum.q[i], step[i]) for i in range(diagram.rank)))
+             for step in flag.steps]
     for k in range(flag.n):
         for i in range(diagram.rank):
             if not contains(cores[k][i], closures[k][i]):
@@ -419,6 +417,10 @@ def _dims(payload: dict, key: str, diagram: DynkinDiagram) -> Weight:
     value = _list(payload[key], key, diagram.rank)
     if not all(type(c) is int and c >= 0 for c in value):
         raise ValueError(f"{key} must list non-negative integers")
+    if sum(value) > MAX_TOTAL_DIM:
+        raise ValueError(
+            f"{key} sums to {sum(value)}, above the maximum total dimension {MAX_TOTAL_DIM}"
+        )
     return tuple(value)
 
 

@@ -287,6 +287,11 @@ def _run(args) -> int:
         return 0
 
     if args.command == "dims":
+        if bool(args.d_tuple) != bool(args.v_tuple):
+            given, missing = ("--d-tuple", "--v-tuple") if args.d_tuple else ("--v-tuple", "--d-tuple")
+            raise ValueError(f"{given} needs {missing}")
+        if args.vt_tuple and not args.d_tuple:
+            raise ValueError("--vt-tuple needs --d-tuple and --v-tuple")
         diagram = parse_diagram(args.diagram)
         payload = {
             "schema": SCHEMA,
@@ -300,7 +305,7 @@ def _run(args) -> int:
         payload["gprime_integrable"] = gprime_integrable(gw)
         vw = v_from_weight(diagram, args.d, args.v)
         payload["v_from_weight_of_v"] = list(vw) if vw is not None else None
-        if args.d_tuple and args.v_tuple:
+        if args.d_tuple:
             params = StratumParams(
                 diagram,
                 args.d,

@@ -66,9 +66,6 @@ class Decomposition:
     instances: list[SummandInstance] = field(default_factory=list)
     assignment: dict[int, int] = field(default_factory=dict)
 
-    def multiplicity_of(self, hw) -> int:
-        return self.summands.get(tuple(hw), 0)
-
     def total_cardinality(self) -> int:
         return len(self.assignment)
 

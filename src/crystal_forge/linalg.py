@@ -83,10 +83,11 @@ def transpose(a: Mat) -> Mat:
     return Mat(a.cols, a.rows, tuple(a.column(c) for c in range(a.cols)))
 
 
-def hstack(a: Mat, b: Mat) -> Mat:
-    if a.rows != b.rows:
+def hstack(*blocks: Mat) -> Mat:
+    if len({b.rows for b in blocks}) != 1:
         raise ValueError("row mismatch in hstack")
-    return Mat(a.rows, a.cols + b.cols, tuple(ra + rb for ra, rb in zip(a.data, b.data)))
+    data = tuple(sum(parts, ()) for parts in zip(*(b.data for b in blocks)))
+    return Mat(blocks[0].rows, sum(b.cols for b in blocks), data)
 
 
 def rref(a: Mat) -> tuple[Mat, tuple[int, ...]]:
@@ -173,22 +174,16 @@ def image_of(m: Mat, s: Mat) -> Mat:
 
 
 def intersect(a: Mat, b: Mat) -> Mat:
-    """Canonical intersection of two subspaces of the same ambient space."""
+    """Canonical intersection a(a^{-1}(b)) of two subspaces of one ambient space."""
     if a.rows != b.rows:
         raise ValueError("ambient dimension mismatch in intersection")
-    if a.cols == 0 or b.cols == 0:
-        return zero_space(a.rows)
-    k = kernel(hstack(a, matneg(b)))
-    top = Mat(a.cols, k.cols, tuple(k.data[r] for r in range(a.cols)))
-    return column_space(matmul(a, top))
+    return image_of(a, preimage(a, b))
 
 
 def preimage(m: Mat, s: Mat) -> Mat:
     """Canonical preimage {x : m x in S} of a subspace under a linear map."""
     if m.rows != s.rows:
         raise ValueError("ambient dimension mismatch in preimage")
-    if s.cols == 0:
-        return column_space(kernel(m))
     k = kernel(hstack(m, matneg(s)))
     top = Mat(m.cols, k.cols, tuple(k.data[r] for r in range(m.cols)))
     return column_space(top)

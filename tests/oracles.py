@@ -93,3 +93,58 @@ def peel_character(diagram: DynkinDiagram, char: Counter) -> Counter:
         for w, c in freudenthal_character(diagram, mu).items():
             remaining[w] -= m * c
             assert remaining[w] >= 0, f"negative multiplicity at {w}"
+
+
+
+def _matmul(a, b) -> list:
+    """Product of Fraction matrices given as lists of rows; b has a row."""
+    return [
+        [sum((x * b[k][c] for k, x in enumerate(row)), Fraction(0)) for c in range(len(b[0]))]
+        for row in a
+    ]
+
+
+def _identity(n: int) -> list:
+    return [[Fraction(int(r == c)) for c in range(n)] for r in range(n)]
+
+
+def edge_matrix_power_vanishes(v, x) -> bool:
+    """Whether the sum(v)-th power of the block edge matrix is zero.
+
+    The block edge matrix acts on V = V_0 + ... + V_(n-1) and has x[(s, t)]
+    as its (t, s) block.  A nilpotent datum (every long enough product of
+    edge maps vanishes) makes it nilpotent, and an N x N nilpotent matrix
+    has zero N-th power.
+    """
+    offsets = [sum(v[:i]) for i in range(len(v))]
+    n = sum(v)
+    big = [[Fraction(0)] * n for _ in range(n)]
+    for (s, t), rows in x.items():
+        for r, row in enumerate(rows):
+            for c, val in enumerate(row):
+                big[offsets[t] + r][offsets[s] + c] = Fraction(val)
+    power = _identity(n)
+    for _ in range(n):
+        power = _matmul(power, big)
+    return not any(map(any, power))
+
+
+def edge_paths_vanish(v, x) -> bool:
+    """Whether every product of edge maps along a path of length sum(v) is zero.
+
+    Walks the paths one edge at a time from every vertex, keeping the
+    product so far, and drops a path once its product is zero.
+    """
+    out_edges: dict[int, list] = {}
+    for (s, t), rows in x.items():
+        out_edges.setdefault(s, []).append((t, [[Fraction(c) for c in row] for row in rows]))
+    level = [(i, _identity(v[i])) for i in range(len(v)) if v[i]]
+    for _ in range(sum(v)):
+        nxt = []
+        for s, acc in level:
+            for t, m in out_edges.get(s, ()):
+                prod = _matmul(m, acc)
+                if any(map(any, prod)):
+                    nxt.append((t, prod))
+        level = nxt
+    return not level

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from crystal_forge.adhm import (
+    MAX_TOTAL_DIM,
     ADHMDatum,
     GradedFlag,
     check_preprojective,
@@ -36,10 +37,12 @@ from crystal_forge.linalg import (
     span,
     zero_space,
 )
+from oracles import edge_matrix_power_vanishes, edge_paths_vanish
 
 A1 = dynkin("A", 1)
 A2 = dynkin("A", 2)
 A3 = dynkin("A", 3)
+D4 = dynkin("D", 4)
 
 
 def one_vertex(p_row, q_col):
@@ -109,6 +112,10 @@ def test_closure_core_properties():
         for i in range(2):
             assert contains(cl[i], spaces[i])
             assert contains(spaces[i], co[i])
+        for src, dst in A2.oriented_edges:
+            x = datum.x_map((src, dst))
+            assert contains(cl[dst], matmul(x, cl[src]))
+            assert contains(co[dst], matmul(x, co[src]))
         assert closure(datum, cl) == cl
         assert core(datum, co) == co
 
@@ -134,6 +141,43 @@ def test_zero_framing_solutions_are_nilpotent():
             datum = random_preprojective(diagram, v, (0,) * diagram.rank, rng)
             assert check_preprojective(datum)
             assert is_nilpotent(datum)
+
+
+def _edge_blocks(datum):
+    return {h: m.data for h, m in datum.x.items()}
+
+
+def test_is_nilpotent_matches_the_path_and_block_matrix_oracles():
+    # with framing the moment map no longer forces nilpotency: both verdicts occur
+    rng = Random(23)
+    verdicts = set()
+    for diagram in (A2, A3, D4):
+        for _ in range(30):
+            v = tuple(rng.randint(0, 2) for _ in range(diagram.rank))
+            d = tuple(rng.randint(0, 1) for _ in range(diagram.rank))
+            datum = random_preprojective(diagram, v, d, rng)
+            nilpotent = is_nilpotent(datum)
+            assert nilpotent == edge_paths_vanish(datum.v, _edge_blocks(datum))
+            if nilpotent:
+                assert edge_matrix_power_vanishes(datum.v, _edge_blocks(datum))
+            verdicts.add(nilpotent)
+    assert verdicts == {True, False}
+
+
+def test_block_matrix_power_misses_cancelling_paths():
+    # the two length-2 loops at vertex 1 cancel in the block matrix, whose
+    # cube is zero, while the loop 0 -> 1 -> 0 is the identity forever
+    datum = ADHMDatum(
+        A3,
+        (0, 0, 0),
+        (1, 1, 1),
+        {(0, 1): mat([[1]]), (1, 0): mat([[1]]), (2, 1): mat([[1]]), (1, 2): mat([[-1]])},
+        tuple(mat([[]], rows=1, cols=0) for _ in range(3)),
+        tuple(mat([], rows=0, cols=1) for _ in range(3)),
+    )
+    assert edge_matrix_power_vanishes(datum.v, _edge_blocks(datum))
+    assert not edge_paths_vanish(datum.v, _edge_blocks(datum))
+    assert not is_nilpotent(datum)
 
 
 def test_random_preprojective_falls_back_to_the_last_trivial_draw():
@@ -325,6 +369,23 @@ def test_cli_refuses_a_diagram_rank_above_the_bound():
     code, out, err = _adhm_check(_with(EDGE_PAYLOAD, "diagram", "A100000"))
     assert (code, out) == (1, "")
     assert err.count("\n") == 1 and "rank 100000" in err and "maximum rank 100" in err
+
+
+@pytest.mark.parametrize("key", ["v", "d"])
+@pytest.mark.parametrize("total", [MAX_TOTAL_DIM + 1, 400])
+def test_cli_refuses_dimensions_above_the_bound(key, total):
+    payload = {"diagram": "A1", "d": [0], "v": [0], "p": [[]], "q": [[]]}
+    payload[key] = [total]
+    code, out, err = _adhm_check(payload)
+    assert (code, out) == (1, "")
+    assert err == f"error: {key} sums to {total}, above the maximum total dimension {MAX_TOTAL_DIM}\n"
+
+
+def test_cli_accepts_dimensions_at_the_bound():
+    payload = {"diagram": "A2", "d": [0, 0], "v": [MAX_TOTAL_DIM - 1, 1], "p": [[], []], "q": [[], []]}
+    code, out, err = _adhm_check(payload)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["nilpotent"] is True
 
 
 JSON_VALUES = st.recursive(

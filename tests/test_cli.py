@@ -240,6 +240,24 @@ def test_dims_negative_value_after_another_tuple_entry(capsys):
     )
 
 
+@pytest.mark.parametrize(
+    "options,missing",
+    [
+        (("--d-tuple", "1,0"), "--d-tuple needs --v-tuple"),
+        (("--v-tuple", "0,0"), "--v-tuple needs --d-tuple"),
+        (("--vt-tuple", "0,0"), "--vt-tuple needs --d-tuple and --v-tuple"),
+        (("--d-tuple", "1,0", "--vt-tuple", "0,0"), "--d-tuple needs --v-tuple"),
+        (("--v-tuple", "0,0", "--vt-tuple", "0,0"), "--v-tuple needs --d-tuple"),
+    ],
+)
+def test_dims_tuple_options_come_together(capsys, options, missing):
+    # a partial set of tuples used to drop the "strata" block and exit 0
+    code, out, err = run_cli(
+        capsys, "dims", "--diagram", "A2", "--d", "1,0", "--v", "0,0", *options
+    )
+    assert (code, out, err) == (1, "", f"error: {missing}\n")
+
+
 def test_sl2_subcommands(capsys):
     code, out, _ = run_cli(capsys, "sl2", "crystal", "--d", "3", "--v0", "1")
     assert code == 0

@@ -203,6 +203,16 @@ def test_lone_vertex_is_refused_before_any_reference_build(monkeypatch):
         decompose(lone)
 
 
+def test_package_decompose_is_the_function_and_the_module_is_reached_by_import():
+    import crystal_forge
+
+    module = importlib.import_module("crystal_forge.decompose")
+    assert crystal_forge.decompose is decompose is module.decompose
+    assert callable(crystal_forge.decompose) and not hasattr(crystal_forge.decompose, "build_crystal")
+    assert module.build_crystal is build_crystal
+    assert 'importlib.import_module("crystal_forge.decompose")' in crystal_forge.__doc__
+
+
 def test_multiplicity_refuses_product_above_cap():
     # 64**3 = 262,144 vertices, above the default cap of 200,000
     with pytest.raises(VertexCapError, match="262144 vertices"):
