@@ -159,7 +159,8 @@ def core(datum: ADHMDatum, spaces: GradedSubspace) -> GradedSubspace:
 
 
 def kernel_of_q(datum: ADHMDatum) -> GradedSubspace:
-    return tuple(column_space(kernel(m)) for m in datum.q)
+    """Spanning matrices of ker q at each vertex; `core` canonicalises them."""
+    return tuple(kernel(m) for m in datum.q)
 
 
 def is_stable(datum: ADHMDatum) -> bool:
@@ -467,8 +468,14 @@ def datum_from_json(payload: dict) -> tuple[ADHMDatum, GradedFlag | None]:
     datum = ADHMDatum(diagram, d, v, x, p, q)
     flag = None
     if "flag" in payload:
+        flag_data = _list(payload["flag"], "flag")
+        # a strictly increasing flag in D has at most sum(d) + 1 steps
+        if len(flag_data) > MAX_TOTAL_DIM + 1:
+            raise ValueError(
+                f"flag has {len(flag_data)} steps, above the maximum {MAX_TOTAL_DIM + 1}"
+            )
         steps = []
-        for s, step in enumerate(_list(payload["flag"], "flag")):
+        for s, step in enumerate(flag_data):
             pieces = []
             for i, piece in enumerate(_list(step, f"flag[{s}]", diagram.rank)):
                 where = f"flag[{s}][{i}]"
@@ -477,13 +484,8 @@ def datum_from_json(payload: dict) -> tuple[ADHMDatum, GradedFlag | None]:
                     for k, vec in enumerate(_list(piece, where))
                 ]
                 pieces.append(
-                    column_space(
-                        mat(
-                            [[vec[r] for vec in vectors] for r in range(d[i])],
-                            rows=d[i],
-                            cols=len(vectors),
-                        )
-                    )
+                    mat([[vec[r] for vec in vectors] for r in range(d[i])],
+                        rows=d[i], cols=len(vectors))
                 )
             steps.append(tuple(pieces))
         flag = GradedFlag(diagram, d, tuple(steps))

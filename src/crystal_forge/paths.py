@@ -18,10 +18,10 @@ for the displacement direction * length / D over one denominator D shared
 by every path of a crystal.  The reflection s_i is an integral involution,
 so it keeps directions primitive: two segments point the same way exactly
 when their directions are equal, merging adds lengths, and heights are
-integer prefix sums over D.  D starts at 1 and grows only when a split
-point (D * (m+1) - prefix height) / direction[i] is not an integer; the
-breadth-first build then restarts with the larger D, which yields the
-same vertex order because canonical paths do not depend on D.
+integer prefix sums over D.  D is fixed from the highest weight lambda
+as the lcm of the nonzero <lambda, gamma> over positive roots gamma: by
+Littelmann's a-chain condition every breakpoint a of a path in B(lambda)
+has a * <lambda, gamma> integral for some gamma, so split points are too.
 
 Public functions take and return paths as tuples of Fraction tuples, the
 form crystal payloads carry; conversion happens only at that boundary.
@@ -60,10 +60,6 @@ def check_vertex_cap(max_vertices: int) -> None:
     """Raise ValueError for a vertex cap below 1."""
     if max_vertices < 1:
         raise ValueError(f"max_vertices must be at least 1, got {max_vertices}")
-
-
-class _Denominator(Exception):
-    """A split point needs the common denominator multiplied by args[0]."""
 
 
 class _Reflection(dict):
@@ -114,7 +110,10 @@ def _lower(path: _IntPath, i: int, denominator: int, reflect: _Reflection):
         d, n = path[j]
         rise, c = target - heights[j], d[i]
         if rise % c:
-            raise _Denominator(c // gcd(rise, c))
+            raise AssertionError(
+                f"split point {rise}/{c} into segment {j} is not an integer "
+                f"over denominator {denominator}"
+            )
         piece = path[k1:j] + ((d, rise // c),)
         rest = ((d, n - rise // c),) + path[j + 1 :]
     mid = tuple([(reflect[d], n) for d, n in piece])
@@ -181,23 +180,13 @@ def highest_path(diagram: DynkinDiagram, hw) -> Path:
     return canonical_path([hw])
 
 
-def _growing(run, path: _IntPath, denominator: int):
-    """(run(path, D), D), retried with path and D rescaled while run needs it."""
-    while True:
-        try:
-            return run(path, denominator), denominator
-        except _Denominator as grow:
-            factor = grow.args[0]
-            path = tuple([(d, n * factor) for d, n in path])
-            denominator *= factor
-
-
 def _apply(diagram: DynkinDiagram, i: int, path: Path, raising: bool) -> Path | None:
     ints, denominator = _from_fractions(path)
-    reflect = _Reflection(diagram, i)
-    new, denominator = _growing(
-        lambda p, d: _lower(p, i, d, reflect), _reverse(ints) if raising else ints, denominator
-    )
+    # every rise is then divisible by the slope of the segment it splits
+    scale = lcm(*(abs(d[i]) for d, _ in ints if d[i]))
+    ints = tuple([(d, n * scale) for d, n in ints])
+    denominator *= scale
+    new = _lower(_reverse(ints) if raising else ints, i, denominator, _Reflection(diagram, i))
     if new is None:
         return None
     return _to_fractions(_reverse(new) if raising else new, denominator, {})
@@ -251,11 +240,12 @@ def build_crystal(
     1 and VertexCapError when the crystal would exceed max_vertices.
     """
     check_vertex_cap(max_vertices)
-    start, denominator = _from_fractions(highest_path(diagram, hw))
+    start, _ = _from_fractions(highest_path(diagram, hw))
     hw = diagram.check_weight(hw)
-    (order, f_maps), denominator = _growing(
-        lambda p, d: _close(diagram, hw, p, d, max_vertices), start, denominator
-    )
+    pairings = (sum(x * g for x, g in zip(hw, r)) for r in diagram.positive_roots())
+    denominator = lcm(*filter(None, pairings))
+    start = tuple([(d, n * denominator) for d, n in start])
+    order, f_maps = _close(diagram, hw, start, denominator, max_vertices)
     weights = [_endpoint(p, diagram.rank, denominator) for p in order]
     cache: dict = {}
     payloads = [("path", _to_fractions(p, denominator, cache)) for p in order]

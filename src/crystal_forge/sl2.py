@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from .crystal import CrystalGraph
 from .dynkin import dynkin
+from .paths import DEFAULT_VERTEX_CAP, VertexCapError
 
 _A1 = dynkin("A", 1)
 
@@ -28,9 +29,13 @@ def sl2_crystal(d: int, v0: int) -> CrystalGraph:
     """The chain crystal with vertices v = v0 .. d-v0 and weights d-2v.
 
     Empty when 2*v0 > d.  Vertex k corresponds to v = v0 + k, with
-    epsilon = v - v0 and phi = d - v - v0.
+    epsilon = v - v0 and phi = d - v - v0.  Raises VertexCapError, before
+    building anything, for a chain above paths.DEFAULT_VERTEX_CAP.
     """
     _check_label(d, v0)
+    size = d - 2 * v0 + 1
+    if size > DEFAULT_VERTEX_CAP:
+        raise VertexCapError(f"sl2 chain of {size} vertices", DEFAULT_VERTEX_CAP)
     if 2 * v0 > d:
         return CrystalGraph(_A1, [], [{}])
     vs = list(range(v0, d - v0 + 1))

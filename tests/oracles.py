@@ -2,7 +2,9 @@
 
 Weight multiplicities come from Freudenthal's recursion and tensor
 decompositions from character peeling; neither touches the path operators
-or the graph machinery, so agreement is a genuine cross-check.
+or the graph machinery, so agreement is a genuine cross-check.  The root
+operators have a plain Fraction reference that splits segments at
+rational points, with no common denominator.
 """
 
 from collections import Counter
@@ -94,6 +96,59 @@ def peel_character(diagram: DynkinDiagram, char: Counter) -> Counter:
             remaining[w] -= m * c
             assert remaining[w] >= 0, f"negative multiplicity at {w}"
 
+
+def _canonical(segments) -> tuple:
+    """Drop zero segments and merge neighbours that point the same way."""
+    out: list = []
+    for seg in segments:
+        if not any(seg):
+            continue
+        if out:
+            last = out[-1]
+            parallel = all(a * y == b * x for a, x in zip(last, seg) for b, y in zip(last, seg))
+            if parallel and sum(a * x for a, x in zip(last, seg)) > 0:
+                out[-1] = tuple(a + x for a, x in zip(last, seg))
+                continue
+        out.append(tuple(seg))
+    return tuple(out)
+
+
+def root_f(diagram: DynkinDiagram, i: int, path):
+    """Littelmann's lowering operator f_i on a path of Fraction segments.
+
+    With h the i-th coordinate along the path and m its minimum (an
+    integer), reflect by s_i the piece from the last breakpoint at height m
+    to the first point after it at height m + 1; None if the path never
+    gets there.
+    """
+    segs = [tuple(Fraction(c) for c in seg) for seg in path]
+    heights = [Fraction(0)]
+    for seg in segs:
+        heights.append(heights[-1] + seg[i])
+    m = min(heights)
+    assert m.denominator == 1 and heights[-1].denominator == 1, heights
+    if heights[-1] < m + 1:
+        return None
+    k1 = max(k for k, h in enumerate(heights) if h == m)
+    j = k1
+    while heights[j + 1] < m + 1:
+        j += 1
+    t = (m + 1 - heights[j]) / segs[j][i]
+    piece = segs[k1:j] + [tuple(t * c for c in segs[j])]
+    rest = [tuple((1 - t) * c for c in segs[j])] + segs[j + 1 :]
+    alpha = diagram.simple_root(i)
+    mid = [tuple(c - seg[i] * a for c, a in zip(seg, alpha)) for seg in piece]
+    return _canonical(segs[:k1] + mid + rest)
+
+
+def _reversed_path(path) -> tuple:
+    return tuple(tuple(-c for c in seg) for seg in reversed(path))
+
+
+def root_e(diagram: DynkinDiagram, i: int, path):
+    """Raising operator e_i: f_i conjugated by running the path backwards."""
+    up = root_f(diagram, i, _reversed_path(path))
+    return None if up is None else _reversed_path(up)
 
 
 def _matmul(a, b) -> list:

@@ -388,6 +388,27 @@ def test_cli_accepts_dimensions_at_the_bound():
     assert json.loads(out)["nilpotent"] is True
 
 
+def _flag_of_length(steps):
+    """STRATUM_PAYLOAD with its first flag step repeated up to `steps` steps."""
+    first, last = STRATUM_PAYLOAD["flag"]
+    return _with(STRATUM_PAYLOAD, "flag", [first] * (steps - 1) + [last])
+
+
+def test_flag_length_at_the_bound_is_accepted():
+    datum, flag = datum_from_json(_flag_of_length(MAX_TOTAL_DIM + 1))
+    assert flag.n == MAX_TOTAL_DIM + 1
+    v_tuple, vt_tuple = stratum_membership(datum, flag)
+    assert v_tuple == ((0,),) * MAX_TOTAL_DIM + ((0,),)
+    assert vt_tuple == ((0,),) * MAX_TOTAL_DIM + ((1,),)
+
+
+@pytest.mark.parametrize("steps", [MAX_TOTAL_DIM + 2, 3000])
+def test_cli_refuses_a_flag_longer_than_the_bound(steps):
+    code, out, err = _adhm_check(_flag_of_length(steps))
+    assert (code, out) == (1, "")
+    assert err == f"error: flag has {steps} steps, above the maximum {MAX_TOTAL_DIM + 1}\n"
+
+
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers(-2, 3) | st.floats(-2, 2) | st.text(max_size=4),
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),

@@ -93,8 +93,8 @@ def test_rank_above_the_bound_exits_1_at_once(capsys):
 
 
 # sha256 of `crystal --format json` stdout: any change to vertex order, edges
-# or path payloads shows here.  A2 (30,2) and A3 (3,1,3) make the common path
-# denominator grow (to 240 and 84).
+# or path payloads shows here.  A2 (30,2) and A3 (3,1,3) have large common
+# path denominators (480 and 84, the lcm of the nonzero <hw, root>).
 GOLDEN_CRYSTAL_JSON = {
     ("A2", "15,15"): "7deeee475f2c7317e3611019441aa8bd2f9cd5db2bcdedfa2fa42e9d5a91ec48",
     ("A2", "30,2"): "c92bc02cf280ef245c8bb3ac55eacd2bff254cef709cfa7742fea6396ffb2fe0",
@@ -275,6 +275,14 @@ def test_sl2_subcommands(capsys):
         capsys, "sl2", "nonempty", "--first", "2,0", "--second", "2,0", "--v", "3"
     )
     assert json.loads(out)["nonempty"] is False
+
+
+@pytest.mark.parametrize("d", ["200000", "3000000"])
+def test_sl2_crystal_above_the_vertex_cap_exits_2(capsys, d):
+    code, out, err = run_cli(capsys, "sl2", "crystal", "--d", d, "--v0", "0", "--format", "table")
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1
+    assert f"chain of {int(d) + 1} vertices" in err and "vertex cap of 200000" in err
 
 
 def test_adhm_check_and_stratum(tmp_path, capsys):

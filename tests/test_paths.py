@@ -4,6 +4,7 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from crystal_forge import paths
 from crystal_forge.dynkin import dynkin
 from crystal_forge.paths import (
     VertexCapError,
@@ -15,7 +16,7 @@ from crystal_forge.paths import (
     path_f,
 )
 
-from oracles import freudenthal_character
+from oracles import freudenthal_character, root_e, root_f
 
 A1 = dynkin("A", 1)
 A2 = dynkin("A", 2)
@@ -166,3 +167,35 @@ def test_integrality_assertions_fire():
         path_endpoint(((Fraction(1, 2),),), 1)
     with pytest.raises(AssertionError, match="not integral"):
         path_endpoint(((Fraction(1, 3), Fraction(1)), (Fraction(1, 3), Fraction(0))), 2)
+
+
+@st.composite
+def rational_paths(draw):
+    """(diagram, colour, path): coordinates with denominators up to 12 and
+    integer heights in the acting colour at every breakpoint."""
+    diagram = draw(st.sampled_from([A1, A2, dynkin("A", 3), D4]))
+    i = draw(st.integers(0, diagram.rank - 1))
+    rationals = st.integers(1, 12).flatmap(
+        lambda q: st.integers(-3 * q, 3 * q).map(lambda k: Fraction(k, q))
+    )
+    rises = st.integers(-3, 3).map(Fraction)
+    segment = st.tuples(*(rises if k == i else rationals for k in range(diagram.rank)))
+    return diagram, i, tuple(draw(st.lists(segment, min_size=1, max_size=5)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(rational_paths())
+def test_root_operators_match_the_fraction_reference(case):
+    # a split point inside a segment of slope c needs c times the input's
+    # denominator, which no LS path in the other tests exercises
+    diagram, i, path = case
+    assert path_f(diagram, i, path) == root_f(diagram, i, path)
+    assert path_e(diagram, i, path) == root_e(diagram, i, path)
+
+
+def test_close_asserts_an_integral_split_point():
+    # A2 (30,2) needs denominator lcm(30, 2, 32) = 480; with 1 a split fails
+    start, denominator = paths._from_fractions(highest_path(A2, (30, 2)))
+    assert denominator == 1
+    with pytest.raises(AssertionError, match="split point .* over denominator 1$"):
+        paths._close(A2, (30, 2), start, 1, 10_000)

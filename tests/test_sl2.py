@@ -3,7 +3,7 @@ import pytest
 from crystal_forge.crystal import is_isomorphic, tensor, verify_axioms
 from crystal_forge.decompose import decompose
 from crystal_forge.dynkin import dynkin
-from crystal_forge.paths import build_crystal
+from crystal_forge.paths import DEFAULT_VERTEX_CAP, VertexCapError, build_crystal
 from crystal_forge.sl2 import (
     sl2_crystal,
     sl2_mult_range,
@@ -82,3 +82,11 @@ def test_range_agrees_with_decomposition():
                     d = d1 + d2
                     expected = sorted(d - 2 * v0 for v0 in sl2_mult_range(d1, v1, d2, v2))
                     assert got == expected
+
+
+def test_sl2_crystal_vertex_cap():
+    # d - 2*v0 + 1 vertices: at the cap the chain is built, one above it is
+    # refused before anything is built
+    assert len(sl2_crystal(DEFAULT_VERTEX_CAP + 1, 1)) == DEFAULT_VERTEX_CAP
+    with pytest.raises(VertexCapError, match=f"chain of {DEFAULT_VERTEX_CAP + 1} vertices"):
+        sl2_crystal(DEFAULT_VERTEX_CAP + 2, 1)
