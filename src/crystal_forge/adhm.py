@@ -234,38 +234,36 @@ def stratum_membership(
 ) -> tuple[tuple[Weight, ...], tuple[Weight, ...]] | None:
     """Check the submodule chain condition and read off the stratum label.
 
-    For each flag step, the closure of p(step) must sit inside the core of
-    q^{-1}(step); when it does, the label is the pair of dimension tuples
-    of the two subquotient chains.  Requires a stable datum.
+    For each flag step F_k, the closure C_k of p(F_k) must sit inside the
+    core K_k of q^{-1}(F_k).  The steps are read with the zero step F_0 = 0
+    in front, whose closure is 0 and whose core is the core of ker q.  When
+    every step passes, step k >= 1 contributes dim C_k - dim(C_k meet
+    K_(k-1)) to the first tuple of the label and dim(C_k meet K_(k-1)) -
+    dim C_(k-1) to the second.  Each distinct step costs one closure and
+    one core, however often it repeats.  Requires a stable datum.
     """
     if datum.diagram != flag.diagram or datum.d != flag.d:
         raise ValueError("flag and datum live on different framing spaces")
-    diagram = datum.diagram
-    closures = [closure(datum, tuple(matmul(datum.p[i], step[i]) for i in range(diagram.rank)))
-                for step in flag.steps]
+    p, q, vertices = datum.p, datum.q, range(datum.diagram.rank)
+    steps = (zero_graded(flag.d),) + flag.steps
+    distinct = dict.fromkeys(steps)
+    closures = {s: closure(datum, tuple(matmul(p[i], s[i]) for i in vertices)) for s in distinct}
     # the last flag step is all of D, so its closure is the stability closure
-    if _space_dims(closures[-1]) != datum.v:
+    if _space_dims(closures[steps[-1]]) != datum.v:
         raise ValueError("stratum membership is defined for stable data only")
-    cores = [core(datum, tuple(preimage(datum.q[i], step[i]) for i in range(diagram.rank)))
-             for step in flag.steps]
-    for k in range(flag.n):
-        for i in range(diagram.rank):
-            if not contains(cores[k][i], closures[k][i]):
-                return None
-    kernel_core = core(datum, kernel_of_q(datum))
-    v_tuple = []
-    vt_tuple = []
-    prev_closure_dims = (0,) * diagram.rank
-    for k in range(flag.n):
-        lower = kernel_core if k == 0 else cores[k - 1]
-        meet_dims = _space_dims(
-            tuple(intersect(closures[k][i], lower[i]) for i in range(diagram.rank))
-        )
-        cl_dims = _space_dims(closures[k])
-        v_tuple.append(tuple(a - b for a, b in zip(cl_dims, meet_dims)))
-        vt_tuple.append(tuple(a - b for a, b in zip(meet_dims, prev_closure_dims)))
-        prev_closure_dims = cl_dims
-    return tuple(v_tuple), tuple(vt_tuple)
+    cores = {s: core(datum, tuple(preimage(q[i], s[i]) for i in vertices)) for s in distinct}
+    if not all(contains(cores[s][i], closures[s][i]) for s in distinct for i in vertices):
+        return None
+    dims = {s: _space_dims(closures[s]) for s in distinct}
+    pairs = tuple(zip(steps, steps[1:]))
+    meets = {
+        (a, b): _space_dims(tuple(intersect(closures[b][i], cores[a][i]) for i in vertices))
+        for a, b in dict.fromkeys(pairs)
+    }
+    return (
+        tuple(tuple(c - m for c, m in zip(dims[b], meets[a, b])) for a, b in pairs),
+        tuple(tuple(m - c for m, c in zip(meets[a, b], dims[a])) for a, b in pairs),
+    )
 
 
 # -- random preprojective data -----------------------------------------------

@@ -422,7 +422,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(sys.argv[1:] if argv is None else list(argv))
         return _run(args)
     except VertexCapError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        hint = "; pass a larger --max-vertices to override" if "max_vertices" in args else ""
+        print(f"error: {exc}{hint}", file=sys.stderr)
         return 2
     except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -25,6 +25,11 @@ def _xvv(diagram: DynkinDiagram, v: Weight) -> int:
     return pairing(diagram.apply_x(v), v)
 
 
+def _locus(diagram: DynkinDiagram, d: Weight, v: Weight) -> int:
+    """<Xv, v> + 2<d, v> - <v, v>, the dimension of the stable ADHM locus."""
+    return _xvv(diagram, v) + 2 * pairing(d, v) - pairing(v, v)
+
+
 def dominance_vector(diagram: DynkinDiagram, d, v) -> Weight:
     """d - 2v + Xv; coordinatewise non-negativity controls emptiness."""
     d = diagram.check_weight(d)
@@ -47,14 +52,11 @@ def basic_dims(diagram: DynkinDiagram, d, v, v0=None) -> dict:
     """
     d = diagram.check_weight(d)
     v = diagram.check_weight(v)
-    xvv = _xvv(diagram, v)
-    dv = pairing(d, v)
-    vv = pairing(v, v)
     delta = dominance_vector(diagram, d, v)
-    locus = xvv + 2 * dv - vv
-    variety = locus - vv
+    locus = _locus(diagram, d, v)
+    variety = locus - pairing(v, v)
     out = {
-        "dim_preprojective": _half(xvv),
+        "dim_preprojective": _half(_xvv(diagram, v)),
         "dim_stable_locus": locus,
         "dim_bistable_locus": locus,
         "dim_quiver_variety": variety,
@@ -64,7 +66,7 @@ def basic_dims(diagram: DynkinDiagram, d, v, v0=None) -> dict:
     }
     if v0 is not None:
         v0 = diagram.check_weight(v0)
-        mss0 = _xvv(diagram, v0) + 2 * pairing(d, v0) - 2 * pairing(v0, v0)
+        mss0 = _locus(diagram, d, v0) - pairing(v0, v0)
         out["dim_graded_variety"] = _half(variety) + _half(mss0)
     return out
 
@@ -142,14 +144,13 @@ def strat_dims(params: StratumParams) -> dict:
     """
     diagram = params.diagram
     d, v = params.d, params.v
-    xvv = _xvv(diagram, v)
-    dv = pairing(d, v)
+    locus = _locus(diagram, d, v)
     vv = pairing(v, v)
     per_step = sum(
-        _xvv(diagram, vs) + 2 * pairing(ds, vs) - 2 * pairing(vs, vs)
+        _locus(diagram, ds, vs) - pairing(vs, vs)
         for ds, vs in zip(params.d_tuple, params.v_tuple)
     )
-    dim_stratum = _half(xvv + 2 * dv + per_step)
+    dim_stratum = _half(locus + vv + per_step)
     dim_variety = dim_stratum - vv
     out = {
         "dim_stratum": dim_stratum,
@@ -161,14 +162,10 @@ def strat_dims(params: StratumParams) -> dict:
         "flag_variety_dim": None,
     }
     if params.vt_tuple is not None:
-        doubled_flag = xvv + 2 * dv - vv
-        for ds, vs, vts in zip(params.d_tuple, params.v_tuple, params.vt_tuple):
-            doubled_flag += (
-                _xvv(diagram, vs)
-                + 2 * pairing(ds, vs)
-                - pairing(vs, vs)
-                + pairing(vts, vts)
-            )
+        doubled_flag = locus + sum(
+            _locus(diagram, ds, vs) + pairing(vts, vts)
+            for ds, vs, vts in zip(params.d_tuple, params.v_tuple, params.vt_tuple)
+        )
         fl = flag_variety_dim(diagram, v, params.v_tuple + params.vt_tuple)
         out["dim_stratum_flag"] = _half(doubled_flag)
         out["dim_stratum_vvt"] = out["dim_stratum_flag"] + fl
@@ -222,20 +219,19 @@ def bistable_split_fiber_dim(diagram: DynkinDiagram, d1, v1, u, d2, v2) -> int:
 
     Derived from the two affine-fibration steps in the splitting: a
     vector-bundle count of the off-diagonal blocks minus the moment-map
-    equations they satisfy.
+    equations they satisfy.  It is half the stable-locus dimension of
+    (d1 + d2, v1 + u + v2) minus those of (d1, v1), (0, u) and (d2, v2).
     """
     for w in (d1, v1, u, d2, v2):
         diagram.check_weight(w)
     d1, v1, u, d2, v2 = (tuple(w) for w in (d1, v1, u, d2, v2))
     v = tuple(a + b + c for a, b, c in zip(v1, u, v2))
-    d = vadd(d1, d2)
+    zero = (0,) * diagram.rank
     doubled = (
-        _xvv(diagram, v)
-        - _xvv(diagram, v1)
-        - _xvv(diagram, u)
-        - _xvv(diagram, v2)
-        + 2 * (pairing(d, v) - pairing(d1, v1) - pairing(d2, v2))
-        - (pairing(v, v) - pairing(v1, v1) - pairing(u, u) - pairing(v2, v2))
+        _locus(diagram, vadd(d1, d2), v)
+        - _locus(diagram, d1, v1)
+        - _locus(diagram, zero, u)
+        - _locus(diagram, d2, v2)
     )
     return _half(doubled)
 

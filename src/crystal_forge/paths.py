@@ -50,9 +50,7 @@ class VertexCapError(RuntimeError):
     """A crystal build, or a tensor product, exceeded its vertex cap."""
 
     def __init__(self, what: str, cap: int):
-        super().__init__(
-            f"{what} exceeded the vertex cap of {cap}; pass a larger max_vertices to override"
-        )
+        super().__init__(f"{what} exceeded the vertex cap of {cap}")
         self.cap = cap
 
 

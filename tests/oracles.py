@@ -4,13 +4,17 @@ Weight multiplicities come from Freudenthal's recursion and tensor
 decompositions from character peeling; neither touches the path operators
 or the graph machinery, so agreement is a genuine cross-check.  The root
 operators have a plain Fraction reference that splits segments at
-rational points, with no common denominator.
+rational points, with no common denominator.  Stratum labels have a
+per-step reference that recomputes every closure and core, with the
+first flag step as a special case.
 """
 
 from collections import Counter
 from fractions import Fraction
 
+from crystal_forge.adhm import closure, core, kernel_of_q
 from crystal_forge.dynkin import DynkinDiagram, vadd, vsub
+from crystal_forge.linalg import contains, intersect, matmul, preimage
 
 
 def _form(diagram: DynkinDiagram, u, w) -> Fraction:
@@ -203,3 +207,33 @@ def edge_paths_vanish(v, x) -> bool:
                     nxt.append((t, prod))
         level = nxt
     return not level
+
+
+def stratum_label_per_step(datum, flag):
+    """Stratum label by one closure and one core per flag step, repeated
+    steps included, with the core of ker q below the first step."""
+    if datum.diagram != flag.diagram or datum.d != flag.d:
+        raise ValueError("flag and datum live on different framing spaces")
+    rank = datum.diagram.rank
+    closures = [closure(datum, tuple(matmul(datum.p[i], step[i]) for i in range(rank)))
+                for step in flag.steps]
+    if tuple(s.cols for s in closures[-1]) != datum.v:
+        raise ValueError("stratum membership is defined for stable data only")
+    cores = [core(datum, tuple(preimage(datum.q[i], step[i]) for i in range(rank)))
+             for step in flag.steps]
+    for k in range(flag.n):
+        for i in range(rank):
+            if not contains(cores[k][i], closures[k][i]):
+                return None
+    kernel_core = core(datum, kernel_of_q(datum))
+    v_tuple = []
+    vt_tuple = []
+    prev_closure_dims = (0,) * rank
+    for k in range(flag.n):
+        lower = kernel_core if k == 0 else cores[k - 1]
+        meet_dims = tuple(intersect(closures[k][i], lower[i]).cols for i in range(rank))
+        cl_dims = tuple(s.cols for s in closures[k])
+        v_tuple.append(tuple(a - b for a, b in zip(cl_dims, meet_dims)))
+        vt_tuple.append(tuple(a - b for a, b in zip(meet_dims, prev_closure_dims)))
+        prev_closure_dims = cl_dims
+    return tuple(v_tuple), tuple(vt_tuple)

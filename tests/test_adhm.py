@@ -9,6 +9,7 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from crystal_forge import adhm
 from crystal_forge.adhm import (
     MAX_TOTAL_DIM,
     ADHMDatum,
@@ -37,7 +38,7 @@ from crystal_forge.linalg import (
     span,
     zero_space,
 )
-from oracles import edge_matrix_power_vanishes, edge_paths_vanish
+from oracles import edge_matrix_power_vanishes, edge_paths_vanish, stratum_label_per_step
 
 A1 = dynkin("A", 1)
 A2 = dynkin("A", 2)
@@ -198,6 +199,48 @@ def test_stratum_membership_examples():
     v_t, vt_t = stratum_membership(datum, trivial)
     core_dim = sum(s.cols for s in core(datum, kernel_of_q(datum)))
     assert v_t == ((1 - core_dim,),) and vt_t == ((core_dim,),)
+
+
+def _random_flag(rng, diagram, d):
+    """An increasing flag of 1-5 steps, cut from random spanning lists at
+    random sorted positions, so steps often repeat."""
+    n = rng.randint(1, 5)
+    bases, cuts = [], []
+    for di in d:
+        vecs = [[rng.randint(-1, 1) for _ in range(di)] for _ in range(rng.randint(0, di))]
+        vecs += [[int(r == c) for r in range(di)] for c in range(di)]
+        bases.append(vecs)
+        cuts.append(sorted(rng.randint(0, len(vecs)) for _ in range(n - 1)) + [len(vecs)])
+    return GradedFlag(diagram, d, tuple(
+        tuple(
+            mat([[vec[r] for vec in bases[i][:cuts[i][k]]] for r in range(di)],
+                rows=di, cols=cuts[i][k])
+            for i, di in enumerate(d)
+        )
+        for k in range(n)
+    ))
+
+
+def _label_or_error(fn, datum, flag):
+    try:
+        return fn(datum, flag)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+def test_stratum_membership_matches_the_per_step_reference():
+    rng = Random(11)
+    outcomes = set()
+    for _ in range(300):
+        diagram = rng.choice((A1, A2, A3, D4))
+        v = tuple(rng.randint(0, 2) for _ in range(diagram.rank))
+        d = tuple(rng.randint(0, 2) for _ in range(diagram.rank))
+        datum = random_preprojective(diagram, v, d, rng)
+        flag = _random_flag(rng, diagram, d)
+        got = _label_or_error(stratum_membership, datum, flag)
+        assert got == _label_or_error(stratum_label_per_step, datum, flag)
+        outcomes.add("raise" if isinstance(got, str) else "member" if got else "reject")
+    assert outcomes == {"raise", "member", "reject"}
 
 
 def test_stratum_requires_stability():
@@ -400,6 +443,30 @@ def test_flag_length_at_the_bound_is_accepted():
     v_tuple, vt_tuple = stratum_membership(datum, flag)
     assert v_tuple == ((0,),) * MAX_TOTAL_DIM + ((0,),)
     assert vt_tuple == ((0,),) * MAX_TOTAL_DIM + ((1,),)
+
+
+def _counting(monkeypatch, name):
+    """Count the calls stratum_membership makes to adhm.<name>."""
+    calls = []
+    real = getattr(adhm, name)
+    monkeypatch.setattr(adhm, name, lambda *args: calls.append(1) or real(*args))
+    return calls
+
+
+@pytest.mark.parametrize(
+    "flag, distinct",
+    [
+        (GradedFlag(A1, (2,), ((full_space(2),),) * 33), 2),
+        (datum_from_json(_flag_of_length(33))[1], 3),
+    ],
+    ids=["33-equal-full-steps", "first-step-repeated"],
+)
+def test_each_distinct_step_costs_one_closure_and_one_core(monkeypatch, flag, distinct):
+    datum = ADHMDatum(A1, (2,), (1,), {}, (mat([[0, 1]]),), (mat([[1], [0]]),))
+    closures, cores = _counting(monkeypatch, "closure"), _counting(monkeypatch, "core")
+    assert stratum_membership(datum, flag) == stratum_label_per_step(datum, flag)
+    # the zero step in front counts as a distinct step
+    assert (len(closures), len(cores)) == (distinct, distinct)
 
 
 @pytest.mark.parametrize("steps", [MAX_TOTAL_DIM + 2, 3000])

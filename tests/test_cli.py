@@ -285,6 +285,25 @@ def test_sl2_crystal_above_the_vertex_cap_exits_2(capsys, d):
     assert f"chain of {int(d) + 1} vertices" in err and "vertex cap of 200000" in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ("sl2", "crystal", "--d", "200000", "--v0", "0"),
+            "sl2 chain of 200001 vertices exceeded the vertex cap of 200000",
+        ),
+        (
+            ("crystal", "--diagram", "A2", "--hw", "3,3", "--max-vertices", "10"),
+            "crystal for highest weight (3, 3) on A2 exceeded the vertex cap of 10"
+            "; pass a larger --max-vertices to override",
+        ),
+    ],
+    ids=["sl2-crystal", "crystal"],
+)
+def test_vertex_cap_hint_only_where_the_command_has_a_cap_option(capsys, argv, message):
+    assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
 def test_adhm_check_and_stratum(tmp_path, capsys):
     datum = {
         "diagram": "A1",
