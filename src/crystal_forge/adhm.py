@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from random import Random
 
 from .dynkin import DynkinDiagram, Weight, parse_diagram
@@ -150,12 +151,14 @@ def core(datum: ADHMDatum, spaces: GradedSubspace) -> GradedSubspace:
         for src in range(diagram.rank):
             piece = cur[src]
             for dst in diagram.neighbors(src):
-                # S meet m^{-1}(T) is S (m S)^{-1}(T) for a spanning matrix S
+                # S meet m^{-1}(T) is S (m S)^{-1}(T) for spanning matrices S, T
                 piece = image_of(piece, preimage(matmul(x((src, dst)), piece), cur[dst]))
             out.append(piece)
         return tuple(out)
 
-    return _fixpoint(step, tuple(column_space(s) for s in spaces))
+    # the step canonicalises every vertex with a neighbour; the others once here
+    start = tuple(s if diagram.neighbors(i) else column_space(s) for i, s in enumerate(spaces))
+    return _fixpoint(step, start)
 
 
 def kernel_of_q(datum: ADHMDatum) -> GradedSubspace:
@@ -288,94 +291,56 @@ def random_preprojective(
         rng = Random(rng)
     v = diagram.check_weight(v)
     d = diagram.check_weight(d)
+    vertices = range(diagram.rank)
     canonical = [(a, b) for a, b in diagram.oriented_edges if a < b]
+    # (rows, cols) of the drawn blocks and of the unknown blocks, in draw
+    # and solution order; the unknowns are flattened row-major in turn
+    drawn = {("x", (s, t)): (v[t], v[s]) for s, t in canonical}
+    drawn |= {("q", i): (d[i], v[i]) for i in vertices}
+    unknown = {("x", (t, s)): (v[s], v[t]) for s, t in canonical}
+    unknown |= {("p", i): (v[i], d[i]) for i in vertices}
+    offset, size = {}, 0
+    for key, (rows, cols) in unknown.items():
+        offset[key], size = size, size + rows * cols
+    # the moment map at vertex i as products sign * A * B, one factor unknown
+    terms = [
+        [(diagram.orientation_sign((j, i)), ("x", (j, i)), ("x", (i, j)))
+         for j in diagram.neighbors(i)] + [(-1, ("p", i), ("q", i))]
+        for i in vertices
+    ]
 
     for _ in range(20):
-        x_known = {
-            h: mat(
-                [[rng.randint(-2, 2) for _ in range(v[h[0]])] for _ in range(v[h[1]])],
-                rows=v[h[1]],
-                cols=v[h[0]],
-            )
-            for h in canonical
+        data = {
+            key: [[rng.randint(-2, 2) for _ in range(cols)] for _ in range(rows)]
+            for key, (rows, cols) in drawn.items()
         }
-        q = tuple(
-            mat(
-                [[rng.randint(-2, 2) for _ in range(v[i])] for _ in range(d[i])],
-                rows=d[i],
-                cols=v[i],
-            )
-            for i in range(diagram.rank)
-        )
-
-        # unknown layout: one block per reversed edge, then one per p_i
-        blocks: dict[tuple, int] = {}
-        size = 0
-        for s, t in canonical:
-            blocks[("x", (t, s))] = size
-            size += v[s] * v[t]  # shape v[s] x v[t]
-        for i in range(diagram.rank):
-            blocks[("p", i)] = size
-            size += v[i] * d[i]  # shape v[i] x d[i]
-
-        rows: list[list[Fraction]] = []
-        for i in range(diagram.rank):
-            for r in range(v[i]):
-                for c in range(v[i]):
-                    row = [Fraction(0)] * size
-                    for j in diagram.neighbors(i):
-                        if j < i:
-                            # canonical edge (j, i): known x * unknown reverse
-                            known = x_known[(j, i)]
-                            base = blocks[("x", (i, j))]
-                            for k in range(v[j]):
-                                row[base + k * v[i] + c] += known.data[r][k]
-                        else:
-                            # reversed edge (j, i): unknown x * known reverse
-                            known = x_known[(i, j)]
-                            base = blocks[("x", (j, i))]
-                            for k in range(v[j]):
-                                row[base + r * v[j] + k] -= known.data[k][c]
-                    base = blocks[("p", i)]
-                    for k in range(d[i]):
-                        row[base + r * d[i] + k] -= q[i].data[k][c]
-                    rows.append(row)
-
-        system = mat(rows, rows=len(rows), cols=size)
-        null = kernel(system)
-        sol = [Fraction(0)] * size
-        for col in range(null.cols):
-            coeff = rng.randint(-3, 3)
-            if coeff:
-                for r in range(size):
-                    sol[r] += coeff * null.data[r][col]
-
-        x_all = dict(x_known)
-        for s, t in canonical:
-            base = blocks[("x", (t, s))]
-            x_all[(t, s)] = mat(
-                [[sol[base + r * v[t] + c] for c in range(v[t])] for r in range(v[s])],
-                rows=v[s],
-                cols=v[t],
-            )
-        p = tuple(
-            mat(
-                [
-                    [sol[blocks[("p", i)] + r * d[i] + c] for c in range(d[i])]
-                    for r in range(v[i])
-                ],
-                rows=v[i],
-                cols=d[i],
-            )
-            for i in range(diagram.rank)
-        )
-        datum = ADHMDatum(diagram, d, v, x_all, p, q)
+        equations = []
+        for i in vertices:
+            for r, c in product(range(v[i]), repeat=2):
+                row = [0] * size
+                for sign, a, b in terms[i]:
+                    if a in unknown:  # (U K)[r][c]: U[r][k] times K[k][c]
+                        at, stride = offset[a] + r * unknown[a][1], 1
+                        known = [e[c] for e in data[b]]
+                    else:  # (K U)[r][c]: K[r][k] times U[k][c]
+                        at, stride = offset[b] + c, unknown[b][1]
+                        known = data[a][r]
+                    for k, e in enumerate(known):
+                        row[at + k * stride] += sign * e
+                equations.append(row)
+        null = kernel(mat(equations, len(equations), size))
+        coeffs = [rng.randint(-3, 3) for _ in range(null.cols)]
+        sol = [sum(c * e for c, e in zip(coeffs, row) if c) for row in null.data]
+        for key, (rows, cols) in unknown.items():
+            at = offset[key]
+            data[key] = [sol[at + r * cols : at + (r + 1) * cols] for r in range(rows)]
+        blocks = {key: mat(data[key], *shape) for key, shape in (drawn | unknown).items()}
+        x = {h: m for (kind, h), m in blocks.items() if kind == "x"}
+        p, q = (tuple(blocks[kind, i] for i in vertices) for kind in "pq")
+        datum = ADHMDatum(diagram, d, v, x, p, q)
         if not check_preprojective(datum):
             raise AssertionError("solved datum fails the moment-map equation")
-        nontrivial = any(not m.is_zero() for m in x_all.values()) or any(
-            not m.is_zero() for m in p
-        )
-        if nontrivial or size == 0:
+        if size == 0 or any(not m.is_zero() for (kind, _), m in blocks.items() if kind != "q"):
             return datum
     return datum
 
@@ -440,10 +405,17 @@ def datum_from_json(payload: dict) -> tuple[ADHMDatum, GradedFlag | None]:
     Matrices are arrays of rows whose entries are [numerator, denominator]
     pairs; edge matrices are keyed "src->dst", and the optional flag is a
     list of steps, each a per-vertex list of spanning vectors in D.  A
-    payload of the wrong shape raises ValueError naming the offending key.
+    payload of the wrong shape, or with a top-level key outside
+    diagram, d, v, x, p, q and flag, raises ValueError naming the key.
     """
     if not isinstance(payload, dict):
         raise ValueError("an ADHM datum must be a JSON object")
+    for key in payload:
+        if key not in ("diagram", "d", "v", "x", "p", "q", "flag"):
+            raise ValueError(
+                f"ADHM datum has an unknown {key!r} entry; "
+                "expected diagram, d, v, x, p, q and optionally flag"
+            )
     for key in ("diagram", "d", "v", "p", "q"):
         if key not in payload:
             raise ValueError(f"ADHM datum has no {key!r} entry")

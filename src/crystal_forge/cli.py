@@ -177,7 +177,7 @@ def build_parser() -> _Parser:
     p.add_argument("--keep", type=_weight, required=True, help="vertices to keep, e.g. 0,2")
 
     p = sub.add_parser("dims", help="dimension formulas for quiver strata")
-    add_common(p, cap=False)
+    add_common(p, cap=False, fmt=("json",))
     p.add_argument("--d", type=_dimension_vector, required=True)
     p.add_argument("--v", type=_dimension_vector, required=True)
     p.add_argument("--v0", type=_dimension_vector)
@@ -324,20 +324,18 @@ def _run(args) -> int:
     if args.command == "adhm":
         return _run_adhm(args)
 
-    if args.command == "selftest":
-        results = run_criteria(seed=args.seed, only=set(args.only) if args.only else None)
-        if args.format == "json":
-            _emit_json(report_to_json(results))
-        else:
-            lines = []
-            for r in results:
-                status = "PASS" if r.passed else "FAIL"
-                lines.append(f"{r.cid:4s} {r.name:40s} {status}  {r.seconds:7.2f}s  {r.details}")
-            lines.append("all criteria passed" if all(r.passed for r in results) else "FAILURES present")
-            _emit("\n".join(lines))
-        return 0 if all(r.passed for r in results) else 1
-
-    raise ValueError(f"unknown command {args.command!r}")
+    # the subcommand is required, so only selftest is left
+    results = run_criteria(seed=args.seed, only=set(args.only) if args.only else None)
+    if args.format == "json":
+        _emit_json(report_to_json(results))
+    else:
+        lines = []
+        for r in results:
+            status = "PASS" if r.passed else "FAIL"
+            lines.append(f"{r.cid:4s} {r.name:40s} {status}  {r.seconds:7.2f}s  {r.details}")
+        lines.append("all criteria passed" if all(r.passed for r in results) else "FAILURES present")
+        _emit("\n".join(lines))
+    return 0 if all(r.passed for r in results) else 1
 
 
 def _product(args) -> CrystalGraph:
@@ -364,17 +362,16 @@ def _run_sl2(args) -> int:
         d2, v2 = args.second
         _emit_json({"schema": SCHEMA, "v0_range": sl2_mult_range(d1, v1, d2, v2)})
         return 0
-    if args.sl2_command == "nonempty":
-        d1, v1 = args.first
-        d2, v2 = args.second
-        _emit_json(
-            {
-                "schema": SCHEMA,
-                "nonempty": sl2_multiplicity_nonempty(d1, v1, d2, v2, args.v),
-            }
-        )
-        return 0
-    raise ValueError(f"unknown sl2 command {args.sl2_command!r}")
+    # only nonempty is left
+    d1, v1 = args.first
+    d2, v2 = args.second
+    _emit_json(
+        {
+            "schema": SCHEMA,
+            "nonempty": sl2_multiplicity_nonempty(d1, v1, d2, v2, args.v),
+        }
+    )
+    return 0
 
 
 def _run_adhm(args) -> int:
@@ -398,22 +395,21 @@ def _run_adhm(args) -> int:
             ]
         _emit_json(payload)
         return 0
-    if args.adhm_command == "stratum":
-        if flag is None:
-            raise ValueError("stratum membership needs a \"flag\" entry in the JSON file")
-        label = stratum_membership(datum, flag)
-        payload = {
-            "schema": SCHEMA,
-            "diagram": datum.diagram.label,
-            "member": label is not None,
-        }
-        if label is not None:
-            v_tuple, vt_tuple = label
-            payload["v_tuple"] = [list(w) for w in v_tuple]
-            payload["vt_tuple"] = [list(w) for w in vt_tuple]
-        _emit_json(payload)
-        return 0
-    raise ValueError(f"unknown adhm command {args.adhm_command!r}")
+    # only stratum is left
+    if flag is None:
+        raise ValueError("stratum membership needs a \"flag\" entry in the JSON file")
+    label = stratum_membership(datum, flag)
+    payload = {
+        "schema": SCHEMA,
+        "diagram": datum.diagram.label,
+        "member": label is not None,
+    }
+    if label is not None:
+        v_tuple, vt_tuple = label
+        payload["v_tuple"] = [list(w) for w in v_tuple]
+        payload["vt_tuple"] = [list(w) for w in vt_tuple]
+    _emit_json(payload)
+    return 0
 
 
 def main(argv=None) -> int:

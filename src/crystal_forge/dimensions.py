@@ -1,8 +1,10 @@
 """Closed-form dimensions and emptiness tests for quiver strata.
 
-Every function here is pure integer arithmetic in the pairing <.,.> and
-the matrices A and X = 2*Id - A.  Halved quantities are computed on the
-doubled integer with a parity assertion; no rational arithmetic occurs.
+Every function here except `v_from_weight` is pure integer arithmetic in
+the pairing <.,.> and the matrices A and X = 2*Id - A; halved quantities
+are computed on the doubled integer with a parity assertion.
+`v_from_weight` solves A v = d - mu through the rational
+`DynkinDiagram.solve_cartan` and keeps only integer solutions.
 The formulas are evaluated wherever the input vectors make sense, whether
 or not the stratum they describe is non-empty, so records carry the
 relevant non-emptiness flags separately.

@@ -235,11 +235,14 @@ def build_crystal(
 
     Breadth-first; canonical paths are the vertex keys, so the vertex ids
     and edge lists are deterministic.  Raises ValueError for a cap below
-    1 and VertexCapError when the crystal would exceed max_vertices.
+    1 and VertexCapError when the crystal would exceed max_vertices, by
+    its Weyl dimension before anything is built.
     """
     check_vertex_cap(max_vertices)
     start, _ = _from_fractions(highest_path(diagram, hw))
     hw = diagram.check_weight(hw)
+    if diagram.weyl_dimension(hw) > max_vertices:
+        raise VertexCapError(f"crystal for highest weight {hw} on {diagram.label}", max_vertices)
     pairings = (sum(x * g for x, g in zip(hw, r)) for r in diagram.positive_roots())
     denominator = lcm(*filter(None, pairings))
     start = tuple([(d, n * denominator) for d, n in start])

@@ -4,6 +4,7 @@ import time
 
 import pytest
 
+from crystal_forge import paths
 from crystal_forge.cli import main
 
 
@@ -202,6 +203,16 @@ def test_dims_json(capsys):
     assert "dim_tensor_variety" in payload["strata"]
 
 
+def test_dims_prints_json_only(capsys):
+    code, out, err = run_cli(
+        capsys, "dims", "--diagram", "A2", "--d", "2,0", "--v", "1,0", "--format", "table"
+    )
+    assert (code, out) == (1, "")
+    # newer Pythons drop the quotes in "(choose from 'json')"
+    assert err.startswith("error: argument --format: invalid choice: 'table'")
+    assert err.count("\n") == 1 and "json" in err
+
+
 @pytest.mark.parametrize(
     "option,value", [("--d", "-1,0"), ("--v", "0,-2"), ("--v0", "-1,0")]
 )
@@ -302,6 +313,30 @@ def test_sl2_crystal_above_the_vertex_cap_exits_2(capsys, d):
 )
 def test_vertex_cap_hint_only_where_the_command_has_a_cap_option(capsys, argv, message):
     assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "argv, hw",
+    [
+        (("crystal", "--diagram", "A2", "--hw", "1000,1000"), "(1000, 1000) on A2"),
+        (("branch", "--diagram", "E8", "--hw", "5,5,5,5,5,5,5,5", "--keep", "0"),
+         "(5, 5, 5, 5, 5, 5, 5, 5) on E8"),
+        (("crystal", "--diagram", "A2", "--hw", "2,2", "--max-vertices", "26"), "(2, 2) on A2"),
+    ],
+    ids=["crystal", "branch", "one-above"],
+)
+def test_crystal_above_the_cap_is_refused_before_it_is_built(capsys, monkeypatch, argv, hw):
+    def build(*args):
+        raise AssertionError("the crystal was built")
+
+    monkeypatch.setattr(paths, "_close", build)
+    cap = argv[-1] if "--max-vertices" in argv else "200000"
+    assert run_cli(capsys, *argv) == (
+        2,
+        "",
+        f"error: crystal for highest weight {hw} exceeded the vertex cap of {cap}"
+        "; pass a larger --max-vertices to override\n",
+    )
 
 
 def test_adhm_check_and_stratum(tmp_path, capsys):
