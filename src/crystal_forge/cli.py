@@ -46,7 +46,6 @@ from .dimensions import (
 )
 from .dynkin import parse_diagram
 from .paths import DEFAULT_VERTEX_CAP, VertexCapError, build_crystal
-from .selftest import SEED_DEFAULT, report_to_json, run_criteria
 from .sl2 import (
     sl2_crystal,
     sl2_mult_range,
@@ -54,6 +53,10 @@ from .sl2 import (
     sl2_tensor_component,
 )
 
+
+# selftest.SEED_DEFAULT, repeated here so that only the selftest command
+# imports the selftest module; a test pins the two equal
+_SELFTEST_SEED = 74025381
 
 _NEGATIVE_VALUE = re.compile(r"^-\d[\d,-]*$")
 
@@ -211,7 +214,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("selftest", help="run the acceptance criteria")
     p.add_argument("--format", choices=("json", "table"), default="table")
-    p.add_argument("--seed", type=int, default=SEED_DEFAULT)
+    p.add_argument("--seed", type=int, default=_SELFTEST_SEED)
     p.add_argument("--only", nargs="+", help="criterion ids, e.g. c1 c3")
     return parser
 
@@ -325,6 +328,8 @@ def _run(args) -> int:
         return _run_adhm(args)
 
     # the subcommand is required, so only selftest is left
+    from .selftest import report_to_json, run_criteria
+
     results = run_criteria(seed=args.seed, only=set(args.only) if args.only else None)
     if args.format == "json":
         _emit_json(report_to_json(results))

@@ -5,12 +5,26 @@ are first-class.  Subspaces of Q^n are represented by their reduced
 column-echelon spanning matrices: the representation is unique, so
 subspace equality is matrix equality.  Pivots are chosen as the first
 nonzero entry; there are no numeric thresholds anywhere.
+
+Entries are `Fraction`s at the boundary only.  Inside, `rref` and
+`matmul` scale each row (or column) by the lcm of its denominators and
+work on Python ints: `rref` runs fraction-free Gauss-Jordan, keeping every
+row primitive by its gcd, and divides once per nonzero entry at the end;
+`matmul` divides each integer dot product once by its two scales.  `rref`
+is the one elimination: `rank`, `kernel` and `column_space` call it.
+Zero entries of the matrices built here share one `Fraction(0)`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
+from operator import mul
+
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
+_new = object.__new__
 
 
 @dataclass(frozen=True)
@@ -30,6 +44,31 @@ class Mat:
         return all(x == 0 for row in self.data for x in row)
 
 
+def _mat(rows: int, cols: int, data) -> Mat:
+    """A Mat whose shape this module guarantees, built without the check."""
+    m = _new(Mat)
+    m.__dict__.update(rows=rows, cols=cols, data=data)
+    return m
+
+
+def _integer_rows(rows) -> tuple[list[list[int]], list[int]]:
+    """Each row times the lcm of its denominators, and those lcms."""
+    out, scales = [], []
+    for row in rows:
+        pairs = [x.as_integer_ratio() for x in row]
+        scale = lcm(*[den for _, den in pairs])
+        out.append([num * (scale // den) for num, den in pairs])
+        scales.append(scale)
+    return out, scales
+
+
+def _fraction(num: int, den: int) -> Fraction:
+    """num/den reduced; every zero is the shared `_ZERO`."""
+    if not num:
+        return _ZERO
+    return Fraction(num) if den == 1 else Fraction(num, den)
+
+
 def mat(rows_data, rows: int | None = None, cols: int | None = None) -> Mat:
     data = tuple(tuple(Fraction(x) for x in row) for row in rows_data)
     r = len(data) if rows is None else rows
@@ -40,27 +79,29 @@ def mat(rows_data, rows: int | None = None, cols: int | None = None) -> Mat:
 
 
 def zeros(rows: int, cols: int) -> Mat:
-    return Mat(rows, cols, tuple((Fraction(0),) * cols for _ in range(rows)))
+    return Mat(rows, cols, ((_ZERO,) * cols,) * rows)
 
 
 def identity(n: int) -> Mat:
-    return Mat(
-        n, n, tuple(tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n))
-    )
+    return Mat(n, n, tuple(tuple(_ONE if i == j else _ZERO for j in range(n)) for i in range(n)))
 
 
 def matmul(a: Mat, b: Mat) -> Mat:
     if a.cols != b.rows:
         raise ValueError(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
-    return Mat(
+    if not (a.rows and a.cols and b.cols):
+        return _mat(a.rows, b.cols, ((_ZERO,) * b.cols,) * a.rows)
+    left, left_scales = _integer_rows(a.data)
+    right, right_scales = _integer_rows(zip(*b.data))
+    return _mat(
         a.rows,
         b.cols,
         tuple(
             tuple(
-                sum((a.data[i][k] * b.data[k][j] for k in range(a.cols)), Fraction(0))
-                for j in range(b.cols)
+                _fraction(sum(map(mul, row, col)), scale * col_scale)
+                for col, col_scale in zip(right, right_scales)
             )
-            for i in range(a.rows)
+            for row, scale in zip(left, left_scales)
         ),
     )
 
@@ -68,7 +109,7 @@ def matmul(a: Mat, b: Mat) -> Mat:
 def matadd(a: Mat, b: Mat) -> Mat:
     if (a.rows, a.cols) != (b.rows, b.cols):
         raise ValueError("shape mismatch in matrix sum")
-    return Mat(
+    return _mat(
         a.rows,
         a.cols,
         tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a.data, b.data)),
@@ -76,41 +117,47 @@ def matadd(a: Mat, b: Mat) -> Mat:
 
 
 def matneg(a: Mat) -> Mat:
-    return Mat(a.rows, a.cols, tuple(tuple(-x for x in row) for row in a.data))
+    return _mat(a.rows, a.cols, tuple(tuple(-x for x in row) for row in a.data))
 
 
 def transpose(a: Mat) -> Mat:
-    return Mat(a.cols, a.rows, tuple(a.column(c) for c in range(a.cols)))
+    return _mat(a.cols, a.rows, tuple(zip(*a.data)) if a.rows else ((),) * a.cols)
 
 
 def hstack(*blocks: Mat) -> Mat:
     if len({b.rows for b in blocks}) != 1:
         raise ValueError("row mismatch in hstack")
     data = tuple(sum(parts, ()) for parts in zip(*(b.data for b in blocks)))
-    return Mat(blocks[0].rows, sum(b.cols for b in blocks), data)
+    return _mat(blocks[0].rows, sum(b.cols for b in blocks), data)
 
 
 def rref(a: Mat) -> tuple[Mat, tuple[int, ...]]:
     """Reduced row echelon form and the pivot columns."""
-    m = [list(row) for row in a.data]
+    if not (a.rows and a.cols):
+        return a, ()
+    m, _ = _integer_rows(a.data)
     pivots: list[int] = []
     r = 0
     for c in range(a.cols):
         if r == a.rows:
             break
-        pr = next((k for k in range(r, a.rows) if m[k][c] != 0), None)
+        pr = next((k for k in range(r, a.rows) if m[k][c]), None)
         if pr is None:
             continue
         m[r], m[pr] = m[pr], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for k in range(a.rows):
-            if k != r and m[k][c] != 0:
-                f = m[k][c]
-                m[k] = [x - f * y for x, y in zip(m[k], m[r])]
+        top = m[r]
+        p = top[c]
+        for k, row in enumerate(m):
+            f = row[c]
+            if f and k != r:
+                row = [p * x - f * y for x, y in zip(row, top)]
+                g = gcd(*row)
+                m[k] = [x // g for x in row] if g > 1 else row
         pivots.append(c)
         r += 1
-    return Mat(a.rows, a.cols, tuple(tuple(row) for row in m)), tuple(pivots)
+    data = [tuple(_fraction(x, row[c]) for x in row) for row, c in zip(m, pivots)]
+    data += [(_ZERO,) * a.cols] * (a.rows - r)
+    return _mat(a.rows, a.cols, tuple(data)), tuple(pivots)
 
 
 def rank(a: Mat) -> int:
@@ -124,22 +171,19 @@ def kernel(a: Mat) -> Mat:
     free = [c for c in range(a.cols) if c not in pivot_set]
     cols = []
     for fc in free:
-        vec = [Fraction(0)] * a.cols
-        vec[fc] = Fraction(1)
+        vec = [_ZERO] * a.cols
+        vec[fc] = _ONE
         for r, pc in enumerate(pivots):
             vec[pc] = -red.data[r][fc]
         cols.append(vec)
-    return Mat(a.cols, len(cols), tuple(tuple(col[r] for col in cols) for r in range(a.cols)))
+    return _mat(a.cols, len(cols), tuple(zip(*cols)) if cols else ((),) * a.cols)
 
 
 def column_space(a: Mat) -> Mat:
     """Reduced column-echelon spanning matrix of the column space."""
     red, pivots = rref(transpose(a))
-    return Mat(
-        a.rows,
-        len(pivots),
-        tuple(tuple(red.data[k][r] for k in range(len(pivots))) for r in range(a.rows)),
-    )
+    basis = red.data[: len(pivots)]
+    return _mat(a.rows, len(pivots), tuple(zip(*basis)) if basis else ((),) * a.rows)
 
 
 # -- subspaces (always stored in reduced column-echelon form) ---------------
@@ -157,7 +201,7 @@ def span(vectors, dim: int) -> Mat:
 
 
 def zero_space(dim: int) -> Mat:
-    return Mat(dim, 0, tuple(() for _ in range(dim)))
+    return _mat(dim, 0, ((),) * dim)
 
 
 def full_space(dim: int) -> Mat:
@@ -185,8 +229,7 @@ def preimage(m: Mat, s: Mat) -> Mat:
     if m.rows != s.rows:
         raise ValueError("ambient dimension mismatch in preimage")
     k = kernel(hstack(m, matneg(s)))
-    top = Mat(m.cols, k.cols, tuple(k.data[r] for r in range(m.cols)))
-    return column_space(top)
+    return column_space(_mat(m.cols, k.cols, k.data[: m.cols]))
 
 
 def contains(outer: Mat, inner: Mat) -> bool:

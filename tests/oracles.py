@@ -6,7 +6,9 @@ or the graph machinery, so agreement is a genuine cross-check.  The root
 operators have a plain Fraction reference that splits segments at
 rational points, with no common denominator.  Stratum labels have a
 per-step reference that recomputes every closure and core, with the
-first flag step as a special case.
+first flag step as a special case.  Exact linear algebra has the plain
+`Fraction` Gauss-Jordan loop as its reference, which the integer
+elimination in `linalg.rref` must reproduce entry by entry.
 """
 
 from collections import Counter
@@ -14,7 +16,7 @@ from fractions import Fraction
 
 from crystal_forge.adhm import closure, core, kernel_of_q
 from crystal_forge.dynkin import DynkinDiagram, vadd, vsub
-from crystal_forge.linalg import contains, intersect, matmul, preimage
+from crystal_forge.linalg import Mat, contains, intersect, matmul, preimage
 
 
 def _form(diagram: DynkinDiagram, u, w) -> Fraction:
@@ -237,3 +239,65 @@ def stratum_label_per_step(datum, flag):
         vt_tuple.append(tuple(a - b for a, b in zip(meet_dims, prev_closure_dims)))
         prev_closure_dims = cl_dims
     return tuple(v_tuple), tuple(vt_tuple)
+
+
+def rref_fractions(a: Mat) -> tuple[Mat, tuple[int, ...]]:
+    """Reduced row echelon form by Gauss-Jordan elimination on Fractions."""
+    m = [list(row) for row in a.data]
+    pivots: list[int] = []
+    r = 0
+    for c in range(a.cols):
+        if r == a.rows:
+            break
+        pr = next((k for k in range(r, a.rows) if m[k][c] != 0), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        inv = 1 / m[r][c]
+        m[r] = [x * inv for x in m[r]]
+        for k in range(a.rows):
+            if k != r and m[k][c] != 0:
+                f = m[k][c]
+                m[k] = [x - f * y for x, y in zip(m[k], m[r])]
+        pivots.append(c)
+        r += 1
+    return Mat(a.rows, a.cols, tuple(tuple(row) for row in m)), tuple(pivots)
+
+
+def kernel_fractions(a: Mat) -> Mat:
+    """Null-space basis read off `rref_fractions`: one column per free column."""
+    red, pivots = rref_fractions(a)
+    cols = []
+    for fc in (c for c in range(a.cols) if c not in pivots):
+        vec = [Fraction(0)] * a.cols
+        vec[fc] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            vec[pc] = -red.data[r][fc]
+        cols.append(vec)
+    return Mat(a.cols, len(cols), tuple(tuple(col[r] for col in cols) for r in range(a.cols)))
+
+
+def column_space_fractions(a: Mat) -> Mat:
+    """Column space as the transposed nonzero rows of `rref_fractions` of a^T."""
+    at = Mat(a.cols, a.rows, tuple(a.column(c) for c in range(a.cols)))
+    red, pivots = rref_fractions(at)
+    return Mat(
+        a.rows,
+        len(pivots),
+        tuple(tuple(red.data[k][r] for k in range(len(pivots))) for r in range(a.rows)),
+    )
+
+
+def matmul_fractions(a: Mat, b: Mat) -> Mat:
+    """Matrix product summed entry by entry in Fractions."""
+    return Mat(
+        a.rows,
+        b.cols,
+        tuple(
+            tuple(
+                sum((a.data[i][k] * b.data[k][j] for k in range(a.cols)), Fraction(0))
+                for j in range(b.cols)
+            )
+            for i in range(a.rows)
+        ),
+    )

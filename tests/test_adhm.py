@@ -446,6 +446,19 @@ def test_cli_malformed_json_exits_1_with_one_line(payload):
     assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
 
 
+@pytest.mark.parametrize(
+    "key,value,message",
+    [
+        ("p", [[[[1, 1], [1, 1]]], [[]]], "p[0] must be a 1x1 matrix"),
+        ("q", [[], []], "q[0] must be a 1x1 matrix"),
+        ("x", {"0->1": [[[1, 1]], [[1, 1]]]}, "x['0->1'] must be a 1x1 matrix"),
+    ],
+)
+def test_cli_wrong_size_matrix_exits_1_naming_the_key(key, value, message):
+    code, out, err = _adhm_check(_with(EDGE_PAYLOAD, key, value))
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
 def test_cli_refuses_a_diagram_rank_above_the_bound():
     code, out, err = _adhm_check(_with(EDGE_PAYLOAD, "diagram", "A100000"))
     assert (code, out) == (1, "")

@@ -1,11 +1,16 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import crystal_forge
 from crystal_forge import paths
-from crystal_forge.cli import main
+from crystal_forge.cli import build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -407,3 +412,19 @@ def test_selftest_rejects_unknown_criterion(capsys):
     code, out, err = run_cli(capsys, "selftest", "--only", "c99")
     assert code == 1 and out == ""
     assert "unknown criterion" in err
+
+
+def test_importing_the_cli_does_not_import_selftest():
+    src = Path(crystal_forge.__file__).resolve().parent.parent
+    code = "import sys, crystal_forge.cli; print('crystal_forge.selftest' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(src)), timeout=60,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
+
+
+def test_selftest_seed_default_is_the_selftest_default():
+    from crystal_forge.selftest import SEED_DEFAULT
+
+    assert build_parser().parse_args(["selftest"]).seed == SEED_DEFAULT

@@ -2,6 +2,7 @@ from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from crystal_forge.linalg import (
     Mat,
@@ -23,6 +24,7 @@ from crystal_forge.linalg import (
     zero_space,
     zeros,
 )
+from oracles import column_space_fractions, kernel_fractions, matmul_fractions, rref_fractions
 
 
 def test_rref_and_rank():
@@ -98,3 +100,55 @@ def test_shape_errors():
         hstack(zeros(2, 1), zeros(3, 1))
     with pytest.raises(ValueError):
         Mat(2, 2, ((Fraction(0),),))
+    with pytest.raises(ValueError):
+        mat([[1, 2], [3, 4]], 2, 3)
+    with pytest.raises(ValueError):
+        mat([[1, 2]], 2, 2)
+    with pytest.raises(ValueError):
+        mat([], 1, 1)
+
+
+_ENTRIES = st.one_of(
+    st.just(0),
+    st.integers(-3, 3),
+    st.builds(Fraction, st.integers(-12, 12), st.integers(1, 12)),
+)
+
+
+@st.composite
+def rational_matrices(draw, rows=st.integers(0, 6), cols=st.integers(0, 6)):
+    """Rational matrices, 0xn and nx0 included, with zero, repeated and multiple rows."""
+    r, c = draw(rows), draw(cols)
+    data = [[draw(_ENTRIES) for _ in range(c)] for _ in range(r)]
+    for i in range(1, r):
+        how = draw(st.sampled_from(("own", "own", "zero", "multiple")))
+        if how == "zero":
+            data[i] = [0] * c
+        elif how == "multiple":
+            j = draw(st.integers(0, i - 1))
+            f = draw(st.sampled_from((1, -1, 2, Fraction(-3, 4))))
+            data[i] = [f * x for x in data[j]]
+    return mat(data, r, c)
+
+
+def _is_exact(m: Mat) -> bool:
+    return all(type(x) is Fraction for row in m.data for x in row)
+
+
+@settings(max_examples=400, deadline=None)
+@given(rational_matrices())
+def test_elimination_matches_the_fraction_reference(a):
+    red, pivots = rref(a)
+    assert (red, pivots) == rref_fractions(a)
+    assert _is_exact(red)
+    for got, want in ((kernel(a), kernel_fractions(a)), (column_space(a), column_space_fractions(a))):
+        assert got == want and _is_exact(got)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 5), st.integers(0, 5), st.integers(0, 5), st.data())
+def test_matmul_matches_the_fraction_reference(n, k, m, data):
+    a = data.draw(rational_matrices(st.just(n), st.just(k)))
+    b = data.draw(rational_matrices(st.just(k), st.just(m)))
+    prod = matmul(a, b)
+    assert prod == matmul_fractions(a, b) and _is_exact(prod)
