@@ -18,6 +18,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from math import lcm
 from random import Random
 
 from .dynkin import DynkinDiagram, Weight, parse_diagram
@@ -28,12 +29,11 @@ from .linalg import (
     full_space,
     hstack,
     image_of,
+    int_mat,
     intersect,
     kernel,
     mat,
-    matadd,
     matmul,
-    matneg,
     preimage,
     zero_space,
     zeros,
@@ -101,18 +101,20 @@ class ADHMDatum:
 
 def preprojective_residual(datum: ADHMDatum) -> tuple[Mat, ...]:
     """Per-vertex value of the moment-map expression; zero means satisfied."""
-    diagram = datum.diagram
+    diagram, x = datum.diagram, datum.x_map
     out = []
     for i in range(diagram.rank):
-        acc = matneg(matmul(datum.p[i], datum.q[i]))
-        for j in diagram.neighbors(i):
-            h = (j, i)
-            sign = diagram.orientation_sign(h)
-            term = matmul(datum.x_map(h), datum.x_map((i, j)))
-            if sign < 0:
-                term = matneg(term)
-            acc = matadd(acc, term)
-        out.append(acc)
+        terms = [(-1, matmul(datum.p[i], datum.q[i]))] + [
+            (diagram.orientation_sign((j, i)), matmul(x((j, i)), x((i, j))))
+            for j in diagram.neighbors(i)
+        ]
+        # one signed integer sum of the products over their common denominator
+        n, den = datum.v[i], lcm(*(m.den for _, m in terms))
+        num = [
+            [sum(s * den // m.den * m.num[r][c] for s, m in terms) for c in range(n)]
+            for r in range(n)
+        ]
+        out.append(int_mat(n, n, num, den))
     return tuple(out)
 
 
@@ -328,13 +330,15 @@ def random_preprojective(
                     for k, e in enumerate(known):
                         row[at + k * stride] += sign * e
                 equations.append(row)
-        null = kernel(mat(equations, len(equations), size))
+        null = kernel(int_mat(len(equations), size, equations))
         coeffs = [rng.randint(-3, 3) for _ in range(null.cols)]
-        sol = [sum(c * e for c, e in zip(coeffs, row) if c) for row in null.data]
+        # the solution is sol / null.den
+        sol = [sum(c * e for c, e in zip(coeffs, row) if c) for row in null.num]
         for key, (rows, cols) in unknown.items():
             at = offset[key]
             data[key] = [sol[at + r * cols : at + (r + 1) * cols] for r in range(rows)]
-        blocks = {key: mat(data[key], *shape) for key, shape in (drawn | unknown).items()}
+        blocks = {key: int_mat(*shape, data[key]) for key, shape in drawn.items()}
+        blocks |= {key: int_mat(*shape, data[key], null.den) for key, shape in unknown.items()}
         x = {h: m for (kind, h), m in blocks.items() if kind == "x"}
         p, q = (tuple(blocks[kind, i] for i in vertices) for kind in "pq")
         datum = ADHMDatum(diagram, d, v, x, p, q)

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from operator import index
 
 from .linalg import hstack, identity, mat, rref
 
@@ -203,7 +204,11 @@ class DynkinDiagram:
     # -- weight arithmetic --------------------------------------------------
 
     def check_weight(self, w) -> Weight:
-        w = tuple(int(c) for c in w)
+        w = tuple(w)
+        try:
+            w = tuple(map(index, w))
+        except TypeError:
+            raise ValueError(f"weight {w} has a non-integer entry") from None
         if len(w) != self.rank:
             raise ValueError(f"weight {w} has length {len(w)}, diagram rank is {self.rank}")
         return w

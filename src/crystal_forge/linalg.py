@@ -6,71 +6,78 @@ column-echelon spanning matrices: the representation is unique, so
 subspace equality is matrix equality.  Pivots are chosen as the first
 nonzero entry; there are no numeric thresholds anywhere.
 
-Entries are `Fraction`s at the boundary only.  Inside, `rref` and
-`matmul` scale each row (or column) by the lcm of its denominators and
-work on Python ints: `rref` runs fraction-free Gauss-Jordan, keeping every
-row primitive by its gcd, and divides once per nonzero entry at the end;
-`matmul` divides each integer dot product once by its two scales.  `rref`
+A `Mat` is integer rows `num` over one positive denominator `den`, kept in
+normal form: the gcd of `den` and every entry is 1, so equal matrices have
+equal fields and equal hashes.  Every operation works on those integers:
+`rref` runs fraction-free Gauss-Jordan on `num`, keeping every row
+primitive by its gcd, and puts the reduced rows over the lcm of their
+pivots; `matmul` takes integer dot products over `a.den * b.den`.  `rref`
 is the one elimination: `rank`, `kernel` and `column_space` call it.
-Zero entries of the matrices built here share one `Fraction(0)`.
+`Mat.data` is a read-only view of the entries as `Fraction`s, built on
+first use.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from itertools import chain
 from math import gcd, lcm
 from operator import mul
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
-_new = object.__new__
+
+def _check_shape(rows: int, cols: int, data) -> None:
+    if len(data) != rows or any(len(r) != cols for r in data):
+        raise ValueError("matrix data does not match declared shape")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Mat:
     rows: int
     cols: int
-    data: tuple[tuple[Fraction, ...], ...]
+    num: tuple[tuple[int, ...], ...]
+    den: int
 
-    def __post_init__(self):
-        if len(self.data) != self.rows or any(len(r) != self.cols for r in self.data):
-            raise ValueError("matrix data does not match declared shape")
+    def __init__(self, rows: int, cols: int, data):
+        """The matrix with the given rational entries (ints or Fractions)."""
+        _check_shape(rows, cols, data)
+        pairs = [[x.as_integer_ratio() for x in row] for row in data]
+        # over the lcm of the reduced denominators no common factor is left
+        den = lcm(*(d for row in pairs for _, d in row))
+        num = tuple(tuple(n * (den // d) for n, d in row) for row in pairs)
+        self.__dict__.update(rows=rows, cols=cols, num=num, den=den)
+
+    @cached_property
+    def data(self) -> tuple[tuple[Fraction, ...], ...]:
+        den = self.den
+        return tuple(tuple(Fraction(x, den) for x in row) for row in self.num)
 
     def column(self, c: int) -> tuple[Fraction, ...]:
-        return tuple(self.data[r][c] for r in range(self.rows))
+        return tuple(row[c] for row in self.data)
 
     def is_zero(self) -> bool:
-        return all(x == 0 for row in self.data for x in row)
+        return not any(map(any, self.num))
 
 
-def _mat(rows: int, cols: int, data) -> Mat:
-    """A Mat whose shape this module guarantees, built without the check."""
-    m = _new(Mat)
-    m.__dict__.update(rows=rows, cols=cols, data=data)
+def _mat(rows: int, cols: int, num, den: int) -> Mat:
+    """A Mat whose shape and normal form this module guarantees, built without checks."""
+    m = object.__new__(Mat)
+    m.__dict__.update(rows=rows, cols=cols, num=num, den=den)
     return m
 
 
-def _integer_rows(rows) -> tuple[list[list[int]], list[int]]:
-    """Each row times the lcm of its denominators, and those lcms."""
-    out, scales = [], []
-    for row in rows:
-        pairs = [x.as_integer_ratio() for x in row]
-        scale = lcm(*[den for _, den in pairs])
-        out.append([num * (scale // den) for num, den in pairs])
-        scales.append(scale)
-    return out, scales
-
-
-def _fraction(num: int, den: int) -> Fraction:
-    """num/den reduced; every zero is the shared `_ZERO`."""
-    if not num:
-        return _ZERO
-    return Fraction(num) if den == 1 else Fraction(num, den)
+def int_mat(rows: int, cols: int, num, den: int = 1) -> Mat:
+    """The matrix num / den from integer rows and a positive denominator."""
+    _check_shape(rows, cols, num)
+    g = gcd(den, *chain.from_iterable(num)) if den > 1 else 1
+    if g > 1:
+        num, den = [[x // g for x in row] for row in num], den // g
+    return _mat(rows, cols, tuple(map(tuple, num)), den)
 
 
 def mat(rows_data, rows: int | None = None, cols: int | None = None) -> Mat:
-    data = tuple(tuple(Fraction(x) for x in row) for row in rows_data)
+    data = tuple(tuple(row) for row in rows_data)
     r = len(data) if rows is None else rows
     c = (len(data[0]) if data else 0) if cols is None else cols
     if not data and r:
@@ -79,63 +86,44 @@ def mat(rows_data, rows: int | None = None, cols: int | None = None) -> Mat:
 
 
 def zeros(rows: int, cols: int) -> Mat:
-    return Mat(rows, cols, ((_ZERO,) * cols,) * rows)
+    return Mat(rows, cols, ((0,) * cols,) * rows)
 
 
 def identity(n: int) -> Mat:
-    return Mat(n, n, tuple(tuple(_ONE if i == j else _ZERO for j in range(n)) for i in range(n)))
+    return Mat(n, n, tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
 
 
 def matmul(a: Mat, b: Mat) -> Mat:
     if a.cols != b.rows:
         raise ValueError(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
     if not (a.rows and a.cols and b.cols):
-        return _mat(a.rows, b.cols, ((_ZERO,) * b.cols,) * a.rows)
-    left, left_scales = _integer_rows(a.data)
-    right, right_scales = _integer_rows(zip(*b.data))
-    return _mat(
-        a.rows,
-        b.cols,
-        tuple(
-            tuple(
-                _fraction(sum(map(mul, row, col)), scale * col_scale)
-                for col, col_scale in zip(right, right_scales)
-            )
-            for row, scale in zip(left, left_scales)
-        ),
-    )
-
-
-def matadd(a: Mat, b: Mat) -> Mat:
-    if (a.rows, a.cols) != (b.rows, b.cols):
-        raise ValueError("shape mismatch in matrix sum")
-    return _mat(
-        a.rows,
-        a.cols,
-        tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a.data, b.data)),
-    )
-
-
-def matneg(a: Mat) -> Mat:
-    return _mat(a.rows, a.cols, tuple(tuple(-x for x in row) for row in a.data))
+        return _mat(a.rows, b.cols, ((0,) * b.cols,) * a.rows, 1)
+    cols = tuple(zip(*b.num))
+    num = [[sum(map(mul, row, col)) for col in cols] for row in a.num]
+    return int_mat(a.rows, b.cols, num, a.den * b.den)
 
 
 def transpose(a: Mat) -> Mat:
-    return _mat(a.cols, a.rows, tuple(zip(*a.data)) if a.rows else ((),) * a.cols)
+    return _mat(a.cols, a.rows, tuple(zip(*a.num)) if a.rows else ((),) * a.cols, a.den)
 
 
 def hstack(*blocks: Mat) -> Mat:
     if len({b.rows for b in blocks}) != 1:
         raise ValueError("row mismatch in hstack")
-    data = tuple(sum(parts, ()) for parts in zip(*(b.data for b in blocks)))
-    return _mat(blocks[0].rows, sum(b.cols for b in blocks), data)
+    den = lcm(*(b.den for b in blocks))
+    parts = [
+        b.num if b.den == den else tuple(tuple(x * (den // b.den) for x in row) for row in b.num)
+        for b in blocks
+    ]
+    num = tuple(sum(rows, ()) for rows in zip(*parts))
+    return _mat(blocks[0].rows, sum(b.cols for b in blocks), num, den)
 
 
 def rref(a: Mat) -> tuple[Mat, tuple[int, ...]]:
     """Reduced row echelon form and the pivot columns."""
     if not (a.rows and a.cols):
         return a, ()
-    m, _ = _integer_rows(a.data)
+    m = [[x // g for x in row] if (g := gcd(*row)) > 1 else list(row) for row in a.num]
     pivots: list[int] = []
     r = 0
     for c in range(a.cols):
@@ -155,9 +143,11 @@ def rref(a: Mat) -> tuple[Mat, tuple[int, ...]]:
                 m[k] = [x // g for x in row] if g > 1 else row
         pivots.append(c)
         r += 1
-    data = [tuple(_fraction(x, row[c]) for x in row) for row, c in zip(m, pivots)]
-    data += [(_ZERO,) * a.cols] * (a.rows - r)
-    return _mat(a.rows, a.cols, tuple(data)), tuple(pivots)
+    # a primitive row over its pivot p has reduced denominators with lcm |p|
+    den = lcm(*(row[c] for row, c in zip(m, pivots)))
+    num = [tuple(x * (den // row[c]) for x in row) for row, c in zip(m, pivots)]
+    num += [(0,) * a.cols] * (a.rows - r)
+    return _mat(a.rows, a.cols, tuple(num), den), tuple(pivots)
 
 
 def rank(a: Mat) -> int:
@@ -171,19 +161,19 @@ def kernel(a: Mat) -> Mat:
     free = [c for c in range(a.cols) if c not in pivot_set]
     cols = []
     for fc in free:
-        vec = [_ZERO] * a.cols
-        vec[fc] = _ONE
+        vec = [0] * a.cols
+        vec[fc] = red.den
         for r, pc in enumerate(pivots):
-            vec[pc] = -red.data[r][fc]
+            vec[pc] = -red.num[r][fc]
         cols.append(vec)
-    return _mat(a.cols, len(cols), tuple(zip(*cols)) if cols else ((),) * a.cols)
+    return _mat(a.cols, len(cols), tuple(zip(*cols)) if cols else ((),) * a.cols, red.den)
 
 
 def column_space(a: Mat) -> Mat:
     """Reduced column-echelon spanning matrix of the column space."""
     red, pivots = rref(transpose(a))
-    basis = red.data[: len(pivots)]
-    return _mat(a.rows, len(pivots), tuple(zip(*basis)) if basis else ((),) * a.rows)
+    basis = red.num[: len(pivots)]
+    return _mat(a.rows, len(pivots), tuple(zip(*basis)) if basis else ((),) * a.rows, red.den)
 
 
 # -- subspaces (always stored in reduced column-echelon form) ---------------
@@ -192,16 +182,12 @@ def column_space(a: Mat) -> Mat:
 def span(vectors, dim: int) -> Mat:
     """Canonical subspace spanned by the given coordinate vectors."""
     vectors = list(vectors)
-    m = Mat(
-        dim,
-        len(vectors),
-        tuple(tuple(Fraction(v[r]) for v in vectors) for r in range(dim)),
-    )
-    return column_space(m)
+    rows = tuple(tuple(v[r] for v in vectors) for r in range(dim))
+    return column_space(Mat(dim, len(vectors), rows))
 
 
 def zero_space(dim: int) -> Mat:
-    return _mat(dim, 0, ((),) * dim)
+    return _mat(dim, 0, ((),) * dim, 1)
 
 
 def full_space(dim: int) -> Mat:
@@ -228,8 +214,10 @@ def preimage(m: Mat, s: Mat) -> Mat:
     """Canonical preimage {x : m x in S} of a subspace under a linear map."""
     if m.rows != s.rows:
         raise ValueError("ambient dimension mismatch in preimage")
-    k = kernel(hstack(m, matneg(s)))
-    return column_space(_mat(m.cols, k.cols, k.data[: m.cols]))
+    # (x, y) is in the kernel of [m | s] exactly when m x = s (-y) lies in S;
+    # the column space of the x parts does not depend on their scale
+    k = kernel(hstack(m, s))
+    return column_space(_mat(m.cols, k.cols, k.num[: m.cols], 1))
 
 
 def contains(outer: Mat, inner: Mat) -> bool:

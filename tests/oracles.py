@@ -8,7 +8,8 @@ rational points, with no common denominator.  Stratum labels have a
 per-step reference that recomputes every closure and core, with the
 first flag step as a special case.  Exact linear algebra has the plain
 `Fraction` Gauss-Jordan loop as its reference, which the integer
-elimination in `linalg.rref` must reproduce entry by entry.
+elimination in `linalg.rref` must reproduce entry by entry, and the
+moment-map residual has a term-by-term `Fraction` sum as its reference.
 """
 
 from collections import Counter
@@ -301,3 +302,28 @@ def matmul_fractions(a: Mat, b: Mat) -> Mat:
             for i in range(a.rows)
         ),
     )
+
+
+def _fraction_sum(a: Mat, b: Mat) -> Mat:
+    rows = zip(a.data, b.data)
+    return Mat(a.rows, a.cols, tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in rows))
+
+
+def _fraction_neg(a: Mat) -> Mat:
+    return Mat(a.rows, a.cols, tuple(tuple(-x for x in row) for row in a.data))
+
+
+def preprojective_residual_fractions(datum) -> tuple[Mat, ...]:
+    """Per-vertex sign * x x sums minus p q, added and negated matrix by matrix in Fractions."""
+    diagram = datum.diagram
+    out = []
+    for i in range(diagram.rank):
+        acc = _fraction_neg(matmul_fractions(datum.p[i], datum.q[i]))
+        for j in diagram.neighbors(i):
+            h = (j, i)
+            term = matmul_fractions(datum.x_map(h), datum.x_map((i, j)))
+            if diagram.orientation_sign(h) < 0:
+                term = _fraction_neg(term)
+            acc = _fraction_sum(acc, term)
+        out.append(acc)
+    return tuple(out)

@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import re
+from fractions import Fraction
 import tempfile
 from pathlib import Path
 from random import Random
@@ -31,6 +32,7 @@ from crystal_forge.adhm import (
 from crystal_forge.cli import main
 from crystal_forge.dynkin import DynkinDiagram, dynkin
 from crystal_forge.linalg import (
+    Mat,
     column_space,
     contains,
     full_space,
@@ -40,7 +42,12 @@ from crystal_forge.linalg import (
     span,
     zero_space,
 )
-from oracles import edge_matrix_power_vanishes, edge_paths_vanish, stratum_label_per_step
+from oracles import (
+    edge_matrix_power_vanishes,
+    edge_paths_vanish,
+    preprojective_residual_fractions,
+    stratum_label_per_step,
+)
 
 A1 = dynkin("A", 1)
 A2 = dynkin("A", 2)
@@ -186,6 +193,30 @@ def test_block_matrix_power_misses_cancelling_paths():
     assert edge_matrix_power_vanishes(datum.v, _edge_blocks(datum))
     assert not edge_paths_vanish(datum.v, _edge_blocks(datum))
     assert not is_nilpotent(datum)
+
+
+_SHIFTS = st.one_of(st.just(0), st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6)))
+
+
+@st.composite
+def perturbed_data(draw):
+    """Sampled preprojective data with entries shifted by small rationals."""
+    diagram = draw(st.sampled_from((A1, A2, A3, D4)))
+    v, d = (tuple(draw(st.integers(0, 2)) for _ in range(diagram.rank)) for _ in "vd")
+    datum = random_preprojective(diagram, v, d, draw(st.integers(0, 2**32 - 1)))
+
+    def shifted(m):
+        return Mat(m.rows, m.cols, [[e + draw(_SHIFTS) for e in row] for row in m.data])
+
+    x = {h: shifted(m) for h, m in datum.x.items()}
+    p, q = (tuple(shifted(m) for m in ms) for ms in (datum.p, datum.q))
+    return ADHMDatum(diagram, d, v, x, p, q)
+
+
+@settings(max_examples=150, deadline=None)
+@given(perturbed_data())
+def test_residual_matches_the_fraction_reference(datum):
+    assert preprojective_residual(datum) == preprojective_residual_fractions(datum)
 
 
 def test_random_preprojective_falls_back_to_the_last_trivial_draw():

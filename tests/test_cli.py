@@ -4,13 +4,17 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
+from random import Random
 
 import pytest
 
 import crystal_forge
 from crystal_forge import paths
+from crystal_forge.adhm import random_preprojective
 from crystal_forge.cli import build_parser, main
+from crystal_forge.dynkin import parse_diagram
 
 
 def run_cli(capsys, *argv):
@@ -387,7 +391,92 @@ def test_adhm_residual_reported(tmp_path, capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["preprojective"] is False
-    assert "residual" in payload
+    assert payload["residual"] == [[[-1, 1]]]
+
+
+def _pairs(rows):
+    return [[[e.numerator, e.denominator] for e in row] for row in rows]
+
+
+def _adhm_corpus():
+    """Sixty ADHM payloads: 20 sampled data on A1-A3 and D4, the first four
+    without framing, each under the flag (0, D), under (a random line, D),
+    and as a copy with one entry shifted by 1/k under the flag (0, D)."""
+    rng = Random(11)
+    corpus = []
+    for n in range(20):
+        diagram = parse_diagram(("A1", "A2", "A3", "D4")[n % 4])
+        v = [rng.randint(0, 2) for _ in range(diagram.rank)]
+        d = [0 if n < 4 else rng.randint(0, 2) for _ in range(diagram.rank)]
+        datum = random_preprojective(diagram, v, d, rng)
+        blocks = {
+            **{("x", f"{s}->{t}"): m.data for (s, t), m in sorted(datum.x.items())},
+            **{("p", i): m.data for i, m in enumerate(datum.p)},
+            **{("q", i): m.data for i, m in enumerate(datum.q)},
+        }
+        full = [[[[int(r == c), 1] for r in range(n_i)] for c in range(n_i)] for n_i in d]
+        zero = [[] for _ in d]
+        line = [[] for _ in d]
+        framed = [i for i, n_i in enumerate(d) if n_i]
+        if framed:
+            i = rng.choice(framed)
+            vec = [0] * d[i]
+            while not any(vec):
+                vec = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(d[i])]
+            line[i] = _pairs([vec])
+
+        def payload(blocks, flag):
+            return {
+                "diagram": diagram.label,
+                "d": d,
+                "v": v,
+                "x": {h: _pairs(m) for (kind, h), m in blocks.items() if kind == "x"},
+                "p": [_pairs(blocks["p", i]) for i in range(diagram.rank)],
+                "q": [_pairs(blocks["q", i]) for i in range(diagram.rank)],
+                "flag": flag,
+            }
+
+        shifted = dict(blocks)
+        nonempty = [key for key, m in blocks.items() if m and m[0]]
+        if nonempty:
+            key = rng.choice(nonempty)
+            rows = [list(row) for row in blocks[key]]
+            r, c = rng.randrange(len(rows)), rng.randrange(len(rows[0]))
+            rows[r][c] += Fraction(1, rng.randint(2, 7))
+            shifted[key] = rows
+        corpus += [
+            payload(blocks, [zero, full]),
+            payload(blocks, [line, full]),
+            payload(shifted, [zero, full]),
+        ]
+    return corpus
+
+
+# sha256 of `adhm check` and `adhm stratum` exit codes and stdout on
+# _adhm_corpus(): pins every verdict, residual entry and stratum label
+ADHM_CLI_SHA256 = "f352d0543df649de9e83da824d2f7cb4ec3bacf7c2b970a040a61672d60a1bef"
+
+
+def test_adhm_cli_output_is_pinned(tmp_path, capsys):
+    digest = hashlib.sha256()
+    seen = set()
+    for k, payload in enumerate(_adhm_corpus()):
+        path = tmp_path / f"datum{k}.json"
+        path.write_text(json.dumps(payload))
+        for command in ("check", "stratum"):
+            code, out, _ = run_cli(capsys, "adhm", command, str(path))
+            digest.update(f"{command} {k} {code}\n{out}".encode())
+            result = json.loads(out) if code == 0 else {}
+            seen.add((command, code, "residual" in result, result.get("member")))
+    # the corpus reaches residuals, members, non-members and unstable data
+    assert {
+        ("check", 0, True, None),
+        ("check", 0, False, None),
+        ("stratum", 0, False, True),
+        ("stratum", 0, False, False),
+        ("stratum", 1, False, None),
+    } <= seen
+    assert digest.hexdigest() == ADHM_CLI_SHA256
 
 
 def test_adhm_missing_file(capsys):

@@ -1,3 +1,6 @@
+import re
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -8,6 +11,8 @@ from crystal_forge.dynkin import (
     pairing,
     parse_diagram,
 )
+from crystal_forge.dimensions import v_from_weight
+from crystal_forge.paths import build_crystal
 
 
 def test_a1_tables():
@@ -119,6 +124,21 @@ def test_positive_root_counts(label, count):
 )
 def test_weyl_dimension(label, hw, dim):
     assert parse_diagram(label).weyl_dimension(hw) == dim
+
+
+@pytest.mark.parametrize(
+    "call, weight",
+    [
+        (lambda w: build_crystal(dynkin("A", 2), w), (1.5, 0)),
+        (lambda w: dynkin("A", 2).weyl_dimension(w), (Fraction(3, 2), 0)),
+        (lambda w: v_from_weight(dynkin("A", 2), (1, 0), w), ("1", "0")),
+    ],
+    ids=["build_crystal", "weyl_dimension", "v_from_weight"],
+)
+def test_non_integer_weights_are_refused(call, weight):
+    # int() used to truncate these to B(1, 0), dimension 3 and the weight (1, 0)
+    with pytest.raises(ValueError, match=re.escape(f"weight {weight} has a non-integer entry")):
+        call(weight)
 
 
 @pytest.mark.parametrize(

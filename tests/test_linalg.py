@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 from random import Random
 
 import pytest
@@ -132,7 +133,14 @@ def rational_matrices(draw, rows=st.integers(0, 6), cols=st.integers(0, 6)):
 
 
 def _is_exact(m: Mat) -> bool:
-    return all(type(x) is Fraction for row in m.data for x in row)
+    """Fraction entries, read off integer rows over a positive denominator in normal form."""
+    entries = [x for row in m.num for x in row]
+    return (
+        all(type(x) is Fraction for row in m.data for x in row)
+        and all(type(x) is int for x in entries)
+        and m.den > 0
+        and gcd(m.den, *entries) == 1
+    )
 
 
 @settings(max_examples=400, deadline=None)
