@@ -2,20 +2,32 @@
 
 A crystal is stored as a vertex list with integer weights plus, for every
 color i, the partial lowering map f_i as a dict; the raising map e_i is
-always the inverse dict.  String lengths eps/phi are never stored: they
-are recomputed from the maps, which is what normality means.
+always the inverse dict, built on first use.  String lengths eps/phi are
+never stored: they are recomputed from the maps, which is what normality
+means.
 
 The tensor product follows Kashiwara's signature rule: operators act on
 the left factor when phi(left) beats eps(right), otherwise on the right,
 with strict/non-strict comparison split between f and e exactly as in the
 standard convention.
+
+Summands are certified by canonical BFS order.  `_rooted_components`
+lists the f-closure of each source breadth-first, colors in order, and
+`paths.build_crystal` numbers B(lam) in that same order.  An isomorphism
+of closures fixes the source and commutes with every f_i, so it maps BFS
+order to BFS order: the k-th vertex of one closure can only go to the
+k-th of the other.  `_closure_iso` therefore compares the two weight
+lists and, per color, the f_i targets under that one candidate map,
+instead of growing a vertex map edge by edge; `decompose` and
+`is_isomorphic` both use it.
 """
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import Counter
+from operator import add
 
-from .dynkin import DynkinDiagram, Weight, vadd, vsub
+from .dynkin import DynkinDiagram, Weight, vsub
 
 SCHEMA = "crystal-forge/1"
 
@@ -42,17 +54,24 @@ class CrystalGraph:
 
     def __init__(self, diagram: DynkinDiagram, weights, f_maps, payloads=None):
         self.diagram = diagram
-        self.weights: tuple[Weight, ...] = tuple(tuple(w) for w in weights)
+        self.weights: tuple[Weight, ...] = tuple(map(tuple, weights))
         f_maps = [dict(m) for m in f_maps]
         if len(f_maps) != diagram.rank:
             raise ValueError(f"expected {diagram.rank} colored maps, got {len(f_maps)}")
         self.f_maps: tuple[dict[int, int], ...] = tuple(f_maps)
-        self.e_maps: tuple[dict[int, int], ...] = tuple(
-            {b: a for a, b in m.items()} for m in f_maps
-        )
         self.payloads = tuple(payloads) if payloads is not None else None
+        # set here, not added on first use: an attribute added after __init__
+        # gives the instance a slower attribute layout (CPython 3.11)
+        self._e_maps: tuple[dict[int, int], ...] | None = None
         self._eps: list[list[int]] | None = None
         self._phi: list[list[int]] | None = None
+
+    @property
+    def e_maps(self) -> tuple[dict[int, int], ...]:
+        """The raising maps, inverted from the f maps on first use."""
+        if self._e_maps is None:
+            self._e_maps = tuple({b: a for a, b in m.items()} for m in self.f_maps)
+        return self._e_maps
 
     # -- basics -----------------------------------------------------------
 
@@ -195,8 +214,14 @@ def tensor(left: CrystalGraph, right: CrystalGraph) -> CrystalGraph:
     if left.diagram != right.diagram:
         raise ValueError("tensor product of crystals over different diagrams")
     diagram = left.diagram
+    for factor in (left, right):
+        for w in factor.weights:
+            if len(w) != diagram.rank:
+                raise ValueError(
+                    f"tensor factor weight {w} has {len(w)} entries, not rank {diagram.rank}"
+                )
     nr = len(right)
-    weights = [vadd(wa, wb) for wa in left.weights for wb in right.weights]
+    weights = [tuple(map(add, wa, wb)) for wa in left.weights for wb in right.weights]
     f_maps: list[dict[int, int]] = [{} for _ in range(diagram.rank)]
     phi_left = left._string_data()[1]
     eps_right = right._string_data()[0]
@@ -289,55 +314,24 @@ def verify_axioms(crystal: CrystalGraph) -> list[str]:
 
 
 def highest_vertices(crystal: CrystalGraph) -> list[int]:
-    """Vertices on which every raising operator is undefined."""
-    return [v for v in range(len(crystal)) if crystal.is_source(v)]
-
-
-def _pair_from_sources(a: CrystalGraph, b: CrystalGraph, src_a: int, src_b: int) -> dict[int, int] | None:
-    """Pair the f-closures of two sources by walking the f maps in lockstep.
-
-    Definedness and weights must match throughout, and the pairing must
-    stay injective.  Returns the bijection of the closures, or None.  On
-    closures that `_rooted_components` accepted (no vertex lies below two
-    sources) an e_i edge into the closure comes from the closure itself,
-    so matching f maps imply matching e maps.
-    """
-    if a.weights[src_a] != b.weights[src_b]:
-        return None
-    fwd = {src_a: src_b}
-    bwd = {src_b: src_a}
-    queue = deque([src_a])
-    while queue:
-        va = queue.popleft()
-        vb = fwd[va]
-        for map_a, map_b in zip(a.f_maps, b.f_maps):
-            ta = map_a.get(va)
-            tb = map_b.get(vb)
-            if (ta is None) != (tb is None):
-                return None
-            if ta is None:
-                continue
-            known = fwd.get(ta)
-            if known is not None:
-                if known != tb:
-                    return None
-                continue
-            if tb in bwd:
-                return None
-            if a.weights[ta] != b.weights[tb]:
-                return None
-            fwd[ta] = tb
-            bwd[tb] = ta
-            queue.append(ta)
-    return fwd
+    """Vertices on which every raising operator is undefined: no f map reaches them."""
+    lowered: set[int] = set()
+    for fm in crystal.f_maps:
+        lowered.update(fm.values())
+    return [v for v in range(len(crystal)) if v not in lowered]
 
 
 def _rooted_components(crystal: CrystalGraph) -> list[tuple[int, list[int]]]:
     """Each source vertex with its f-closure, in increasing source id.
 
     A highest-weight crystal is generated by its source under the f maps,
-    so the closures are the connected components.  Raises
-    DecompositionError when a vertex lies below no source or below two.
+    so the closures are the connected components.  Each closure is listed
+    in canonical BFS order: the source first, then the f_i-children of
+    each listed vertex for i = 0, 1, ... as they are first reached.
+    `paths._close` numbers a built crystal in the same order, so a built
+    B(lam) is its own closure `list(range(len(B)))`; `_closure_iso` rests
+    on this.  Raises DecompositionError when a vertex lies below no
+    source or below two.
     """
     owner: list[int | None] = [None] * len(crystal)
     out = []
@@ -347,15 +341,17 @@ def _rooted_components(crystal: CrystalGraph) -> list[tuple[int, list[int]]]:
         for v in closure:  # grows while it is walked: breadth-first
             for fm in crystal.f_maps:
                 w = fm.get(v)
-                if w is None or owner[w] == src:
+                if w is None:
                     continue
-                if owner[w] is not None:
+                seen = owner[w]
+                if seen is None:
+                    owner[w] = src
+                    closure.append(w)
+                elif seen != src:
                     raise DecompositionError(
-                        f"vertex {w} lies below 2 source vertices, {owner[w]} and {src}; "
+                        f"vertex {w} lies below 2 source vertices, {seen} and {src}; "
                         "not a highest-weight crystal"
                     )
-                owner[w] = src
-                closure.append(w)
         out.append((src, closure))
     if None in owner:
         raise DecompositionError(
@@ -365,13 +361,37 @@ def _rooted_components(crystal: CrystalGraph) -> list[tuple[int, list[int]]]:
     return out
 
 
+def _closure_iso(a: CrystalGraph, comp_a, b: CrystalGraph, comp_b) -> dict[int, int] | None:
+    """The isomorphism of two f-closures listed in canonical BFS order, or None.
+
+    The only candidate maps comp_a[k] to comp_b[k].  It is an isomorphism
+    exactly when the weight lists agree and, for every color, it sends
+    f_i of comp_a[k] to f_i of comp_b[k] (None to None).  No vertex lies
+    below two sources in a closure `_rooted_components` returned, so an
+    e_i edge into it comes from inside, and matching f maps imply
+    matching e maps.
+    """
+    if len(comp_a) != len(comp_b):
+        return None
+    wa, wb = a.weights, b.weights
+    if [wa[v] for v in comp_a] != [wb[v] for v in comp_b]:
+        return None
+    iso = dict(zip(comp_a, comp_b))
+    image = iso.get  # image(None) is None: undefined maps to undefined
+    for fa, fb in zip(a.f_maps, b.f_maps):
+        if [image(fa.get(v)) for v in comp_a] != [fb.get(v) for v in comp_b]:
+            return None
+    return iso
+
+
 def is_isomorphic(a: CrystalGraph, b: CrystalGraph) -> dict[int, int] | None:
     """Crystal isomorphism as a vertex map, or None.
 
     Every vertex of both inputs must lie below exactly one source vertex
     (all raising operators undefined); this always holds for the
     highest-weight crystals built here, and DecompositionError is raised
-    otherwise.  Components are matched greedily.
+    otherwise.  Components are matched greedily, each pair by
+    `_closure_iso` on their BFS orders.
     """
     if a.diagram != b.diagram or len(a) != len(b):
         return None
@@ -381,11 +401,11 @@ def is_isomorphic(a: CrystalGraph, b: CrystalGraph) -> dict[int, int] | None:
         return None
     used = [False] * len(pairs_b)
     total: dict[int, int] = {}
-    for src_a, comp_a in pairs_a:
-        for k, (src_b, comp_b) in enumerate(pairs_b):
-            if used[k] or len(comp_b) != len(comp_a):
+    for _, comp_a in pairs_a:
+        for k, (_, comp_b) in enumerate(pairs_b):
+            if used[k]:
                 continue
-            m = _pair_from_sources(a, b, src_a, src_b)
+            m = _closure_iso(a, comp_a, b, comp_b)
             if m is not None:
                 used[k] = True
                 total.update(m)

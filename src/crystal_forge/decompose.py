@@ -2,11 +2,12 @@
 
 A normal crystal is the direct sum of the f-closures of its source
 vertices; each closure is certified isomorphic to the generic
-highest-weight crystal of its source weight.  Multiplicities of
-highest weights in tensor products are read off as counts of source
-vertices, which is the combinatorial shadow of the tensor-decomposition
-bijection between irreducible components of quiver strata; `multiplicity`
-counts them from the factors alone, through the signature rule.
+highest-weight crystal of its source weight by its canonical BFS order.
+Multiplicities of highest weights in tensor products are read off as
+counts of source vertices, which is the combinatorial shadow of the
+tensor-decomposition bijection between irreducible components of quiver
+strata; `multiplicity` counts them from the factors alone, through the
+signature rule.
 """
 
 from __future__ import annotations
@@ -14,12 +15,13 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from math import prod
+from operator import itemgetter
 
 from .crystal import (
     SCHEMA,
     CrystalGraph,
     DecompositionError,
-    _pair_from_sources,
+    _closure_iso,
     _rooted_components,
     highest_vertices,  # re-exported
 )
@@ -85,25 +87,33 @@ class Decomposition:
 def decompose(crystal: CrystalGraph) -> Decomposition:
     """Split a normal crystal into highest-weight summands.
 
-    Each summand is the f-closure of a source vertex.  A closure whose
-    size is not the Weyl dimension of its source weight is refused before
-    anything is built; otherwise it is matched against the reference
-    crystal of that weight.  Instance ids follow increasing source id;
-    f raises vertex ids in every crystal the library builds, so this is
-    also the order of the summands' smallest vertices.
+    Each summand is the f-closure of a source vertex, listed by
+    `_rooted_components` in canonical BFS order.  A closure whose size is
+    not the Weyl dimension of its source weight is refused before
+    anything is built.  Otherwise it is certified against the reference
+    crystal B(hw): `build_crystal` numbers B(hw) in that same BFS order,
+    so the k-th vertex of the closure can only map to reference vertex k,
+    and `_closure_iso` checks that this map keeps weights and every f_i.
+    Instance ids follow increasing source id; f raises vertex ids in every
+    crystal the library builds, so this is also the order of the
+    summands' smallest vertices.
     """
     diagram = crystal.diagram
     result = Decomposition(diagram)
+    dims: dict[Weight, int] = {}  # Weyl dimension per dominant source weight seen
     for src, comp in _rooted_components(crystal):
         hw = crystal.weights[src]
-        if not diagram.is_dominant(hw):
-            raise DecompositionError(
-                f"component source {src} has non-dominant weight {hw}"
-            )
+        dim = dims.get(hw)
+        if dim is None:
+            if not diagram.is_dominant(hw):
+                raise DecompositionError(
+                    f"component source {src} has non-dominant weight {hw}"
+                )
+            dim = dims[hw] = diagram.weyl_dimension(hw)
         iso = None
-        if len(comp) == diagram.weyl_dimension(hw):
-            # vertex 0 of a built crystal is its highest path, the unique source
-            iso = _pair_from_sources(crystal, _reference_crystal(diagram, hw), src, 0)
+        if len(comp) == dim:
+            ref = _reference_crystal(diagram, hw)
+            iso = _closure_iso(crystal, comp, ref, range(len(ref)))
         if iso is None:
             raise DecompositionError(
                 f"component containing vertex {min(comp)} is not isomorphic to the "
@@ -112,8 +122,7 @@ def decompose(crystal: CrystalGraph) -> Decomposition:
         inst_id = len(result.instances)
         result.instances.append(SummandInstance(hw, src, iso))
         result.summands[hw] += 1
-        for v in comp:
-            result.assignment[v] = inst_id
+        result.assignment.update(dict.fromkeys(comp, inst_id))
     return result
 
 
@@ -184,7 +193,11 @@ def branch(crystal: CrystalGraph, keep) -> tuple[Decomposition, DynkinDiagram]:
     through coordinate restriction.
     """
     sub, kept = induced_subdiagram(crystal.diagram, keep)
-    weights = [tuple(w[j] for j in kept) for w in crystal.weights]
+    if len(kept) > 1:  # itemgetter of two or more indices returns a tuple
+        weights = list(map(itemgetter(*kept), crystal.weights))
+    else:  # the one kept coordinate, or none, as a slice
+        cut = slice(kept[0], kept[0] + 1) if kept else slice(0)
+        weights = [w[cut] for w in crystal.weights]
     f_maps = [crystal.f_maps[j] for j in kept]
     restricted = CrystalGraph(sub, weights, f_maps, crystal.payloads)
     return decompose(restricted), sub

@@ -40,8 +40,17 @@ class Mat:
     den: int
 
     def __init__(self, rows: int, cols: int, data):
-        """The matrix with the given rational entries (ints or Fractions)."""
+        """The matrix with the given rational entries (ints or Fractions).
+
+        A float is refused: its exact binary value is rarely the number meant.
+        """
         _check_shape(rows, cols, data)
+        for r, row in enumerate(data):
+            for c, x in enumerate(row):
+                if isinstance(x, float):
+                    raise TypeError(
+                        f"matrix entry ({r}, {c}) is the float {x!r}; use an int or a Fraction"
+                    )
         pairs = [[x.as_integer_ratio() for x in row] for row in data]
         # over the lcm of the reduced denominators no common factor is left
         den = lcm(*(d for row in pairs for _, d in row))

@@ -10,12 +10,17 @@ first flag step as a special case.  Exact linear algebra has the plain
 `Fraction` Gauss-Jordan loop as its reference, which the integer
 elimination in `linalg.rref` must reproduce entry by entry, and the
 moment-map residual has a term-by-term `Fraction` sum as its reference.
+Summand certificates have the lockstep pairing as their reference: a
+breadth-first walk of the f maps of both closures side by side that
+grows the vertex map one edge at a time and never reads a BFS order.
 """
 
-from collections import Counter
+from collections import Counter, deque
 from fractions import Fraction
 
 from crystal_forge.adhm import closure, core, kernel_of_q
+from crystal_forge.crystal import CrystalGraph, DecompositionError, _rooted_components
+from crystal_forge.decompose import _reference_crystal
 from crystal_forge.dynkin import DynkinDiagram, vadd, vsub
 from crystal_forge.linalg import Mat, contains, intersect, matmul, preimage
 
@@ -327,3 +332,87 @@ def preprojective_residual_fractions(datum) -> tuple[Mat, ...]:
             acc = _fraction_sum(acc, term)
         out.append(acc)
     return tuple(out)
+
+
+def pair_from_sources(a: CrystalGraph, b: CrystalGraph, src_a: int, src_b: int) -> dict | None:
+    """Pair the f-closures of two sources by walking the f maps in lockstep.
+
+    Definedness and weights must match throughout, and the pairing must
+    stay injective.  Returns the bijection of the closures, or None.
+    """
+    if a.weights[src_a] != b.weights[src_b]:
+        return None
+    fwd = {src_a: src_b}
+    bwd = {src_b: src_a}
+    queue = deque([src_a])
+    while queue:
+        va = queue.popleft()
+        vb = fwd[va]
+        for map_a, map_b in zip(a.f_maps, b.f_maps):
+            ta = map_a.get(va)
+            tb = map_b.get(vb)
+            if (ta is None) != (tb is None):
+                return None
+            if ta is None:
+                continue
+            known = fwd.get(ta)
+            if known is not None:
+                if known != tb:
+                    return None
+                continue
+            if tb in bwd:
+                return None
+            if a.weights[ta] != b.weights[tb]:
+                return None
+            fwd[ta] = tb
+            bwd[tb] = ta
+            queue.append(ta)
+    return fwd
+
+
+def is_isomorphic_lockstep(a: CrystalGraph, b: CrystalGraph) -> dict | None:
+    """`crystal.is_isomorphic` with each pair of components matched by lockstep pairing."""
+    if a.diagram != b.diagram or len(a) != len(b):
+        return None
+    pairs_a = _rooted_components(a)
+    pairs_b = _rooted_components(b)
+    if len(pairs_a) != len(pairs_b):
+        return None
+    used = [False] * len(pairs_b)
+    total: dict = {}
+    for src_a, comp_a in pairs_a:
+        for k, (src_b, comp_b) in enumerate(pairs_b):
+            if used[k] or len(comp_b) != len(comp_a):
+                continue
+            m = pair_from_sources(a, b, src_a, src_b)
+            if m is not None:
+                used[k] = True
+                total.update(m)
+                break
+        else:
+            return None
+    return total
+
+
+def decompose_lockstep(crystal: CrystalGraph) -> list[tuple]:
+    """(hw, source, iso) per summand as `decompose.decompose` finds them, each
+    closure paired with vertex 0 of its reference crystal in lockstep.
+
+    Raises DecompositionError with the messages `decompose` uses.
+    """
+    diagram = crystal.diagram
+    out = []
+    for src, comp in _rooted_components(crystal):
+        hw = crystal.weights[src]
+        if not diagram.is_dominant(hw):
+            raise DecompositionError(f"component source {src} has non-dominant weight {hw}")
+        iso = None
+        if len(comp) == diagram.weyl_dimension(hw):
+            iso = pair_from_sources(crystal, _reference_crystal(diagram, hw), src, 0)
+        if iso is None:
+            raise DecompositionError(
+                f"component containing vertex {min(comp)} is not isomorphic to the "
+                f"highest-weight crystal of {hw}"
+            )
+        out.append((hw, src, iso))
+    return out

@@ -207,6 +207,13 @@ def test_diagram_mismatch_rejected():
         tensor(trivial_crystal(A1, 1), trivial_crystal(A2, 1))
 
 
+def test_tensor_refuses_weights_of_the_wrong_length():
+    long_weight = CrystalGraph(A1, [(1, 0)], [{}])
+    for left, right in ((long_weight, a1_chain([0])), (a1_chain([0]), long_weight)):
+        with pytest.raises(ValueError, match=r"weight \(1, 0\) has 2 entries, not rank 1"):
+            tensor(left, right)
+
+
 def test_json_and_dot_export():
     c = build_crystal(A2, (1, 0))
     payload = c.to_json_dict()

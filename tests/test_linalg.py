@@ -109,6 +109,21 @@ def test_shape_errors():
         mat([], 1, 1)
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: mat([[0.1, 1]]),
+        lambda: mat([[1, 0], [0, 1.0]]),
+        lambda: Mat(1, 1, ((0.5,),)),
+        lambda: span([(1, 0), (0.25, 1)], 2),
+    ],
+)
+def test_float_entries_are_refused(build):
+    with pytest.raises(TypeError, match=r"^matrix entry \(\d, \d\) is the float [\d.]+; ") as err:
+        build()
+    assert "\n" not in str(err.value)
+
+
 _ENTRIES = st.one_of(
     st.just(0),
     st.integers(-3, 3),

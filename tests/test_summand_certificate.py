@@ -1,0 +1,235 @@
+"""The BFS-order summand certificate.
+
+`decompose` and `is_isomorphic` certify a closure by its canonical BFS
+order: the k-th vertex of one closure can only map to the k-th vertex of
+the other.  That rests on `build_crystal` numbering its vertices in the
+order `_rooted_components` lists a closure, which is checked here on the
+crystal family, on E6 and on Levi restrictions.  The certificate itself
+is checked against the lockstep pairing in `oracles.py` on built
+crystals, tensor products, direct sums, relabelled copies and mutants.
+"""
+
+from functools import cache
+from itertools import product as cartesian
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from crystal_forge.crystal import (
+    CrystalGraph,
+    DecompositionError,
+    _rooted_components,
+    direct_sum,
+    is_isomorphic,
+    tensor_many,
+)
+from crystal_forge.decompose import branch, decompose
+from crystal_forge.dynkin import dynkin, induced_subdiagram
+from crystal_forge.paths import build_crystal
+from crystal_forge.selftest import crystal_family
+
+from oracles import decompose_lockstep, is_isomorphic_lockstep
+
+A1 = dynkin("A", 1)
+A2 = dynkin("A", 2)
+A3 = dynkin("A", 3)
+D4 = dynkin("D", 4)
+E6 = dynkin("E", 6)
+
+# E6 weights with entries 0/1, at most two of them 1, of dimension at most 700
+_E6_WEIGHTS = [
+    w
+    for w in cartesian((0, 1), repeat=6)
+    if sum(w) <= 2 and E6.weyl_dimension(w) <= 700
+]
+
+
+def _is_one_bfs_closure(crystal: CrystalGraph) -> bool:
+    return _rooted_components(crystal) == [(0, list(range(len(crystal))))]
+
+
+def test_built_crystals_are_numbered_in_closure_order():
+    family = [crystal for _, _, crystal in crystal_family()]
+    family += [build_crystal(E6, w) for w in _E6_WEIGHTS]
+    assert len(_E6_WEIGHTS) >= 5
+    for crystal in family:
+        assert _is_one_bfs_closure(crystal), (crystal.diagram.label, crystal.weights[0])
+
+
+@pytest.mark.parametrize(
+    "diagram,hw,keep",
+    [
+        (E6, (1, 0, 0, 0, 0, 0), (0, 1, 2, 3, 5)),  # D5
+        (E6, (0, 0, 0, 0, 0, 1), (0, 1, 2, 3, 4)),  # A5
+        (D4, (1, 1, 0, 0), (0, 1, 3)),  # A3
+        (A3, (1, 1, 1), (0, 2)),  # A1 + A1
+        (A3, (2, 0, 1), (1,)),
+        (A2, (1, 1), ()),
+    ],
+)
+def test_levi_closures_in_bfs_order_are_the_built_crystals(diagram, hw, keep):
+    crystal = build_crystal(diagram, hw)
+    sub, kept = induced_subdiagram(diagram, keep)
+    restricted = CrystalGraph(
+        sub,
+        [tuple(w[j] for j in kept) for w in crystal.weights],
+        [crystal.f_maps[j] for j in kept],
+    )
+    comps = _rooted_components(restricted)
+    dec, _ = branch(crystal, keep)
+    assert len(dec.instances) == len(comps)
+    for inst, (src, comp) in zip(dec.instances, comps):
+        # renumbered by BFS position, the closure is B(hw) vertex for vertex
+        pos = {v: k for k, v in enumerate(comp)}
+        ref = build_crystal(sub, restricted.weights[src])
+        assert _is_one_bfs_closure(ref)
+        assert [restricted.weights[v] for v in comp] == list(ref.weights)
+        for fm, ref_fm in zip(restricted.f_maps, ref.f_maps):
+            assert {pos[a]: pos[b] for a, b in fm.items() if a in pos} == ref_fm
+        assert (inst.hw, inst.source) == (restricted.weights[src], src)
+        assert list(inst.iso.items()) == list(zip(comp, range(len(comp))))
+
+
+# dominant weights per diagram with entries below 3 and dimension at most 20
+_POOLS = {
+    diagram: [
+        w
+        for w in cartesian(range(3), repeat=diagram.rank)
+        if diagram.weyl_dimension(w) <= 20
+    ]
+    for diagram in (A1, A2, A3, D4)
+}
+
+
+@cache
+def _built(diagram, hw):
+    return build_crystal(diagram, hw)
+
+
+def _mutate(crystal: CrystalGraph, kind: str, draw) -> CrystalGraph:
+    """A copy with one f edge retargeted, one weight changed or two color maps swapped.
+
+    A retargeted edge keeps the weight of its target where another vertex
+    has it, so only the graph structure tells the mutant apart.
+    """
+    n, rank = len(crystal), crystal.diagram.rank
+    weights = list(crystal.weights)
+    f_maps = [dict(m) for m in crystal.f_maps]
+    if kind == "edge" and n > 1 and any(f_maps):
+        i = draw(st.sampled_from([i for i, m in enumerate(f_maps) if m]))
+        a = draw(st.sampled_from(sorted(f_maps[i])))
+        old = f_maps[i][a]
+        others = [t for t in range(n) if t != old]
+        alike = [t for t in others if weights[t] == weights[old]]
+        f_maps[i][a] = draw(st.sampled_from(alike or others))
+    elif kind == "weight":
+        v, j = draw(st.integers(0, n - 1)), draw(st.integers(0, rank - 1))
+        shift = draw(st.sampled_from((-1, 1)))
+        weights[v] = weights[v][:j] + (weights[v][j] + shift,) + weights[v][j + 1 :]
+    elif kind == "swap" and rank > 1:
+        i, j = draw(st.lists(st.integers(0, rank - 1), min_size=2, max_size=2, unique=True))
+        f_maps[i], f_maps[j] = f_maps[j], f_maps[i]
+    return CrystalGraph(crystal.diagram, weights, f_maps)
+
+
+def _relabel(crystal: CrystalGraph, perm) -> CrystalGraph:
+    """The same graph with vertex v renamed perm[v]."""
+    weights = [None] * len(crystal)
+    for v, w in enumerate(crystal.weights):
+        weights[perm[v]] = w
+    f_maps = [{perm[a]: perm[b] for a, b in m.items()} for m in crystal.f_maps]
+    return CrystalGraph(crystal.diagram, weights, f_maps)
+
+
+@st.composite
+def _cases(draw):
+    """(crystal, relabelled copy, mutant) for a built crystal, a tensor
+    product of 2-3 factors (at most 400 vertices) or a direct sum."""
+    diagram = draw(st.sampled_from(list(_POOLS)))
+    pool = _POOLS[diagram]
+    kind = draw(st.sampled_from(("built", "tensor", "sum")))
+    factors, budget = [], 400
+    for _ in range(1 if kind == "built" else draw(st.integers(2, 3))):
+        hw = draw(st.sampled_from([w for w in pool if diagram.weyl_dimension(w) <= budget]))
+        factors.append(_built(diagram, hw))
+        budget //= len(factors[-1])
+    crystal = direct_sum(factors) if kind == "sum" else tensor_many(factors)
+    perm = draw(st.permutations(range(len(crystal))))
+    mutant = _mutate(crystal, draw(st.sampled_from(("edge", "weight", "swap"))), draw)
+    return crystal, _relabel(crystal, perm), mutant
+
+
+def _outcome(fn, *args):
+    """fn's result, or the message of the DecompositionError it raised."""
+    try:
+        return fn(*args)
+    except DecompositionError as err:
+        return f"DecompositionError: {err}"
+
+
+def _instances(crystal):
+    dec = decompose(crystal)
+    return [(inst.hw, inst.source, inst.iso) for inst in dec.instances]
+
+
+def _items(outcome):
+    """Dicts as item lists, so the comparison also sees their order."""
+    if isinstance(outcome, dict):
+        return list(outcome.items())
+    if isinstance(outcome, list):
+        return [(hw, src, list(iso.items())) for hw, src, iso in outcome]
+    return outcome
+
+
+@settings(max_examples=200, deadline=None)
+@given(_cases())
+def test_bfs_certificate_agrees_with_lockstep_pairing(case):
+    crystal, relabelled, mutant = case
+    for x in case:
+        assert _items(_outcome(_instances, x)) == _items(_outcome(decompose_lockstep, x))
+    for a, b in [
+        (crystal, relabelled),
+        (relabelled, crystal),
+        (crystal, mutant),
+        (mutant, crystal),
+        (mutant, mutant),
+    ]:
+        assert _items(_outcome(is_isomorphic, a, b)) == _items(
+            _outcome(is_isomorphic_lockstep, a, b)
+        )
+    assert is_isomorphic(crystal, relabelled) is not None
+
+
+def _same_weight_retargets(crystal: CrystalGraph):
+    """Mutants with one f edge moved to another vertex of its target's
+    weight that still split into rooted components."""
+    for i, fm in enumerate(crystal.f_maps):
+        for a, old in sorted(fm.items()):
+            for t in range(len(crystal)):
+                if t == old or crystal.weights[t] != crystal.weights[old]:
+                    continue
+                f_maps = [dict(m) for m in crystal.f_maps]
+                f_maps[i][a] = t
+                mutant = CrystalGraph(crystal.diagram, crystal.weights, f_maps)
+                if not isinstance(_outcome(_rooted_components, mutant), str):
+                    yield mutant
+
+
+@pytest.mark.parametrize("kind", ["edge", "weight", "swap"])
+def test_each_mutation_kind_is_refused_by_the_certificate(kind):
+    # B(1,1) x B(1,0) on A2: components and closure sizes survive each
+    # mutant, so only the certificate (and the lockstep pairing) can refuse it
+    crystal = tensor_many([_built(A2, (1, 1)), _built(A2, (1, 0))])
+    if kind == "edge":
+        mutant = next(_same_weight_retargets(crystal))
+    elif kind == "weight":
+        weights = list(crystal.weights)
+        weights[-1] = (weights[-1][0] + 1, weights[-1][1])
+        mutant = CrystalGraph(A2, weights, crystal.f_maps)
+    else:
+        mutant = CrystalGraph(A2, crystal.weights, crystal.f_maps[::-1])
+    refused = _outcome(_instances, mutant)
+    assert "is not isomorphic to the highest-weight crystal" in refused
+    assert refused == _outcome(decompose_lockstep, mutant)
+    assert is_isomorphic(crystal, mutant) is None
+    assert is_isomorphic_lockstep(crystal, mutant) is None
