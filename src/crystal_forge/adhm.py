@@ -10,6 +10,15 @@ diagram, reads per vertex i:
 Everything is rational and exact: stability, nilpotency and stratum
 membership are discrete questions and are answered by ranks of exact
 matrices, never by thresholds.
+
+They are decided by invariant-subspace fixpoints (`closure`, `core`,
+`is_nilpotent`) that skip every elimination whose answer is already
+known.  Graded subspaces are canonicalised once on entry and every step
+returns canonical spaces; a canonical space with as many columns as
+rows is the identity, and one with no column is zero.  So a full space
+is pushed as the edge map itself, a zero space or a map that kills it
+pushes nothing, a vertex that is already full takes no image, a full
+target keeps S meet m^{-1}(V) = S, and a zero S is cut no further.
 """
 
 from __future__ import annotations
@@ -130,22 +139,56 @@ def _fixpoint(step, start):
     return start
 
 
+def _full(s: Mat) -> bool:
+    """Whether a canonical space is all of its ambient space (then it is the identity)."""
+    return s.cols == s.rows
+
+
+def _apply(m: Mat, s: Mat) -> Mat:
+    """m S for a canonical spanning matrix S: m itself when S is full."""
+    return m if _full(s) else matmul(m, s)
+
+
+def _canonical(spaces) -> GradedSubspace:
+    return tuple(column_space(s) for s in spaces)
+
+
 def _push(datum: ADHMDatum, cur: GradedSubspace, base: GradedSubspace) -> GradedSubspace:
-    """base plus the image of cur under every edge map, vertex by vertex."""
+    """base plus the image of cur under every edge map, vertex by vertex.
+
+    cur and base must be canonical: a full base[i] is returned as it is,
+    a zero cur[j] contributes nothing, and with no nonzero image left
+    base[i] is returned without an elimination.
+    """
     x, diagram = datum.x_map, datum.diagram
-    return tuple(
-        column_space(hstack(base[i], *(matmul(x((j, i)), cur[j]) for j in diagram.neighbors(i))))
-        for i in range(diagram.rank)
-    )
+    out = []
+    for i in range(diagram.rank):
+        b = base[i]
+        if not _full(b):
+            images = [_apply(x((j, i)), cur[j]) for j in diagram.neighbors(i) if cur[j].cols]
+            images = [m for m in images if not m.is_zero()]
+            if images:
+                b = column_space(hstack(b, *images))
+        out.append(b)
+    return tuple(out)
 
 
 def closure(datum: ADHMDatum, spaces: GradedSubspace) -> GradedSubspace:
-    """Smallest x-invariant graded subspace containing the given spans."""
-    return _fixpoint(lambda cur: _push(datum, cur, cur), tuple(spaces))
+    """Smallest x-invariant graded subspace containing the given spans.
+
+    The spans are canonicalised once on entry, so every step can read a
+    full space as the identity and a zero space as nothing to push.
+    """
+    return _fixpoint(lambda cur: _push(datum, cur, cur), _canonical(spaces))
 
 
 def core(datum: ADHMDatum, spaces: GradedSubspace) -> GradedSubspace:
-    """Largest x-invariant graded subspace contained in the given spans."""
+    """Largest x-invariant graded subspace contained in the given spans.
+
+    The spans are canonicalised once on entry.  A step then keeps S_i
+    against a full target, since S meet m^{-1}(V) is S, and stops
+    refining S_i once it is zero.
+    """
     x, diagram = datum.x_map, datum.diagram
 
     def step(cur):
@@ -153,14 +196,16 @@ def core(datum: ADHMDatum, spaces: GradedSubspace) -> GradedSubspace:
         for src in range(diagram.rank):
             piece = cur[src]
             for dst in diagram.neighbors(src):
+                if not piece.cols:
+                    break
+                if _full(cur[dst]):
+                    continue
                 # S meet m^{-1}(T) is S (m S)^{-1}(T) for spanning matrices S, T
-                piece = image_of(piece, preimage(matmul(x((src, dst)), piece), cur[dst]))
+                piece = image_of(piece, preimage(_apply(x((src, dst)), piece), cur[dst]))
             out.append(piece)
         return tuple(out)
 
-    # the step canonicalises every vertex with a neighbour; the others once here
-    start = tuple(s if diagram.neighbors(i) else column_space(s) for i, s in enumerate(spaces))
-    return _fixpoint(step, start)
+    return _fixpoint(step, _canonical(spaces))
 
 
 def kernel_of_q(datum: ADHMDatum) -> GradedSubspace:
@@ -185,7 +230,9 @@ def is_nilpotent(datum: ADHMDatum) -> bool:
     of V under the paths of length k is the step applied to W_(k-1), and
     W_1 sits in W_0 = V, so W_k decreases with k: the fixpoint is reached
     within |dim V| + 1 steps, and it is zero exactly when the datum is
-    nilpotent.
+    nilpotent.  Every W_k is canonical, so the first step takes the edge
+    maps themselves as images of the full space, and a vertex whose W_k
+    is zero pushes nothing further.
     """
     zero = zero_graded(datum.v)
     image = _fixpoint(lambda cur: _push(datum, cur, zero), full_graded(datum.v))

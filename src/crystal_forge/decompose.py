@@ -30,6 +30,8 @@ from .paths import DEFAULT_VERTEX_CAP, VertexCapError, build_crystal, check_vert
 
 
 _reference_cache: dict[tuple, CrystalGraph] = {}
+# per reference key: the (eps, wt) pairs of B(hw) with their multiplicities
+_signature_cache: dict[tuple, Counter] = {}
 
 
 def _check_product_size(diagram: DynkinDiagram, factors, max_vertices: int) -> None:
@@ -49,6 +51,17 @@ def _reference_crystal(diagram: DynkinDiagram, hw: Weight) -> CrystalGraph:
         ref = build_crystal(diagram, hw, max_vertices=diagram.weyl_dimension(hw))
         _reference_cache[key] = ref
     return ref
+
+
+def _signature_counts(diagram: DynkinDiagram, hw: Weight) -> Counter:
+    """(eps(b), wt(b)) over b in B(hw) with multiplicity, counted once per process."""
+    key = (diagram.key, hw)
+    counts = _signature_cache.get(key)
+    if counts is None:
+        ref = _reference_crystal(diagram, hw)
+        # vertices sharing both eps and weight add alike in `multiplicity`
+        counts = _signature_cache[key] = Counter(zip(zip(*ref._string_data()[0]), ref.weights))
+    return counts
 
 
 @dataclass
@@ -155,9 +168,7 @@ def multiplicity(
     _check_product_size(diagram, factors, max_vertices)
     tops = Counter({factors[0]: 1})
     for mu in factors[1:]:
-        ref = _reference_crystal(diagram, mu)
-        # (eps(b), wt(b)) with multiplicity: vertices sharing both add alike
-        vertices = Counter(zip(zip(*ref._string_data()[0]), ref.weights))
+        vertices = _signature_counts(diagram, mu)
         nxt: Counter = Counter()
         for lam, m in tops.items():
             for (eps, wt), k in vertices.items():

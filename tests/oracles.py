@@ -6,7 +6,11 @@ or the graph machinery, so agreement is a genuine cross-check.  The root
 operators have a plain Fraction reference that splits segments at
 rational points, with no common denominator.  Stratum labels have a
 per-step reference that recomputes every closure and core, with the
-first flag step as a special case.  Exact linear algebra has the plain
+first flag step as a special case, and it reads its closures and cores
+from the plain fixpoints: `closure_plain`, `core_plain` and
+`is_nilpotent_plain` eliminate at every vertex on every step, with no
+full or zero shortcut, and canonicalise nothing on entry beyond what
+those eliminations do.  Exact linear algebra has the plain
 `Fraction` Gauss-Jordan loop as its reference, which the integer
 elimination in `linalg.rref` must reproduce entry by entry, and the
 moment-map residual has a term-by-term `Fraction` sum as its reference.
@@ -18,11 +22,22 @@ grows the vertex map one edge at a time and never reads a BFS order.
 from collections import Counter, deque
 from fractions import Fraction
 
-from crystal_forge.adhm import closure, core, kernel_of_q
+from crystal_forge.adhm import kernel_of_q
 from crystal_forge.crystal import CrystalGraph, DecompositionError, _rooted_components
 from crystal_forge.decompose import _reference_crystal
 from crystal_forge.dynkin import DynkinDiagram, vadd, vsub
-from crystal_forge.linalg import Mat, contains, intersect, matmul, preimage
+from crystal_forge.linalg import (
+    Mat,
+    column_space,
+    contains,
+    full_space,
+    hstack,
+    image_of,
+    intersect,
+    matmul,
+    preimage,
+    zero_space,
+)
 
 
 def _form(diagram: DynkinDiagram, u, w) -> Fraction:
@@ -217,23 +232,69 @@ def edge_paths_vanish(v, x) -> bool:
     return not level
 
 
+def _fixpoint(step, start):
+    while (nxt := step(start)) != start:
+        start = nxt
+    return start
+
+
+def _push_plain(datum, cur, base):
+    """base plus the image of cur under every edge map, one elimination per vertex."""
+    x, diagram = datum.x_map, datum.diagram
+    return tuple(
+        column_space(hstack(base[i], *(matmul(x((j, i)), cur[j]) for j in diagram.neighbors(i))))
+        for i in range(diagram.rank)
+    )
+
+
+def closure_plain(datum, spaces):
+    """Smallest x-invariant graded subspace containing the spans, pushed without shortcuts."""
+    return _fixpoint(lambda cur: _push_plain(datum, cur, cur), tuple(spaces))
+
+
+def core_plain(datum, spaces):
+    """Largest x-invariant graded subspace inside the spans, cut by every edge on every step."""
+    x, diagram = datum.x_map, datum.diagram
+
+    def step(cur):
+        out = []
+        for src in range(diagram.rank):
+            piece = cur[src]
+            for dst in diagram.neighbors(src):
+                piece = image_of(piece, preimage(matmul(x((src, dst)), piece), cur[dst]))
+            out.append(piece)
+        return tuple(out)
+
+    # the step canonicalises every vertex with a neighbour; the others once here
+    start = tuple(s if diagram.neighbors(i) else column_space(s) for i, s in enumerate(spaces))
+    return _fixpoint(step, start)
+
+
+def is_nilpotent_plain(datum) -> bool:
+    """Whether the images of V under ever longer edge paths shrink to zero."""
+    zero = tuple(zero_space(n) for n in datum.v)
+    full = tuple(full_space(n) for n in datum.v)
+    image = _fixpoint(lambda cur: _push_plain(datum, cur, zero), full)
+    return not any(s.cols for s in image)
+
+
 def stratum_label_per_step(datum, flag):
     """Stratum label by one closure and one core per flag step, repeated
     steps included, with the core of ker q below the first step."""
     if datum.diagram != flag.diagram or datum.d != flag.d:
         raise ValueError("flag and datum live on different framing spaces")
     rank = datum.diagram.rank
-    closures = [closure(datum, tuple(matmul(datum.p[i], step[i]) for i in range(rank)))
+    closures = [closure_plain(datum, tuple(matmul(datum.p[i], step[i]) for i in range(rank)))
                 for step in flag.steps]
     if tuple(s.cols for s in closures[-1]) != datum.v:
         raise ValueError("stratum membership is defined for stable data only")
-    cores = [core(datum, tuple(preimage(datum.q[i], step[i]) for i in range(rank)))
+    cores = [core_plain(datum, tuple(preimage(datum.q[i], step[i]) for i in range(rank)))
              for step in flag.steps]
     for k in range(flag.n):
         for i in range(rank):
             if not contains(cores[k][i], closures[k][i]):
                 return None
-    kernel_core = core(datum, kernel_of_q(datum))
+    kernel_core = core_plain(datum, kernel_of_q(datum))
     v_tuple = []
     vt_tuple = []
     prev_closure_dims = (0,) * rank

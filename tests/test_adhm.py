@@ -43,8 +43,11 @@ from crystal_forge.linalg import (
     zero_space,
 )
 from oracles import (
+    closure_plain,
+    core_plain,
     edge_matrix_power_vanishes,
     edge_paths_vanish,
+    is_nilpotent_plain,
     preprojective_residual_fractions,
     stratum_label_per_step,
 )
@@ -133,6 +136,45 @@ def test_closure_core_properties():
                 assert contains(co[dst], matmul(x, co[src]))
             assert closure(datum, cl) == cl
             assert core(datum, co) == co
+
+
+_ENTRIES = st.integers(-2, 2)
+
+
+@st.composite
+def spanning_matrices(draw, n):
+    """A spanning matrix in Q^n: zero, full, square of deficient rank, or any shape."""
+    kind = draw(st.sampled_from(("zero", "full", "deficient", "any")))
+    if kind == "zero" or kind == "deficient" and n == 0:
+        return zero_space(n)
+    if kind == "full":
+        return full_space(n)
+    if kind == "deficient":
+        # B C with B of n x (n - 1): square, rank below n, rarely canonical
+        b = [[draw(_ENTRIES) for _ in range(n - 1)] for _ in range(n)]
+        c = [[draw(_ENTRIES) for _ in range(n)] for _ in range(n - 1)]
+        return matmul(mat(b, rows=n, cols=n - 1), mat(c, rows=n - 1, cols=n))
+    cols = draw(st.integers(0, 3))
+    return mat([[draw(_ENTRIES) for _ in range(cols)] for _ in range(n)], rows=n, cols=cols)
+
+
+@st.composite
+def data_and_spaces(draw):
+    diagram = draw(st.sampled_from((A1, A2, A3, D4)))
+    v, d = (tuple(draw(st.integers(0, 2)) for _ in range(diagram.rank)) for _ in "vd")
+    datum = random_preprojective(diagram, v, d, draw(st.integers(0, 2**32 - 1)))
+    return datum, tuple(draw(spanning_matrices(n)) for n in v)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data_and_spaces())
+def test_fixpoint_shortcuts_match_the_plain_fixpoints(case):
+    datum, spaces = case
+    assert closure(datum, spaces) == closure_plain(datum, spaces)
+    assert core(datum, spaces) == core_plain(datum, spaces)
+    assert closure(datum, datum.p) == closure_plain(datum, datum.p)
+    assert core(datum, kernel_of_q(datum)) == core_plain(datum, kernel_of_q(datum))
+    assert is_nilpotent(datum) == is_nilpotent_plain(datum)
 
 
 def test_nilpotency_examples():

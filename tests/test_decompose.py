@@ -117,6 +117,24 @@ def test_multiplicity_examples():
             assert multiplicity(diagram, total, mus) == 1
 
 
+def test_multiplicity_counts_each_factor_signature_once(monkeypatch):
+    module = importlib.import_module("crystal_forge.decompose")
+    monkeypatch.setattr(module, "_signature_cache", {})
+    reads = []
+    real = CrystalGraph._string_data
+    monkeypatch.setattr(CrystalGraph, "_string_data", lambda self: reads.append(1) or real(self))
+    factors = [(1, 1), (1, 1), (1, 0), (0, 1)]
+    chars = [freudenthal_character(A2, f) for f in factors]
+    expected = peel_character(A2, character_product(*chars))[(1, 1)]
+    for _ in range(2):
+        assert multiplicity(A2, (1, 1), factors) == expected
+    # one count per distinct later factor, under the reference cache's own keys
+    assert len(reads) == 3
+    assert set(module._signature_cache) <= set(module._reference_cache)
+    for (_, hw), counts in module._signature_cache.items():
+        assert sum(counts.values()) == A2.weyl_dimension(hw)
+
+
 def test_multiplicity_validation():
     with pytest.raises(ValueError):
         multiplicity(A2, (-1, 0), [(1, 0)])
