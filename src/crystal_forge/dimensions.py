@@ -1,10 +1,9 @@
 """Closed-form dimensions and emptiness tests for quiver strata.
 
-Every function here except `v_from_weight` is pure integer arithmetic in
-the pairing <.,.> and the matrices A and X = 2*Id - A; halved quantities
-are computed on the doubled integer with a parity assertion.
-`v_from_weight` solves A v = d - mu through the rational
-`DynkinDiagram.solve_cartan` and keeps only integer solutions.
+Every function here is pure integer arithmetic in the pairing <.,.>, the
+matrices A and X = 2*Id - A, and A^{-1} = num / den; halved quantities
+are computed on the doubled integer with a parity assertion, and
+`v_from_weight` keeps a solution only when `den` divides it.
 The formulas are evaluated wherever the input vectors make sense, whether
 or not the stratum they describe is non-empty, so records carry the
 relevant non-emptiness flags separately.
@@ -13,6 +12,7 @@ relevant non-emptiness flags separately.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 
 from .dynkin import DynkinDiagram, Weight, pairing, vadd, vsub
 
@@ -251,12 +251,15 @@ def v_from_weight(diagram: DynkinDiagram, d, mu) -> Weight | None:
 
     Returns None when the solution is not a non-negative integer vector.
     """
-    d = diagram.check_weight(d)
-    mu = diagram.check_weight(mu)
-    sol = diagram.solve_cartan(vsub(d, mu))
-    if any(c.denominator != 1 or c < 0 for c in sol):
-        return None
-    return tuple(int(c) for c in sol)
+    rhs = vsub(diagram.check_weight(d), diagram.check_weight(mu))
+    inv = diagram.inverse_cartan()
+    v = []
+    for row in inv.num:
+        q, r = divmod(sum(map(mul, row, rhs)), inv.den)
+        if r or q < 0:
+            return None
+        v.append(q)
+    return tuple(v)
 
 
 def gprime_weight(diagram: DynkinDiagram, d, v) -> tuple[Weight, Weight]:

@@ -20,10 +20,9 @@ sign of an edge and of its reversal always cancel.
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 from operator import index
 
-from .linalg import hstack, identity, mat, rref
+from .linalg import Mat, hstack, identity, int_mat, mat, rref
 
 Weight = tuple[int, ...]
 
@@ -169,7 +168,7 @@ class DynkinDiagram:
         self._neighbors: tuple[tuple[int, ...], ...] = tuple(
             tuple(j for j in range(rank) if adj[i][j]) for i in range(rank)
         )
-        self._inv_cartan: tuple[tuple[Fraction, ...], ...] | None = None
+        self._inv_cartan: Mat | None = None
         self._positive_roots: tuple[Weight, ...] | None = None
 
     # -- identity ---------------------------------------------------------
@@ -233,38 +232,35 @@ class DynkinDiagram:
         v = tuple(v)
         return tuple(sum(self.x_matrix[i][j] * v[j] for j in range(self.rank)) for i in range(self.rank))
 
-    def inverse_cartan(self) -> tuple[tuple[Fraction, ...], ...]:
+    def inverse_cartan(self) -> Mat:
+        """A^{-1} as integer rows `num` over one denominator `den`, which divides
+        det A; read off the reduced rows of [A | I] once per diagram."""
         if self._inv_cartan is None:
             n = self.rank
             red, _ = rref(hstack(mat(self.cartan), identity(n)))
-            self._inv_cartan = tuple(row[n:] for row in red.data)
+            self._inv_cartan = int_mat(n, n, [row[n:] for row in red.num], red.den)
         return self._inv_cartan
-
-    def solve_cartan(self, rhs) -> tuple[Fraction, ...]:
-        """The unique rational solution v of A v = rhs."""
-        inv = self.inverse_cartan()
-        rhs = tuple(rhs)
-        return tuple(sum(inv[i][j] * rhs[j] for j in range(self.rank)) for i in range(self.rank))
 
     # -- root system ---------------------------------------------------------
 
     def positive_roots(self) -> tuple[Weight, ...]:
-        """All positive roots, in root coordinates (integer tuples)."""
+        """All positive roots, in root coordinates (integer tuples), built by
+        height: in a simply-laced system, for a positive root r, r + alpha_i is
+        a root exactly when <r, alpha_i^v> = -1; `level` maps r to its pairings."""
         if self._positive_roots is None:
-            simples = [tuple(1 if j == i else 0 for j in range(self.rank)) for i in range(self.rank)]
-            seen = set(simples)
-            queue = list(simples)
-            while queue:
-                r = queue.pop()
-                fund = self.apply_cartan(r)
-                for i in range(self.rank):
-                    s = list(r)
-                    s[i] -= fund[i]
-                    s = tuple(s)
-                    if s not in seen:
-                        seen.add(s)
-                        queue.append(s)
-            self._positive_roots = tuple(sorted(r for r in seen if all(c >= 0 for c in r)))
+            n = self.rank
+            alphas = [self.simple_root(i) for i in range(n)]
+            level = {tuple(int(j == i) for j in range(n)): alphas[i] for i in range(n)}
+            roots: list[Weight] = []
+            while level:
+                roots += level
+                level = {
+                    r[:i] + (r[i] + 1,) + r[i + 1 :]: vadd(fund, alphas[i])
+                    for r, fund in level.items()
+                    for i, c in enumerate(fund)
+                    if c == -1
+                }
+            self._positive_roots = tuple(sorted(roots))
         return self._positive_roots
 
     def weyl_dimension(self, hw) -> int:

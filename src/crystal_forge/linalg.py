@@ -95,11 +95,11 @@ def mat(rows_data, rows: int | None = None, cols: int | None = None) -> Mat:
 
 
 def zeros(rows: int, cols: int) -> Mat:
-    return Mat(rows, cols, ((0,) * cols,) * rows)
+    return int_mat(rows, cols, ((0,) * cols,) * rows)
 
 
 def identity(n: int) -> Mat:
-    return Mat(n, n, tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
+    return int_mat(n, n, tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
 
 
 def matmul(a: Mat, b: Mat) -> Mat:

@@ -2,9 +2,13 @@
 
 Weight multiplicities come from Freudenthal's recursion and tensor
 decompositions from character peeling; neither touches the path operators
-or the graph machinery, so agreement is a genuine cross-check.  The root
-operators have a plain Fraction reference that splits segments at
-rational points, with no common denominator.  Stratum labels have a
+or the graph machinery, so agreement is a genuine cross-check.  Both solve
+the Cartan matrix with their own `Fraction` inverse read off
+`rref_fractions`, not with the integer inverse in `dynkin`.  The
+positive roots have a reference that reflects every root, negative ones
+included, in every simple reflection.  The root operators have a plain
+Fraction reference that splits segments at rational points, with no
+common denominator.  Stratum labels have a
 per-step reference that recomputes every closure and core, with the
 first flag step as a special case, and it reads its closures and cores
 from the plain fixpoints: `closure_plain`, `core_plain` and
@@ -40,10 +44,42 @@ from crystal_forge.linalg import (
 )
 
 
-def _form(diagram: DynkinDiagram, u, w) -> Fraction:
+def inverse_cartan_fractions(diagram: DynkinDiagram) -> tuple[tuple[Fraction, ...], ...]:
+    """A^{-1} as the right half of `rref_fractions` of [A | I]."""
+    n = diagram.rank
+    aug = tuple(row + tuple(int(i == j) for j in range(n)) for i, row in enumerate(diagram.cartan))
+    red, _ = rref_fractions(Mat(n, 2 * n, aug))
+    return tuple(row[n:] for row in red.data)
+
+
+def solve_cartan_fractions(inv, rhs) -> tuple[Fraction, ...]:
+    """The rational solution v of A v = rhs, given inv = A^{-1} in Fractions."""
+    return tuple(sum((x * r for x, r in zip(row, rhs)), Fraction(0)) for row in inv)
+
+
+def positive_roots_bfs(diagram: DynkinDiagram) -> tuple[tuple[int, ...], ...]:
+    """Positive roots as the orbit of the simple roots under every simple
+    reflection, negative roots included, cut to the positive ones."""
+    rank = diagram.rank
+    simples = [tuple(int(j == i) for j in range(rank)) for i in range(rank)]
+    seen = set(simples)
+    queue = list(simples)
+    while queue:
+        r = queue.pop()
+        fund = diagram.apply_cartan(r)
+        for i in range(rank):
+            s = list(r)
+            s[i] -= fund[i]
+            s = tuple(s)
+            if s not in seen:
+                seen.add(s)
+                queue.append(s)
+    return tuple(sorted(r for r in seen if all(c >= 0 for c in r)))
+
+
+def _form(inv, u, w) -> Fraction:
     """The Weyl-invariant form normalized so roots have square length 2."""
-    sol = diagram.solve_cartan(w)
-    return sum((Fraction(a) * b for a, b in zip(u, sol)), Fraction(0))
+    return sum((Fraction(a) * b for a, b in zip(u, solve_cartan_fractions(inv, w))), Fraction(0))
 
 
 def freudenthal_character(diagram: DynkinDiagram, hw) -> Counter:
@@ -55,7 +91,8 @@ def freudenthal_character(diagram: DynkinDiagram, hw) -> Counter:
     # the pairing (nu, alpha) is then the integer sum of nu_i * r_i
     pos_roots = [(diagram.apply_cartan(r), r) for r in diagram.positive_roots()]
     simple_roots = [diagram.simple_root(i) for i in range(rank)]
-    top_norm = _form(diagram, vadd(hw, rho), vadd(hw, rho))
+    inv = inverse_cartan_fractions(diagram)
+    top_norm = _form(inv, vadd(hw, rho), vadd(hw, rho))
 
     mult: dict[tuple, int] = {hw: 1}
     level = [hw]
@@ -77,7 +114,7 @@ def freudenthal_character(diagram: DynkinDiagram, hw) -> Counter:
                     k += 1
             if num == 0:
                 continue
-            denom = top_norm - _form(diagram, vadd(mu, rho), vadd(mu, rho))
+            denom = top_norm - _form(inv, vadd(mu, rho), vadd(mu, rho))
             val = num / denom
             assert val.denominator == 1 and val > 0, (mu, val)
             mult[mu] = int(val)
@@ -108,7 +145,8 @@ def peel_character(diagram: DynkinDiagram, char: Counter) -> Counter:
     """
 
     # height in root coordinates, once per weight
-    height = {mu: sum(diagram.solve_cartan(mu)) for mu in char}
+    inv = inverse_cartan_fractions(diagram)
+    height = {mu: sum(solve_cartan_fractions(inv, mu)) for mu in char}
     remaining = Counter(char)
     out: Counter = Counter()
     while True:

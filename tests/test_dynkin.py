@@ -2,7 +2,7 @@ import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from crystal_forge.dynkin import (
     MAX_RANK,
@@ -10,9 +10,11 @@ from crystal_forge.dynkin import (
     induced_subdiagram,
     pairing,
     parse_diagram,
+    vsub,
 )
 from crystal_forge.dimensions import v_from_weight
 from crystal_forge.paths import build_crystal
+from oracles import inverse_cartan_fractions, positive_roots_bfs, solve_cartan_fractions
 
 
 def test_a1_tables():
@@ -105,10 +107,29 @@ def test_oriented_edge_reversal():
 
 @pytest.mark.parametrize(
     "label,count",
-    [("A2", 3), ("A3", 6), ("A4", 10), ("D4", 12), ("E6", 36), ("E7", 63), ("E8", 120)],
+    [
+        ("A2", 3),
+        ("A3", 6),
+        ("A4", 10),
+        ("D4", 12),
+        ("E6", 36),
+        ("E7", 63),
+        ("E8", 120),
+        ("A100", 5050),
+        ("D100", 9900),
+    ],
 )
 def test_positive_root_counts(label, count):
     assert len(parse_diagram(label).positive_roots()) == count
+
+
+@pytest.mark.parametrize(
+    "label",
+    [f"A{n}" for n in range(1, 13)] + [f"D{n}" for n in range(4, 13)] + ["E6", "E7", "E8"],
+)
+def test_positive_roots_match_the_reflection_orbit(label):
+    diagram = parse_diagram(label)
+    assert diagram.positive_roots() == positive_roots_bfs(diagram)
 
 
 @pytest.mark.parametrize(
@@ -141,19 +162,56 @@ def test_non_integer_weights_are_refused(call, weight):
         call(weight)
 
 
-@pytest.mark.parametrize(
-    "label",
-    [f"A{n}" for n in range(1, 9)] + [f"D{n}" for n in range(4, 9)] + ["E6", "E7", "E8"],
-)
+_SOLVE_LABELS = [f"A{n}" for n in range(1, 9)] + [f"D{n}" for n in range(4, 9)] + ["E6", "E7", "E8"]
+_SOLVE_DIAGRAMS = {label: parse_diagram(label) for label in _SOLVE_LABELS}
+
+
+@pytest.mark.parametrize("label", _SOLVE_LABELS)
 def test_inverse_cartan_roundtrip(label):
     diagram = parse_diagram(label)
+    n = diagram.rank
+    inv = diagram.inverse_cartan().data
+    for i in range(n):
+        for j in range(n):
+            assert sum(diagram.cartan[i][k] * inv[k][j] for k in range(n)) == (1 if i == j else 0)
+
+
+def _v_from_weight_fractions(diagram, d, mu):
+    """The solution of A v = d - mu in Fractions, or None unless integral and >= 0."""
+    sol = solve_cartan_fractions(inverse_cartan_fractions(diagram), vsub(d, mu))
+    if any(c.denominator != 1 or c < 0 for c in sol):
+        return None
+    return tuple(int(c) for c in sol)
+
+
+@st.composite
+def _solve_cases(draw):
+    """(diagram, d, mu) with mu = d - A v - shift: v has negative entries, and
+    a nonzero shift mostly leaves A v = d - mu without an integral solution."""
+    diagram = _SOLVE_DIAGRAMS[draw(st.sampled_from(_SOLVE_LABELS))]
+    n = diagram.rank
+
+    def vec(lo, hi):
+        return draw(st.tuples(*(st.integers(lo, hi) for _ in range(n))))
+
+    d, v = vec(0, 4), vec(-2, 3)
+    shift = vec(-2, 2) if draw(st.booleans()) else (0,) * n
+    return diagram, d, vsub(vsub(d, diagram.apply_cartan(v)), shift)
+
+
+@given(_solve_cases())
+@example((_SOLVE_DIAGRAMS["A2"], (1, 0), (0, 0)))  # v = (2/3, 1/3)
+@example((_SOLVE_DIAGRAMS["A2"], (0, 0), (2, -1)))  # v = (-1, 0)
+def test_integer_cartan_solve_matches_the_fraction_reference(case):
+    diagram, d, mu = case
     n = diagram.rank
     inv = diagram.inverse_cartan()
     for i in range(n):
         for j in range(n):
-            assert sum(diagram.cartan[i][k] * inv[k][j] for k in range(n)) == (1 if i == j else 0)
-    v = tuple((3, -1, 4, 0, 2, -5, 1, 7)[:n])
-    assert diagram.apply_cartan(diagram.solve_cartan(v)) == v
+            entry = sum(diagram.cartan[i][k] * inv.num[k][j] for k in range(n))
+            assert entry == (inv.den if i == j else 0)
+    assert inv.data == inverse_cartan_fractions(diagram)
+    assert v_from_weight(diagram, d, mu) == _v_from_weight_fractions(diagram, d, mu)
 
 
 def test_induced_subdiagram():

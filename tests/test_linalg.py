@@ -109,6 +109,19 @@ def test_shape_errors():
         mat([], 1, 1)
 
 
+def test_zeros_and_identity_equal_the_checked_constructor():
+    for r in range(5):
+        checked = Mat(r, r, tuple(tuple(int(i == j) for j in range(r)) for i in range(r)))
+        assert identity(r) == checked and hash(identity(r)) == hash(checked)
+        for c in range(5):
+            checked = Mat(r, c, ((0,) * c,) * r)
+            assert zeros(r, c) == checked and hash(zeros(r, c)) == hash(checked)
+    with pytest.raises(ValueError):
+        zeros(2, -1)
+    with pytest.raises(ValueError):
+        identity(-1)
+
+
 @pytest.mark.parametrize(
     "build",
     [
