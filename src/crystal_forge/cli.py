@@ -77,7 +77,7 @@ def _weight(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(c) for c in text.split(","))
     except ValueError:
-        raise ValueError(f"cannot parse weight {text!r}; expected e.g. 1,0,2")
+        raise argparse.ArgumentTypeError(f"cannot parse weight {text!r}; expected e.g. 1,0,2")
 
 
 def _dimension_vector(text: str) -> tuple[int, ...]:
@@ -92,14 +92,14 @@ def _dimension_vector(text: str) -> tuple[int, ...]:
 def _triple(text: str) -> tuple[int, ...]:
     parts = _weight(text)
     if len(parts) != 3:
-        raise ValueError(f"expected a d,v0,v triple, got {text!r}")
+        raise argparse.ArgumentTypeError(f"expected a d,v0,v triple, got {text!r}")
     return parts
 
 
 def _pair(text: str) -> tuple[int, ...]:
     parts = _weight(text)
     if len(parts) != 2:
-        raise ValueError(f"expected a d,v0 pair, got {text!r}")
+        raise argparse.ArgumentTypeError(f"expected a d,v0 pair, got {text!r}")
     return parts
 
 

@@ -25,6 +25,7 @@ instead of growing a vertex map edge by edge; `decompose` and
 from __future__ import annotations
 
 from collections import Counter
+from math import gcd
 from operator import add
 
 from .dynkin import DynkinDiagram, Weight, vsub
@@ -159,17 +160,19 @@ class CrystalGraph:
 
 def _payload_json(payload):
     kind = payload[0]
-    if kind == "path":
-        return {
-            "path": [
-                [[c.numerator, c.denominator] for c in seg] for seg in payload[1]
-            ]
-        }
+    if kind == "path":  # ("path", D, p): segment (d, n) is d * n / D
+        _, den, path = payload
+        return {"path": [[_ratio(x * n, den) for x in d] for d, n in path]}
     if kind == "pair":
         return {"pair": [payload[1], payload[2]]}
     if kind == "sl2":
         return {"sl2": list(payload[1:])}
     return {"label": repr(payload)}
+
+
+def _ratio(num: int, den: int) -> list[int]:
+    g = gcd(num, den)
+    return [num // g, den // g]
 
 
 def trivial_crystal(diagram: DynkinDiagram, n: int) -> CrystalGraph:

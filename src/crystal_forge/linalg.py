@@ -28,7 +28,7 @@ from operator import mul
 
 
 def _check_shape(rows: int, cols: int, data) -> None:
-    if len(data) != rows or any(len(r) != cols for r in data):
+    if cols < 0 or len(data) != rows or any(len(r) != cols for r in data):
         raise ValueError("matrix data does not match declared shape")
 
 

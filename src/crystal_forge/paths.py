@@ -23,10 +23,10 @@ as the lcm of the nonzero <lambda, gamma> over positive roots gamma: by
 Littelmann's a-chain condition every breakpoint a of a path in B(lambda)
 has a * <lambda, gamma> integral for some gamma, so split points are too.
 
-Public functions take and return paths as tuples of Fraction tuples, the
-form crystal payloads carry; conversion happens only at that boundary.
-Floats never appear.  Height minima and endpoints of reachable paths must
-be integers, which is asserted, not assumed.
+A built crystal keeps its integer paths: vertex v carries ("path", D, p),
+and its weight is its BFS parent's minus alpha_i, as wt(f_i p) = wt(p) -
+alpha_i.  Public path operators take and return tuples of Fraction tuples.
+Floats never appear; integral height minima and end heights are asserted.
 """
 
 from __future__ import annotations
@@ -147,21 +147,13 @@ def _from_fractions(segments) -> tuple[_IntPath, int]:
     return path, denominator
 
 
-def _to_fractions(path: _IntPath, denominator: int, cache: dict) -> Path:
-    """Fraction form; cache lets equal segments share one tuple across paths."""
-    out = []
-    for seg in path:
-        frac = cache.get(seg)
-        if frac is None:
-            d, n = seg
-            frac = cache[seg] = tuple([Fraction(x * n, denominator) for x in d])
-        out.append(frac)
-    return tuple(out)
+def _to_fractions(path: _IntPath, denominator: int) -> Path:
+    return tuple([tuple([Fraction(x * n, denominator) for x in d]) for d, n in path])
 
 
 def canonical_path(segments) -> Path:
     """Drop zero segments and merge consecutive same-direction segments."""
-    return _to_fractions(*_from_fractions(segments), {})
+    return _to_fractions(*_from_fractions(segments))
 
 
 def path_endpoint(path: Path, rank: int) -> Weight:
@@ -170,12 +162,16 @@ def path_endpoint(path: Path, rank: int) -> Weight:
     return _endpoint(ints, rank, denominator)
 
 
-def highest_path(diagram: DynkinDiagram, hw) -> Path:
-    """The straight path to a dominant weight; the source of its crystal."""
+def _dominant(diagram: DynkinDiagram, hw) -> Weight:
     hw = diagram.check_weight(hw)
     if not diagram.is_dominant(hw):
         raise ValueError(f"highest weight {hw} is not dominant")
-    return canonical_path([hw])
+    return hw
+
+
+def highest_path(diagram: DynkinDiagram, hw) -> Path:
+    """The straight path to a dominant weight; the source of its crystal."""
+    return canonical_path([_dominant(diagram, hw)])
 
 
 def _apply(diagram: DynkinDiagram, i: int, path: Path, raising: bool) -> Path | None:
@@ -187,7 +183,7 @@ def _apply(diagram: DynkinDiagram, i: int, path: Path, raising: bool) -> Path | 
     new = _lower(_reverse(ints) if raising else ints, i, denominator, _Reflection(diagram, i))
     if new is None:
         return None
-    return _to_fractions(_reverse(new) if raising else new, denominator, {})
+    return _to_fractions(_reverse(new) if raising else new, denominator)
 
 
 def path_f(diagram: DynkinDiagram, i: int, path: Path) -> Path | None:
@@ -203,9 +199,10 @@ def path_e(diagram: DynkinDiagram, i: int, path: Path) -> Path | None:
 def _close(
     diagram: DynkinDiagram, hw: Weight, start: _IntPath, denominator: int, max_vertices: int
 ):
-    """Breadth-first closure of start under lowering: (paths, f_maps)."""
+    """Breadth-first closure of start, of weight hw: (paths, weights, f_maps)."""
     ids: dict[_IntPath, int] = {start: 0}
     order: list[_IntPath] = [start]
+    weights: list[Weight] = [hw]
     reflections = [_Reflection(diagram, i) for i in range(diagram.rank)]
     f_maps: list[dict[int, int]] = [{} for _ in reflections]
     vid = 0
@@ -223,9 +220,10 @@ def _close(
                     )
                 cid = ids[child] = len(order)
                 order.append(child)
+                weights.append(tuple([w - a for w, a in zip(weights[vid], reflect.alpha)]))
             f_maps[i][vid] = cid
         vid += 1
-    return order, f_maps
+    return order, weights, f_maps
 
 
 def build_crystal(
@@ -239,15 +237,13 @@ def build_crystal(
     its Weyl dimension before anything is built.
     """
     check_vertex_cap(max_vertices)
-    start, _ = _from_fractions(highest_path(diagram, hw))
-    hw = diagram.check_weight(hw)
+    hw = _dominant(diagram, hw)
     if diagram.weyl_dimension(hw) > max_vertices:
         raise VertexCapError(f"crystal for highest weight {hw} on {diagram.label}", max_vertices)
     pairings = (sum(x * g for x, g in zip(hw, r)) for r in diagram.positive_roots())
     denominator = lcm(*filter(None, pairings))
-    start = tuple([(d, n * denominator) for d, n in start])
-    order, f_maps = _close(diagram, hw, start, denominator, max_vertices)
-    weights = [_endpoint(p, diagram.rank, denominator) for p in order]
-    cache: dict = {}
-    payloads = [("path", _to_fractions(p, denominator, cache)) for p in order]
+    g = gcd(*hw)
+    start = ((tuple([x // g for x in hw]), g * denominator),) if g else ()
+    order, weights, f_maps = _close(diagram, hw, start, denominator, max_vertices)
+    payloads = [("path", denominator, p) for p in order]
     return CrystalGraph(diagram, weights, f_maps, payloads)

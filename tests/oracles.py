@@ -21,6 +21,8 @@ moment-map residual has a term-by-term `Fraction` sum as its reference.
 Summand certificates have the lockstep pairing as their reference: a
 breadth-first walk of the f maps of both closures side by side that
 grows the vertex map one edge at a time and never reads a BFS order.
+Built crystals expose their paths to tests through `exported_paths`,
+which reads the JSON export back as `Fraction` tuples.
 """
 
 from collections import Counter, deque
@@ -160,6 +162,18 @@ def peel_character(diagram: DynkinDiagram, char: Counter) -> Counter:
         for w, c in freudenthal_character(diagram, mu).items():
             remaining[w] -= m * c
             assert remaining[w] >= 0, f"negative multiplicity at {w}"
+
+
+def exported_paths(crystal: CrystalGraph) -> list[tuple]:
+    """Each vertex's path as tuples of Fractions, read back from the JSON export.
+
+    This reads only what `to_json_dict` writes, so it does not depend on how
+    a built crystal stores its payloads.
+    """
+    return [
+        tuple(tuple(Fraction(n, d) for n, d in seg) for seg in entry["payload"]["path"])
+        for entry in crystal.to_json_dict()["vertices"]
+    ]
 
 
 def _canonical(segments) -> tuple:

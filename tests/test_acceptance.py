@@ -5,12 +5,15 @@ same registry); here each one becomes a test that prints its pass/fail
 line.  The report is computed once per session.
 """
 
+import hashlib
+import json
+
 import pytest
 
 from crystal_forge import selftest
 from crystal_forge.crystal import CrystalGraph
 from crystal_forge.dynkin import vadd
-from crystal_forge.selftest import CRITERIA, run_criteria
+from crystal_forge.selftest import CRITERIA, report_to_json, run_criteria
 
 
 @pytest.fixture(scope="module")
@@ -25,6 +28,20 @@ def test_criterion(report, cid, name):
     status = "PASS" if result.passed else "FAIL"
     print(f"{cid} {name}: {status} ({result.seconds:.2f}s) {result.details}")
     assert result.passed, f"{cid} {name}: {result.details}"
+
+
+# sha256 of json.dumps(report, sort_keys=True) for the default seed, with
+# each criterion's wall-clock "seconds" dropped: every verdict and detail
+# line of `selftest --format json`
+REPORT_SHA256 = "352840c351886b7bcd94ca0c753c2427ffd2187d2ae4b9f791722a9a5c84b60b"
+
+
+def test_report_is_pinned(report):
+    data = report_to_json([report[cid] for cid, _, _, _ in CRITERIA])
+    for criterion in data["criteria"]:
+        del criterion["seconds"]
+    text = json.dumps(data, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == REPORT_SHA256
 
 
 def _tensor_with_flipped_rule(left, right):

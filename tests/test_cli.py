@@ -156,6 +156,32 @@ def test_branch_json_is_byte_identical_to_golden(capsys, diagram, hw, keep):
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_BRANCH_JSON[diagram, hw, keep]
 
 
+# sha256 of the other payload kinds and output formats: `tensor` json
+# carries ("pair", a, b) payloads, `sl2 crystal` json carries ("sl2", ...)
+# payloads, and `crystal` dot and table carry weights and edges only.
+GOLDEN_OTHER_OUTPUTS = {
+    ("tensor", "--diagram", "A2", "--factors", "1,0", "0,1", "--format", "json"):
+        "1bf7773b7402037ae6715e278f9708d4cb39d66ed3851686d8e5213f796c659e",
+    ("tensor", "--diagram", "D4", "--factors", "1,0,0,0", "0,0,1,0", "--format", "json"):
+        "732f5b96deb48c796922f482fcb8acf5a3db319263e7f31735fbb271a9e4ba46",
+    ("sl2", "crystal", "--d", "5", "--v0", "2", "--format", "json"):
+        "04d2247150270465adec9b225fb70a8be8b7ecbcca5e3ed4e59e5bcc691ed2fa",
+    ("crystal", "--diagram", "A2", "--hw", "3,2", "--format", "dot"):
+        "ddbf0fe39ed3a26b7c69878c95e9924b4ae9a159fe32f682ca51b71fa5204620",
+    ("crystal", "--diagram", "A2", "--hw", "3,2", "--format", "table"):
+        "a9ec41a6b71e5b4ecf17e9ec44c1bd1c14a4348c42bc35e4625e37f5d12bdf4e",
+}
+
+
+@pytest.mark.parametrize(
+    "argv", sorted(GOLDEN_OTHER_OUTPUTS), ids=lambda argv: "_".join(a.lstrip("-") for a in argv)
+)
+def test_other_outputs_are_byte_identical_to_golden(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_OTHER_OUTPUTS[argv]
+
+
 def test_mult_prints_bare_count_by_default(capsys):
     code, out, err = run_cli(
         capsys,
@@ -258,6 +284,29 @@ def test_dims_negative_value_after_another_tuple_entry(capsys):
         "error: argument --d-tuple: dimension vector '-1,0' has a negative "
         "entry; entries must be >= 0\n"
     )
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (("crystal", "--diagram", "A2", "--hw", "1,1.5"),
+         "argument --hw: cannot parse weight '1,1.5'; expected e.g. 1,0,2"),
+        (("sl2", "component", "--first", "1,2", "--second", "1,0,0"),
+         "argument --first: expected a d,v0,v triple, got '1,2'"),
+        (("dims", "--diagram", "A2", "--d", "1,x", "--v", "0,0"),
+         "argument --d: cannot parse weight '1,x'; expected e.g. 1,0,2"),
+        (("sl2", "range", "--first", "1,2,3", "--second", "1,0"),
+         "argument --first: expected a d,v0 pair, got '1,2,3'"),
+        (("mult", "--diagram", "A2", "--target", "1,1", "--factors", "1,1", "a,b"),
+         "argument --factors: cannot parse weight 'a,b'; expected e.g. 1,0,2"),
+    ],
+    ids=["crystal-hw", "sl2-component", "dims-d", "sl2-range", "mult-factors"],
+)
+def test_type_errors_name_the_expected_format(capsys, argv, message):
+    # argparse reports a plain ValueError from a type function as
+    # "invalid <function name> value", naming a private function
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize(

@@ -13,6 +13,7 @@ from crystal_forge.linalg import (
     hstack,
     identity,
     image_of,
+    int_mat,
     intersect,
     kernel,
     mat,
@@ -107,6 +108,15 @@ def test_shape_errors():
         mat([[1, 2]], 2, 2)
     with pytest.raises(ValueError):
         mat([], 1, 1)
+    # no rows must not let a negative column count through
+    for build in (
+        lambda: Mat(0, -1, ()),
+        lambda: zeros(0, -3),
+        lambda: int_mat(0, -2, ()),
+        lambda: mat([], rows=0, cols=-1),
+    ):
+        with pytest.raises(ValueError):
+            build()
 
 
 def test_zeros_and_identity_equal_the_checked_constructor():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from crystal_forge import paths
+from crystal_forge.crystal import direct_sum
 from crystal_forge.dynkin import dynkin
 from crystal_forge.paths import (
     VertexCapError,
@@ -16,7 +17,7 @@ from crystal_forge.paths import (
     path_f,
 )
 
-from oracles import freudenthal_character, root_e, root_f
+from oracles import exported_paths, freudenthal_character, root_e, root_f
 
 A1 = dynkin("A", 1)
 A2 = dynkin("A", 2)
@@ -50,7 +51,7 @@ def test_operators_are_mutually_inverse():
     rng = Random(3)
     for diagram, hw in [(A2, (2, 1)), (D4, (1, 0, 0, 1))]:
         crystal = build_crystal(diagram, hw)
-        paths = [payload[1] for payload in crystal.payloads]
+        paths = exported_paths(crystal)
         for path in paths:
             for i in range(diagram.rank):
                 down = path_f(diagram, i, path)
@@ -69,9 +70,7 @@ def test_operators_are_mutually_inverse():
 
 
 def test_canonicalization_idempotent_and_respected():
-    crystal = build_crystal(A2, (1, 1))
-    for payload in crystal.payloads:
-        path = payload[1]
+    for path in exported_paths(build_crystal(A2, (1, 1))):
         assert canonical_path(path) == path
         # split every segment in two; operators must not notice
         split = []
@@ -136,6 +135,8 @@ SMALL_WEIGHTS = st.one_of(
     st.tuples(st.just(A2), st.tuples(st.integers(0, 4), st.integers(0, 4))),
     st.tuples(st.just(dynkin("A", 3)), st.tuples(*(st.integers(0, 2) for _ in range(3)))),
     st.tuples(st.just(D4), st.tuples(*(st.integers(0, 1) for _ in range(4)))),
+    st.tuples(st.just(dynkin("D", 5)), st.tuples(*(st.integers(0, 1) for _ in range(5)))),
+    st.tuples(st.just(dynkin("E", 6)), st.tuples(*(st.integers(0, 1) for _ in range(6)))),
 ).filter(lambda case: case[0].weyl_dimension(case[1]) <= 400)
 
 
@@ -146,13 +147,15 @@ def test_crystal_matches_oracles_and_operators_invert(case):
     crystal = build_crystal(diagram, hw)
     assert len(crystal) == diagram.weyl_dimension(hw)
     assert crystal.character() == freudenthal_character(diagram, hw)
-    for v, (_, path) in enumerate(crystal.payloads):
+    paths = exported_paths(crystal)
+    for v, path in enumerate(paths):
+        # the BFS weights, checked against each exported path's own endpoint
         assert path_endpoint(path, diagram.rank) == crystal.weights[v]
         for i in range(diagram.rank):
             down = path_f(diagram, i, path)
             assert (down is None) == (crystal.f(i, v) is None)
             if down is not None:
-                assert down == crystal.payloads[crystal.f(i, v)][1]
+                assert down == paths[crystal.f(i, v)]
                 assert path_e(diagram, i, down) == path
 
 
@@ -199,3 +202,28 @@ def test_close_asserts_an_integral_split_point():
     assert denominator == 1
     with pytest.raises(AssertionError, match="split point .* over denominator 1$"):
         paths._close(A2, (30, 2), start, 1, 10_000)
+
+
+def test_build_takes_weights_from_the_parent_and_keeps_integer_paths(monkeypatch):
+    def endpoint(*args):
+        raise AssertionError("build_crystal summed a path for its endpoint")
+
+    monkeypatch.setattr(paths, "_endpoint", endpoint)
+    e6 = dynkin("E", 6)
+    crystal = build_crystal(e6, (1, 0, 0, 0, 0, 1))
+    assert len(crystal) == e6.weyl_dimension((1, 0, 0, 0, 0, 1))
+    for kind, denominator, path in crystal.payloads:
+        assert kind == "path" and type(denominator) is int and denominator > 0
+        for direction, length in path:
+            assert type(length) is int and length > 0
+            assert len(direction) == e6.rank and all(type(x) is int for x in direction)
+
+
+def test_direct_sum_exports_each_summand_over_its_own_denominator():
+    # denominators 1 and 6: each payload carries its own
+    small, large = build_crystal(A2, (1, 0)), build_crystal(A2, (2, 1))
+    assert {p[1] for p in small.payloads} == {1} and {p[1] for p in large.payloads} == {6}
+    assert exported_paths(direct_sum([small, large])) == (
+        exported_paths(small) + exported_paths(large)
+    )
+    assert exported_paths(large)[0] == highest_path(A2, (2, 1))
