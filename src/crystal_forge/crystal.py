@@ -18,8 +18,10 @@ of closures fixes the source and commutes with every f_i, so it maps BFS
 order to BFS order: the k-th vertex of one closure can only go to the
 k-th of the other.  `_closure_iso` therefore compares the two weight
 lists and, per color, the f_i targets under that one candidate map,
-instead of growing a vertex map edge by edge; `decompose` and
-`is_isomorphic` both use it.
+instead of growing a vertex map edge by edge.  `is_isomorphic` uses it,
+and so does `decompose` to name the fault in a crystal it refuses;
+`decompose` certifies a summand without this generic BFS, by walking
+the closure once along a spanning tree of its reference (decompose.py).
 """
 
 from __future__ import annotations
@@ -282,6 +284,9 @@ def verify_axioms(crystal: CrystalGraph) -> list[str]:
                 violations.append(f"color {i}: f is not injective at target vertex {tgt}")
         alpha = diagram.simple_root(i)
         for a, b in fm.items():
+            if not (0 <= a < n):
+                violations.append(f"color {i}: f is defined on {a}, which is not a vertex")
+                continue
             if not (0 <= b < n):
                 violations.append(f"color {i}: f({a}) = {b} is not a vertex")
                 continue
@@ -333,10 +338,18 @@ def _rooted_components(crystal: CrystalGraph) -> list[tuple[int, list[int]]]:
     each listed vertex for i = 0, 1, ... as they are first reached.
     `paths._close` numbers a built crystal in the same order, so a built
     B(lam) is its own closure `list(range(len(B)))`; `_closure_iso` rests
-    on this.  Raises DecompositionError when a vertex lies below no
-    source or below two.
+    on this.  Raises DecompositionError, in `verify_axioms`'s wording,
+    for an f edge from or to an id outside range(len(crystal)), and when
+    a vertex lies below no source or below two.
     """
-    owner: list[int | None] = [None] * len(crystal)
+    n = len(crystal)
+    for i, fm in enumerate(crystal.f_maps):
+        for a, b in fm.items():
+            if not 0 <= a < n:
+                raise DecompositionError(f"color {i}: f is defined on {a}, which is not a vertex")
+            if not 0 <= b < n:
+                raise DecompositionError(f"color {i}: f({a}) = {b} is not a vertex")
+    owner: list[int | None] = [None] * n
     out = []
     for src in highest_vertices(crystal):
         owner[src] = src

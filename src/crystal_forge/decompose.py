@@ -2,7 +2,8 @@
 
 A normal crystal is the direct sum of the f-closures of its source
 vertices; each closure is certified isomorphic to the generic
-highest-weight crystal of its source weight by its canonical BFS order.
+highest-weight crystal of its source weight in one walk along a spanning
+tree of that reference crystal, cached with it.
 Multiplicities of highest weights in tensor products are read off as
 counts of source vertices, which is the combinatorial shadow of the
 tensor-decomposition bijection between irreducible components of quiver
@@ -14,8 +15,10 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import compress, repeat
 from math import prod
-from operator import itemgetter
+from operator import add, itemgetter
+from typing import NamedTuple, NoReturn
 
 from .crystal import (
     SCHEMA,
@@ -29,7 +32,28 @@ from .dynkin import DynkinDiagram, Weight, induced_subdiagram, vadd
 from .paths import DEFAULT_VERTEX_CAP, VertexCapError, build_crystal, check_vertex_cap
 
 
-_reference_cache: dict[tuple, CrystalGraph] = {}
+class _Reference(NamedTuple):
+    """B(hw) with the certificate `decompose` checks a closure against.
+
+    The tree steps are, for vertex k = 1, 2, ..., its in-edge of lowest
+    color: f_i(p) = k for p = `parents[k - 1]` and i = `colors[k - 1]`.
+    f raises vertex ids in `build_crystal`'s BFS numbering, so p < k and
+    the steps can be walked in order.  `edges` holds, per color with f_i
+    edges that are no tree step, getters of their sources and of their
+    targets; each repeats its first item at the end, so that it returns a
+    tuple for a lone edge too.  `counts` is the number of f_i edges per
+    color.  The crystal keeps no payloads: no caller reads them.
+    """
+
+    crystal: CrystalGraph
+    parents: list[int]
+    colors: list[int]
+    edges: list[tuple[int, itemgetter, itemgetter]]
+    counts: list[int]
+
+
+# per reference key: B(hw) and its certificate, built by `_reference`
+_reference_cache: dict[tuple, _Reference] = {}
 # per reference key: the (eps, wt) pairs of B(hw) with their multiplicities
 _signature_cache: dict[tuple, Counter] = {}
 
@@ -43,14 +67,47 @@ def _check_product_size(diagram: DynkinDiagram, factors, max_vertices: int) -> N
         raise VertexCapError(f"tensor product of {size} vertices on {diagram.label}", max_vertices)
 
 
+def _reference(diagram: DynkinDiagram, hw: Weight) -> _Reference:
+    """B(hw) and its certificate, built once per process.
+
+    B(hw) is built with its Weyl dimension, its exact size, as the cap.
+    """
+    key = (diagram.key, hw)
+    entry = _reference_cache.get(key)
+    if entry is None:
+        built = build_crystal(diagram, hw, max_vertices=diagram.weyl_dimension(hw))
+        ref = CrystalGraph(diagram, built.weights, built.f_maps)
+        parent: dict[int, int] = {}
+        color: dict[int, int] = {}
+        for i in reversed(range(diagram.rank)):  # lower colors overwrite
+            fm = ref.f_maps[i]
+            parent.update(zip(fm.values(), fm))
+            color.update(zip(fm.values(), repeat(i)))
+        edges = []
+        for i, fm in enumerate(ref.f_maps):
+            # f_i is injective, so an f_i edge into k is k's tree step
+            # exactly when i is the color of that step
+            off_tree = list(map(i.__ne__, map(color.__getitem__, fm.values())))
+            sources = list(compress(fm, off_tree))
+            if sources:
+                targets = list(compress(fm.values(), off_tree))
+                edges.append(
+                    (i, itemgetter(*sources, sources[0]), itemgetter(*targets, targets[0]))
+                )
+        vertices = range(1, len(ref))
+        entry = _reference_cache[key] = _Reference(
+            ref,
+            list(map(parent.__getitem__, vertices)),
+            list(map(color.__getitem__, vertices)),
+            edges,
+            list(map(len, ref.f_maps)),
+        )
+    return entry
+
+
 def _reference_crystal(diagram: DynkinDiagram, hw: Weight) -> CrystalGraph:
     """B(hw), built once per process; its Weyl dimension is its exact size."""
-    key = (diagram.key, hw)
-    ref = _reference_cache.get(key)
-    if ref is None:
-        ref = build_crystal(diagram, hw, max_vertices=diagram.weyl_dimension(hw))
-        _reference_cache[key] = ref
-    return ref
+    return _reference(diagram, hw).crystal
 
 
 def _signature_counts(diagram: DynkinDiagram, hw: Weight) -> Counter:
@@ -66,12 +123,17 @@ def _signature_counts(diagram: DynkinDiagram, hw: Weight) -> Counter:
 
 @dataclass
 class SummandInstance:
-    """One connected summand: its highest weight, source vertex, and the
-    vertex map onto the reference crystal of that weight."""
+    """One connected summand: its highest weight, source vertex, and its
+    vertices listed in the order of the reference crystal of that weight."""
 
     hw: Weight
     source: int
-    iso: dict[int, int]
+    closure: list[int]
+
+    @property
+    def iso(self) -> dict[int, int]:
+        """The vertex map onto the reference crystal: closure[k] goes to k."""
+        return dict(zip(self.closure, range(len(self.closure))))
 
 
 @dataclass
@@ -100,31 +162,91 @@ class Decomposition:
 def decompose(crystal: CrystalGraph) -> Decomposition:
     """Split a normal crystal into highest-weight summands.
 
-    Each summand is the f-closure of a source vertex, listed by
-    `_rooted_components` in canonical BFS order.  A closure whose size is
-    not the Weyl dimension of its source weight is refused before
-    anything is built.  Otherwise it is certified against the reference
-    crystal B(hw): `build_crystal` numbers B(hw) in that same BFS order,
-    so the k-th vertex of the closure can only map to reference vertex k,
-    and `_closure_iso` checks that this map keeps weights and every f_i.
-    Instance ids follow increasing source id; f raises vertex ids in every
-    crystal the library builds, so this is also the order of the
-    summands' smallest vertices.
+    Each summand is the f-closure of a source vertex, taken in increasing
+    source id.  B(hw) has exactly `weyl_dimension(hw)` vertices, so no
+    reference crystal larger than the vertices not yet assigned to a
+    summand is ever built.  A closure is certified against B(hw) in one
+    walk of the reference's tree steps (`_Reference`): its k-th vertex is
+    f_i of its p-th for step (p, i), which lists it in canonical BFS order
+    when it is a copy of B(hw).  One comparison of the weight list and
+    one per color of the edges off the tree then check that this map
+    keeps weights and every f_i edge.  After the last source the closures
+    must cover every vertex once, and no color may have an f edge beyond
+    the certified ones.  On any failed check `_refuse_decomposition`
+    raises the DecompositionError that names the first fault.  Instance
+    ids follow increasing source id; f raises vertex ids in every crystal
+    the library builds, so this is also the order of the summands'
+    smallest vertices.
+    """
+    result = _certified(crystal)
+    if result is None:
+        _refuse_decomposition(crystal)
+    return result
+
+
+def _certified(crystal: CrystalGraph) -> Decomposition | None:
+    """The decomposition when every closure passes its certificate, else None."""
+    diagram = crystal.diagram
+    weights, f_maps = crystal.weights, crystal.f_maps
+    n = len(weights)
+    result = Decomposition(diagram)
+    instances, assignment = result.instances, result.assignment
+    certified = [0] * diagram.rank  # f_i edges per color
+    unassigned = n
+    for src in highest_vertices(crystal):
+        hw = weights[src]
+        ref = _reference_cache.get((diagram.key, hw))  # a cached reference is dominant
+        if ref is None:
+            if not diagram.is_dominant(hw) or diagram.weyl_dimension(hw) > unassigned:
+                return None
+            ref = _reference(diagram, hw)
+        unassigned -= len(ref.crystal)
+        if unassigned < 0:
+            return None
+        comp = [src]
+        grow = comp.append
+        try:
+            for p, i in zip(ref.parents, ref.colors):  # each step also certifies its tree edge
+                grow(f_maps[i][comp[p]])
+            # a one-vertex closure is its source, of weight hw; a getter of
+            # two or more items returns a tuple
+            if len(comp) > 1 and itemgetter(*comp)(weights) != ref.crystal.weights:
+                return None
+        except LookupError:  # an f_i undefined along a tree step, or an id past the end
+            return None
+        for i, sources, targets in ref.edges:
+            if tuple(map(f_maps[i].get, sources(comp))) != targets(comp):
+                return None
+        certified = list(map(add, certified, ref.counts))
+        assignment.update(dict.fromkeys(comp, len(instances)))
+        instances.append(SummandInstance(hw, src, comp))
+        result.summands[hw] += 1
+    # The closures list at most n vertices, so n distinct ones are a
+    # disjoint cover.  An id past the end failed its weight lookup; a
+    # negative one would leave a vertex of range(n) out, which is no
+    # source, so an f edge into it would come on top of the certified
+    # edges, distinct entries counted in `certified`.  With no edge beyond
+    # these, no f or e edge leaves a closure.
+    if len(assignment) != n or list(map(len, f_maps)) != certified:
+        return None
+    return result
+
+
+def _refuse_decomposition(crystal: CrystalGraph) -> NoReturn:
+    """Raise the DecompositionError for a crystal that `_certified` refused.
+
+    Lists the closures by `_rooted_components` and pairs each with its
+    reference by `_closure_iso`, in source order, so the first fault found
+    is the one reported.  A crystal passing every check here passes the
+    certificate too, so reaching the end is a bug.
     """
     diagram = crystal.diagram
-    result = Decomposition(diagram)
-    dims: dict[Weight, int] = {}  # Weyl dimension per dominant source weight seen
     for src, comp in _rooted_components(crystal):
         hw = crystal.weights[src]
-        dim = dims.get(hw)
-        if dim is None:
-            if not diagram.is_dominant(hw):
-                raise DecompositionError(
-                    f"component source {src} has non-dominant weight {hw}"
-                )
-            dim = dims[hw] = diagram.weyl_dimension(hw)
+        if not diagram.is_dominant(hw):
+            raise DecompositionError(f"component source {src} has non-dominant weight {hw}")
         iso = None
-        if len(comp) == dim:
+        if len(comp) == diagram.weyl_dimension(hw):
             ref = _reference_crystal(diagram, hw)
             iso = _closure_iso(crystal, comp, ref, range(len(ref)))
         if iso is None:
@@ -132,11 +254,7 @@ def decompose(crystal: CrystalGraph) -> Decomposition:
                 f"component containing vertex {min(comp)} is not isomorphic to the "
                 f"highest-weight crystal of {hw}"
             )
-        inst_id = len(result.instances)
-        result.instances.append(SummandInstance(hw, src, iso))
-        result.summands[hw] += 1
-        result.assignment.update(dict.fromkeys(comp, inst_id))
-    return result
+    raise AssertionError("the summand certificate refused a direct sum of highest-weight crystals")
 
 
 def multiplicity(

@@ -4,11 +4,14 @@
 order: the k-th vertex of one closure can only map to the k-th vertex of
 the other.  That rests on `build_crystal` numbering its vertices in the
 order `_rooted_components` lists a closure, which is checked here on the
-crystal family, on E6 and on Levi restrictions.  The certificate itself
-is checked against the lockstep pairing in `oracles.py` on built
-crystals, tensor products, direct sums, relabelled copies and mutants.
+crystal family, on E6 and on Levi restrictions.  `decompose` walks each
+closure along the tree steps of its reference.  It is checked against
+the lockstep pairing in `oracles.py` on built crystals, tensor products,
+direct sums, relabelled copies and mutants, and on valid input it never
+reaches its refusal path.
 """
 
+import importlib
 from functools import cache
 from itertools import product as cartesian
 
@@ -22,9 +25,10 @@ from crystal_forge.crystal import (
     direct_sum,
     is_isomorphic,
     tensor_many,
+    verify_axioms,
 )
 from crystal_forge.decompose import branch, decompose
-from crystal_forge.dynkin import dynkin, induced_subdiagram
+from crystal_forge.dynkin import dynkin, induced_subdiagram, vsub
 from crystal_forge.paths import build_crystal
 from crystal_forge.selftest import crystal_family
 
@@ -44,16 +48,47 @@ _E6_WEIGHTS = [
 ]
 
 
+# the package's `decompose` attribute is the function, so go by module
+_decompose_module = importlib.import_module("crystal_forge.decompose")
+
+
+@pytest.fixture
+def certified_only(monkeypatch):
+    """Make any `decompose` that reaches its refusal path fail the test."""
+
+    def refuse(crystal):
+        raise AssertionError("a valid crystal reached the refusal path")
+
+    monkeypatch.setattr(_decompose_module, "_refuse_decomposition", refuse)
+
+
 def _is_one_bfs_closure(crystal: CrystalGraph) -> bool:
     return _rooted_components(crystal) == [(0, list(range(len(crystal))))]
 
 
-def test_built_crystals_are_numbered_in_closure_order():
+def test_built_crystals_are_numbered_in_closure_order(certified_only):
     family = [crystal for _, _, crystal in crystal_family()]
     family += [build_crystal(E6, w) for w in _E6_WEIGHTS]
     assert len(_E6_WEIGHTS) >= 5
     for crystal in family:
         assert _is_one_bfs_closure(crystal), (crystal.diagram.label, crystal.weights[0])
+        (inst,) = decompose(crystal).instances
+        assert (inst.hw, inst.source, inst.closure) == (crystal.weights[0], 0, list(range(len(crystal))))
+
+
+@pytest.mark.parametrize(
+    "diagram,factors",
+    [
+        (A1, [(1,), (2,), (1,)]),
+        (A2, [(1, 1), (1, 0), (0, 1)]),
+        (A3, [(1, 0, 1), (0, 1, 0)]),
+        (D4, [(0, 1, 0, 0), (1, 0, 0, 0)]),
+        (E6, [(1, 0, 0, 0, 0, 0), (0, 0, 0, 0, 0, 1)]),
+    ],
+)
+def test_tensor_products_are_certified_without_refusal(certified_only, diagram, factors):
+    crystal = tensor_many(_built(diagram, hw) for hw in factors)
+    assert _items(_instances(crystal)) == _items(decompose_lockstep(crystal))
 
 
 @pytest.mark.parametrize(
@@ -67,7 +102,7 @@ def test_built_crystals_are_numbered_in_closure_order():
         (A2, (1, 1), ()),
     ],
 )
-def test_levi_closures_in_bfs_order_are_the_built_crystals(diagram, hw, keep):
+def test_levi_closures_in_bfs_order_are_the_built_crystals(certified_only, diagram, hw, keep):
     crystal = build_crystal(diagram, hw)
     sub, kept = induced_subdiagram(diagram, keep)
     restricted = CrystalGraph(
@@ -107,10 +142,13 @@ def _built(diagram, hw):
 
 
 def _mutate(crystal: CrystalGraph, kind: str, draw) -> CrystalGraph:
-    """A copy with one f edge retargeted, one weight changed or two color maps swapped.
+    """A copy with one f edge retargeted, dropped or added, one weight
+    changed or two color maps swapped.
 
     A retargeted edge keeps the weight of its target where another vertex
-    has it, so only the graph structure tells the mutant apart.
+    has it, and an added edge f_i(a) goes to a vertex of weight
+    wt(a) - alpha_i where there is one, so only the graph structure tells
+    the mutant apart.
     """
     n, rank = len(crystal), crystal.diagram.rank
     weights = list(crystal.weights)
@@ -126,6 +164,15 @@ def _mutate(crystal: CrystalGraph, kind: str, draw) -> CrystalGraph:
         v, j = draw(st.integers(0, n - 1)), draw(st.integers(0, rank - 1))
         shift = draw(st.sampled_from((-1, 1)))
         weights[v] = weights[v][:j] + (weights[v][j] + shift,) + weights[v][j + 1 :]
+    elif kind == "drop" and any(f_maps):
+        i = draw(st.sampled_from([i for i, m in enumerate(f_maps) if m]))
+        del f_maps[i][draw(st.sampled_from(sorted(f_maps[i])))]
+    elif kind == "add" and any(len(m) < n for m in f_maps):
+        i = draw(st.sampled_from([i for i, m in enumerate(f_maps) if len(m) < n]))
+        a = draw(st.sampled_from([v for v in range(n) if v not in f_maps[i]]))
+        below = vsub(weights[a], crystal.diagram.simple_root(i))
+        alike = [t for t in range(n) if weights[t] == below]
+        f_maps[i][a] = draw(st.sampled_from(alike or range(n)))
     elif kind == "swap" and rank > 1:
         i, j = draw(st.lists(st.integers(0, rank - 1), min_size=2, max_size=2, unique=True))
         f_maps[i], f_maps[j] = f_maps[j], f_maps[i]
@@ -139,6 +186,9 @@ def _relabel(crystal: CrystalGraph, perm) -> CrystalGraph:
         weights[perm[v]] = w
     f_maps = [{perm[a]: perm[b] for a, b in m.items()} for m in crystal.f_maps]
     return CrystalGraph(crystal.diagram, weights, f_maps)
+
+
+_MUTATIONS = ("edge", "weight", "swap", "drop", "add")
 
 
 @st.composite
@@ -155,7 +205,7 @@ def _cases(draw):
         budget //= len(factors[-1])
     crystal = direct_sum(factors) if kind == "sum" else tensor_many(factors)
     perm = draw(st.permutations(range(len(crystal))))
-    mutant = _mutate(crystal, draw(st.sampled_from(("edge", "weight", "swap"))), draw)
+    mutant = _mutate(crystal, draw(st.sampled_from(_MUTATIONS)), draw)
     return crystal, _relabel(crystal, perm), mutant
 
 
@@ -215,21 +265,108 @@ def _same_weight_retargets(crystal: CrystalGraph):
                     yield mutant
 
 
-@pytest.mark.parametrize("kind", ["edge", "weight", "swap"])
+@pytest.mark.parametrize("kind", _MUTATIONS)
 def test_each_mutation_kind_is_refused_by_the_certificate(kind):
     # B(1,1) x B(1,0) on A2: components and closure sizes survive each
-    # mutant, so only the certificate (and the lockstep pairing) can refuse it
+    # mutant, so only the certificate (and the lockstep pairing) can refuse
+    # it; an added edge is seen only by the per-color edge count
     crystal = tensor_many([_built(A2, (1, 1)), _built(A2, (1, 0))])
+    f_maps = [dict(m) for m in crystal.f_maps]
     if kind == "edge":
         mutant = next(_same_weight_retargets(crystal))
     elif kind == "weight":
         weights = list(crystal.weights)
         weights[-1] = (weights[-1][0] + 1, weights[-1][1])
         mutant = CrystalGraph(A2, weights, crystal.f_maps)
-    else:
+    elif kind == "swap":
         mutant = CrystalGraph(A2, crystal.weights, crystal.f_maps[::-1])
+    elif kind == "drop":
+        # an f_0 edge into a vertex that f_1 reaches too
+        a = min(a for a, b in f_maps[0].items() if b in f_maps[1].values())
+        del f_maps[0][a]
+        mutant = CrystalGraph(A2, crystal.weights, f_maps)
+    else:
+        # f_0 from a vertex where it is undefined to the last of its closure
+        (_, comp), *_ = _rooted_components(crystal)
+        f_maps[0][next(v for v in comp if v not in f_maps[0])] = comp[-1]
+        mutant = CrystalGraph(A2, crystal.weights, f_maps)
+    assert [len(c) for _, c in _rooted_components(mutant)] == [
+        len(c) for _, c in _rooted_components(crystal)
+    ]
     refused = _outcome(_instances, mutant)
     assert "is not isomorphic to the highest-weight crystal" in refused
     assert refused == _outcome(decompose_lockstep, mutant)
     assert is_isomorphic(crystal, mutant) is None
     assert is_isomorphic_lockstep(crystal, mutant) is None
+
+
+def test_closures_that_overlap_are_refused():
+    # Two copies of B(2,0) on A2.  The second source's edges go into the
+    # first copy, and the second copy's orphaned vertices are rewired into
+    # a cycle with the same edge count per color.  Each walk passes its
+    # certificate, the closure sizes sum to the vertex count and the edge
+    # counts balance; only the disjoint cover of all vertices is missing.
+    b = _built(A2, (2, 0))
+    m = len(b)
+    f_maps = [dict(fm) for fm in direct_sum([b, b]).f_maps]
+    for i, fm in enumerate(b.f_maps):
+        if 0 in fm:
+            f_maps[i][m] = fm[0]
+    orphans = range(m + 1, 2 * m)
+    rewired = [(i, a) for i, fm in enumerate(f_maps) for a in sorted(fm) if a in orphans]
+    assert len(rewired) >= len(orphans)  # so no orphan is left a source
+    for k, (i, a) in enumerate(rewired):
+        f_maps[i][a] = orphans[(k + 1) % len(orphans)]
+    mutant = CrystalGraph(A2, b.weights * 2, f_maps)
+    refused = _outcome(_instances, mutant)
+    assert refused.startswith("DecompositionError: vertex ")
+    assert refused == _outcome(decompose_lockstep, mutant)
+
+
+def test_a_closure_larger_than_the_rest_is_refused_unbuilt(monkeypatch):
+    monkeypatch.setattr(_decompose_module, "_reference_cache", {})
+    built = []
+
+    def recording_build(diagram, hw, max_vertices):
+        built.append(hw)
+        return build_crystal(diagram, hw, max_vertices=max_vertices)
+
+    monkeypatch.setattr(_decompose_module, "build_crystal", recording_build)
+    # after the valid B(1,0), the lone source of weight (1,1) would need a
+    # reference of 8 vertices with 1 vertex left
+    crystal = direct_sum([_built(A2, (1, 0)), CrystalGraph(A2, [(1, 1)], [{}, {}])])
+    refused = _outcome(_instances, crystal)
+    assert refused == (
+        "DecompositionError: component containing vertex 3 is not isomorphic "
+        "to the highest-weight crystal of (1, 1)"
+    )
+    assert refused == _outcome(decompose_lockstep, crystal)
+    assert built == [(1, 0)]
+    decompose(_built(A2, (1, 0)))
+    assert built == [(1, 0)]
+    _decompose_module._reference_cache.clear()  # cold again
+    decompose(_built(A2, (1, 0)))
+    assert built == [(1, 0), (1, 0)]
+
+
+@pytest.mark.parametrize(
+    "f_map,message",
+    [
+        ({0: 2}, "color 0: f(0) = 2 is not a vertex"),
+        ({0: 5}, "color 0: f(0) = 5 is not a vertex"),
+        ({0: -1}, "color 0: f(0) = -1 is not a vertex"),
+        ({2: 1}, "color 0: f is defined on 2, which is not a vertex"),
+        ({-1: 1}, "color 0: f is defined on -1, which is not a vertex"),
+    ],
+)
+def test_an_edge_from_or_to_a_non_vertex_is_refused(f_map, message):
+    x = CrystalGraph(A1, [(1,), (-1,)], [f_map])
+    assert message in verify_axioms(x)
+    for fn, args in [
+        (_instances, (x,)),
+        (decompose_lockstep, (x,)),
+        (branch, (x, (0,))),
+        (is_isomorphic, (x, x)),
+        (is_isomorphic_lockstep, (x, x)),
+    ]:
+        assert _outcome(fn, *args) == f"DecompositionError: {message}"
