@@ -31,7 +31,6 @@ from .crystal import (
     direct_sum,
     trivial_crystal,
     verify_axioms,
-    is_isomorphic,
 )
 from .paths import build_crystal, highest_path, path_e, path_f, VertexCapError
 from .decompose import (
@@ -40,6 +39,7 @@ from .decompose import (
     branch,
     decompose,
     highest_vertices,
+    is_isomorphic,
     levi_maps,
     multiplicity,
 )

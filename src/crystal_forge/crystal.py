@@ -10,18 +10,6 @@ The tensor product follows Kashiwara's signature rule: operators act on
 the left factor when phi(left) beats eps(right), otherwise on the right,
 with strict/non-strict comparison split between f and e exactly as in the
 standard convention.
-
-Summands are certified by canonical BFS order.  `_rooted_components`
-lists the f-closure of each source breadth-first, colors in order, and
-`paths.build_crystal` numbers B(lam) in that same order.  An isomorphism
-of closures fixes the source and commutes with every f_i, so it maps BFS
-order to BFS order: the k-th vertex of one closure can only go to the
-k-th of the other.  `_closure_iso` therefore compares the two weight
-lists and, per color, the f_i targets under that one candidate map,
-instead of growing a vertex map edge by edge.  `is_isomorphic` uses it,
-and so does `decompose` to name the fault in a crystal it refuses;
-`decompose` certifies a summand without this generic BFS, by walking
-the closure once along a spanning tree of its reference (decompose.py).
 """
 
 from __future__ import annotations
@@ -33,10 +21,6 @@ from operator import add
 from .dynkin import DynkinDiagram, Weight, vsub
 
 SCHEMA = "crystal-forge/1"
-
-
-class DecompositionError(ValueError):
-    """The input graph is not a direct sum of highest-weight crystals."""
 
 
 # DOT edge palette, indexed by color (vertex index) modulo the list length.
@@ -161,11 +145,12 @@ class CrystalGraph:
 
 
 def _payload_json(payload):
-    kind = payload[0]
-    if kind == "path":  # ("path", D, p): segment (d, n) is d * n / D
+    """The export of a payload; any payload of no known shape is a repr label."""
+    kind = payload[0] if isinstance(payload, tuple) and payload else None
+    if kind == "path" and len(payload) == 3:  # ("path", D, p): segment (d, n) is d * n / D
         _, den, path = payload
         return {"path": [[_ratio(x * n, den) for x in d] for d, n in path]}
-    if kind == "pair":
+    if kind == "pair" and len(payload) == 3:
         return {"pair": [payload[1], payload[2]]}
     if kind == "sl2":
         return {"sl2": list(payload[1:])}
@@ -319,113 +304,3 @@ def verify_axioms(crystal: CrystalGraph) -> list[str]:
                     f"vertex {v}, color {i}: wt_i != phi - epsilon (normality)"
                 )
     return violations
-
-
-def highest_vertices(crystal: CrystalGraph) -> list[int]:
-    """Vertices on which every raising operator is undefined: no f map reaches them."""
-    lowered: set[int] = set()
-    for fm in crystal.f_maps:
-        lowered.update(fm.values())
-    return [v for v in range(len(crystal)) if v not in lowered]
-
-
-def _rooted_components(crystal: CrystalGraph) -> list[tuple[int, list[int]]]:
-    """Each source vertex with its f-closure, in increasing source id.
-
-    A highest-weight crystal is generated by its source under the f maps,
-    so the closures are the connected components.  Each closure is listed
-    in canonical BFS order: the source first, then the f_i-children of
-    each listed vertex for i = 0, 1, ... as they are first reached.
-    `paths._close` numbers a built crystal in the same order, so a built
-    B(lam) is its own closure `list(range(len(B)))`; `_closure_iso` rests
-    on this.  Raises DecompositionError, in `verify_axioms`'s wording,
-    for an f edge from or to an id outside range(len(crystal)), and when
-    a vertex lies below no source or below two.
-    """
-    n = len(crystal)
-    for i, fm in enumerate(crystal.f_maps):
-        for a, b in fm.items():
-            if not 0 <= a < n:
-                raise DecompositionError(f"color {i}: f is defined on {a}, which is not a vertex")
-            if not 0 <= b < n:
-                raise DecompositionError(f"color {i}: f({a}) = {b} is not a vertex")
-    owner: list[int | None] = [None] * n
-    out = []
-    for src in highest_vertices(crystal):
-        owner[src] = src
-        closure = [src]
-        for v in closure:  # grows while it is walked: breadth-first
-            for fm in crystal.f_maps:
-                w = fm.get(v)
-                if w is None:
-                    continue
-                seen = owner[w]
-                if seen is None:
-                    owner[w] = src
-                    closure.append(w)
-                elif seen != src:
-                    raise DecompositionError(
-                        f"vertex {w} lies below 2 source vertices, {seen} and {src}; "
-                        "not a highest-weight crystal"
-                    )
-        out.append((src, closure))
-    if None in owner:
-        raise DecompositionError(
-            f"vertex {owner.index(None)} lies below no source vertex; "
-            "not a highest-weight crystal"
-        )
-    return out
-
-
-def _closure_iso(a: CrystalGraph, comp_a, b: CrystalGraph, comp_b) -> dict[int, int] | None:
-    """The isomorphism of two f-closures listed in canonical BFS order, or None.
-
-    The only candidate maps comp_a[k] to comp_b[k].  It is an isomorphism
-    exactly when the weight lists agree and, for every color, it sends
-    f_i of comp_a[k] to f_i of comp_b[k] (None to None).  No vertex lies
-    below two sources in a closure `_rooted_components` returned, so an
-    e_i edge into it comes from inside, and matching f maps imply
-    matching e maps.
-    """
-    if len(comp_a) != len(comp_b):
-        return None
-    wa, wb = a.weights, b.weights
-    if [wa[v] for v in comp_a] != [wb[v] for v in comp_b]:
-        return None
-    iso = dict(zip(comp_a, comp_b))
-    image = iso.get  # image(None) is None: undefined maps to undefined
-    for fa, fb in zip(a.f_maps, b.f_maps):
-        if [image(fa.get(v)) for v in comp_a] != [fb.get(v) for v in comp_b]:
-            return None
-    return iso
-
-
-def is_isomorphic(a: CrystalGraph, b: CrystalGraph) -> dict[int, int] | None:
-    """Crystal isomorphism as a vertex map, or None.
-
-    Every vertex of both inputs must lie below exactly one source vertex
-    (all raising operators undefined); this always holds for the
-    highest-weight crystals built here, and DecompositionError is raised
-    otherwise.  Components are matched greedily, each pair by
-    `_closure_iso` on their BFS orders.
-    """
-    if a.diagram != b.diagram or len(a) != len(b):
-        return None
-    pairs_a = _rooted_components(a)
-    pairs_b = _rooted_components(b)
-    if len(pairs_a) != len(pairs_b):
-        return None
-    used = [False] * len(pairs_b)
-    total: dict[int, int] = {}
-    for _, comp_a in pairs_a:
-        for k, (_, comp_b) in enumerate(pairs_b):
-            if used[k]:
-                continue
-            m = _closure_iso(a, comp_a, b, comp_b)
-            if m is not None:
-                used[k] = True
-                total.update(m)
-                break
-        else:
-            return None
-    return total

@@ -1,9 +1,20 @@
-"""Direct-sum decomposition, tensor multiplicities and Levi branching.
+"""Direct-sum decomposition, tensor multiplicities, Levi branching and
+crystal isomorphism.
 
 A normal crystal is the direct sum of the f-closures of its source
 vertices; each closure is certified isomorphic to the generic
 highest-weight crystal of its source weight in one walk along a spanning
-tree of that reference crystal, cached with it.
+tree of that reference crystal, cached with it.  `paths.build_crystal`
+numbers B(lam) in canonical BFS order: the source first, then the
+f_i-children of each listed vertex for i = 0, 1, ... as they are first
+reached.  An isomorphism of closures fixes the source and commutes with
+every f_i, so it maps BFS order to BFS order: the k-th vertex of a
+closure can only go to vertex k of its reference.  The walk lists the
+closure in that order, and the certificate only checks that this one
+candidate map keeps every weight and every f_i edge.  Two direct sums of
+highest-weight crystals are isomorphic exactly when their summands have
+the same highest weights, so `is_isomorphic` decomposes both and pairs
+summands of equal weight.
 Multiplicities of highest weights in tensor products are read off as
 counts of source vertices, which is the combinatorial shadow of the
 tensor-decomposition bijection between irreducible components of quiver
@@ -20,16 +31,13 @@ from math import prod
 from operator import add, itemgetter
 from typing import NamedTuple, NoReturn
 
-from .crystal import (
-    SCHEMA,
-    CrystalGraph,
-    DecompositionError,
-    _closure_iso,
-    _rooted_components,
-    highest_vertices,  # re-exported
-)
+from .crystal import SCHEMA, CrystalGraph
 from .dynkin import DynkinDiagram, Weight, induced_subdiagram, vadd
 from .paths import DEFAULT_VERTEX_CAP, VertexCapError, build_crystal, check_vertex_cap
+
+
+class DecompositionError(ValueError):
+    """The input graph is not a direct sum of highest-weight crystals."""
 
 
 class _Reference(NamedTuple):
@@ -105,17 +113,12 @@ def _reference(diagram: DynkinDiagram, hw: Weight) -> _Reference:
     return entry
 
 
-def _reference_crystal(diagram: DynkinDiagram, hw: Weight) -> CrystalGraph:
-    """B(hw), built once per process; its Weyl dimension is its exact size."""
-    return _reference(diagram, hw).crystal
-
-
 def _signature_counts(diagram: DynkinDiagram, hw: Weight) -> Counter:
     """(eps(b), wt(b)) over b in B(hw) with multiplicity, counted once per process."""
     key = (diagram.key, hw)
     counts = _signature_cache.get(key)
     if counts is None:
-        ref = _reference_crystal(diagram, hw)
+        ref = _reference(diagram, hw).crystal
         # vertices sharing both eps and weight add alike in `multiplicity`
         counts = _signature_cache[key] = Counter(zip(zip(*ref._string_data()[0]), ref.weights))
     return counts
@@ -159,24 +162,27 @@ class Decomposition:
         }
 
 
+def highest_vertices(crystal: CrystalGraph) -> list[int]:
+    """Vertices on which every raising operator is undefined: no f map reaches them."""
+    lowered: set[int] = set()
+    for fm in crystal.f_maps:
+        lowered.update(fm.values())
+    return [v for v in range(len(crystal)) if v not in lowered]
+
+
 def decompose(crystal: CrystalGraph) -> Decomposition:
     """Split a normal crystal into highest-weight summands.
 
     Each summand is the f-closure of a source vertex, taken in increasing
     source id.  B(hw) has exactly `weyl_dimension(hw)` vertices, so no
     reference crystal larger than the vertices not yet assigned to a
-    summand is ever built.  A closure is certified against B(hw) in one
-    walk of the reference's tree steps (`_Reference`): its k-th vertex is
-    f_i of its p-th for step (p, i), which lists it in canonical BFS order
-    when it is a copy of B(hw).  One comparison of the weight list and
-    one per color of the edges off the tree then check that this map
-    keeps weights and every f_i edge.  After the last source the closures
-    must cover every vertex once, and no color may have an f edge beyond
-    the certified ones.  On any failed check `_refuse_decomposition`
-    raises the DecompositionError that names the first fault.  Instance
-    ids follow increasing source id; f raises vertex ids in every crystal
-    the library builds, so this is also the order of the summands'
-    smallest vertices.
+    summand is ever built.  A closure is certified against B(hw) by
+    `_walk`.  After the last source the closures must cover every vertex
+    once, and no color may have an f edge beyond the certified ones.  On
+    any failed check `_refuse_decomposition` raises the DecompositionError
+    that names the first fault.  Instance ids follow increasing source id;
+    f raises vertex ids in every crystal the library builds, so this is
+    also the order of the summands' smallest vertices.
     """
     result = _certified(crystal)
     if result is None:
@@ -203,20 +209,9 @@ def _certified(crystal: CrystalGraph) -> Decomposition | None:
         unassigned -= len(ref.crystal)
         if unassigned < 0:
             return None
-        comp = [src]
-        grow = comp.append
-        try:
-            for p, i in zip(ref.parents, ref.colors):  # each step also certifies its tree edge
-                grow(f_maps[i][comp[p]])
-            # a one-vertex closure is its source, of weight hw; a getter of
-            # two or more items returns a tuple
-            if len(comp) > 1 and itemgetter(*comp)(weights) != ref.crystal.weights:
-                return None
-        except LookupError:  # an f_i undefined along a tree step, or an id past the end
+        comp = _walk(crystal, src, ref)
+        if comp is None:
             return None
-        for i, sources, targets in ref.edges:
-            if tuple(map(f_maps[i].get, sources(comp))) != targets(comp):
-                return None
         certified = list(map(add, certified, ref.counts))
         assignment.update(dict.fromkeys(comp, len(instances)))
         instances.append(SummandInstance(hw, src, comp))
@@ -232,12 +227,42 @@ def _certified(crystal: CrystalGraph) -> Decomposition | None:
     return result
 
 
+def _walk(crystal: CrystalGraph, src: int, ref: _Reference) -> list[int] | None:
+    """The closure of `src`, of weight ref's highest weight, walked along
+    ref's tree steps, or None when it fails ref's certificate.
+
+    Its k-th vertex is f_i of its p-th for step (p, i), which lists it in
+    canonical BFS order when it is a copy of B(hw).  One comparison of the
+    weight list and one per color of the edges off the tree then check
+    that sending the k-th vertex to k keeps weights and every f_i edge of
+    the reference.  Edges of the closure beyond those are not seen here.
+    """
+    weights, f_maps = crystal.weights, crystal.f_maps
+    comp = [src]
+    grow = comp.append
+    try:
+        for p, i in zip(ref.parents, ref.colors):  # each step also certifies its tree edge
+            grow(f_maps[i][comp[p]])
+        # a one-vertex closure is its source, of weight hw; a getter of
+        # two or more items returns a tuple
+        if len(comp) > 1 and itemgetter(*comp)(weights) != ref.crystal.weights:
+            return None
+    except LookupError:  # an f_i undefined along a tree step, or an id past the end
+        return None
+    for i, sources, targets in ref.edges:
+        if tuple(map(f_maps[i].get, sources(comp))) != targets(comp):
+            return None
+    return comp
+
+
 def _refuse_decomposition(crystal: CrystalGraph) -> NoReturn:
     """Raise the DecompositionError for a crystal that `_certified` refused.
 
-    Lists the closures by `_rooted_components` and pairs each with its
-    reference by `_closure_iso`, in source order, so the first fault found
-    is the one reported.  A crystal passing every check here passes the
+    Lists the closures by `_rooted_components` and checks each against
+    its reference, in source order, so the first fault found is the one
+    reported.  A closure is a copy of B(hw) when it has B(hw)'s size,
+    `_walk` lists it in the same BFS order and no color has more edges in
+    it than in B(hw).  A crystal passing every check here passes the
     certificate too, so reaching the end is a bug.
     """
     diagram = crystal.diagram
@@ -245,16 +270,86 @@ def _refuse_decomposition(crystal: CrystalGraph) -> NoReturn:
         hw = crystal.weights[src]
         if not diagram.is_dominant(hw):
             raise DecompositionError(f"component source {src} has non-dominant weight {hw}")
-        iso = None
-        if len(comp) == diagram.weyl_dimension(hw):
-            ref = _reference_crystal(diagram, hw)
-            iso = _closure_iso(crystal, comp, ref, range(len(ref)))
-        if iso is None:
+        ref = _reference(diagram, hw) if len(comp) == diagram.weyl_dimension(hw) else None
+        if ref is None or _walk(crystal, src, ref) != comp or any(
+            sum(map(fm.__contains__, comp)) > count for fm, count in zip(crystal.f_maps, ref.counts)
+        ):
             raise DecompositionError(
                 f"component containing vertex {min(comp)} is not isomorphic to the "
                 f"highest-weight crystal of {hw}"
             )
     raise AssertionError("the summand certificate refused a direct sum of highest-weight crystals")
+
+
+def _rooted_components(crystal: CrystalGraph) -> list[tuple[int, list[int]]]:
+    """Each source vertex with its f-closure, in increasing source id.
+
+    A highest-weight crystal is generated by its source under the f maps,
+    so the closures are the connected components.  Each closure is listed
+    in canonical BFS order, the order in which `paths.build_crystal`
+    numbers B(lam), so a built B(lam) is its own closure
+    `list(range(len(B)))`.  Raises DecompositionError, in
+    `verify_axioms`'s wording, for an f edge from or to an id outside
+    range(len(crystal)), and when a vertex lies below no source or below
+    two.
+    """
+    n = len(crystal)
+    for i, fm in enumerate(crystal.f_maps):
+        for a, b in fm.items():
+            if not 0 <= a < n:
+                raise DecompositionError(f"color {i}: f is defined on {a}, which is not a vertex")
+            if not 0 <= b < n:
+                raise DecompositionError(f"color {i}: f({a}) = {b} is not a vertex")
+    owner: list[int | None] = [None] * n
+    out = []
+    for src in highest_vertices(crystal):
+        owner[src] = src
+        closure = [src]
+        for v in closure:  # grows while it is walked: breadth-first
+            for fm in crystal.f_maps:
+                w = fm.get(v)
+                if w is None:
+                    continue
+                seen = owner[w]
+                if seen is None:
+                    owner[w] = src
+                    closure.append(w)
+                elif seen != src:
+                    raise DecompositionError(
+                        f"vertex {w} lies below 2 source vertices, {seen} and {src}; "
+                        "not a highest-weight crystal"
+                    )
+        out.append((src, closure))
+    if None in owner:
+        raise DecompositionError(
+            f"vertex {owner.index(None)} lies below no source vertex; "
+            "not a highest-weight crystal"
+        )
+    return out
+
+
+def is_isomorphic(a: CrystalGraph, b: CrystalGraph) -> dict[int, int] | None:
+    """Crystal isomorphism as a vertex map, or None.
+
+    None when the diagrams, the sizes or the multisets of summand highest
+    weights differ.  Otherwise a and then b are decomposed, and a crystal
+    that `decompose` refuses raises its DecompositionError.  Each summand
+    of a, in source order, goes to the first unused summand of b of the
+    same highest weight, the k-th vertex of one closure to the k-th of
+    the other.
+    """
+    if a.diagram != b.diagram or len(a) != len(b):
+        return None
+    dec_a, dec_b = decompose(a), decompose(b)
+    if dec_a.summands != dec_b.summands:
+        return None
+    unused: dict[Weight, list[list[int]]] = {}
+    for inst in reversed(dec_b.instances):  # popped first to last
+        unused.setdefault(inst.hw, []).append(inst.closure)
+    iso: dict[int, int] = {}
+    for inst in dec_a.instances:
+        iso.update(zip(inst.closure, unused[inst.hw].pop()))
+    return iso
 
 
 def multiplicity(

@@ -29,8 +29,8 @@ from collections import Counter, deque
 from fractions import Fraction
 
 from crystal_forge.adhm import kernel_of_q
-from crystal_forge.crystal import CrystalGraph, DecompositionError, _rooted_components
-from crystal_forge.decompose import _reference_crystal
+from crystal_forge.crystal import CrystalGraph
+from crystal_forge.decompose import DecompositionError, _reference, _rooted_components
 from crystal_forge.dynkin import DynkinDiagram, vadd, vsub
 from crystal_forge.linalg import (
     Mat,
@@ -484,7 +484,8 @@ def pair_from_sources(a: CrystalGraph, b: CrystalGraph, src_a: int, src_b: int) 
 
 
 def is_isomorphic_lockstep(a: CrystalGraph, b: CrystalGraph) -> dict | None:
-    """`crystal.is_isomorphic` with each pair of components matched by lockstep pairing."""
+    """The isomorphism of two direct sums of highest-weight crystals, or None;
+    components are matched greedily, each pair by lockstep pairing."""
     if a.diagram != b.diagram or len(a) != len(b):
         return None
     pairs_a = _rooted_components(a)
@@ -521,7 +522,7 @@ def decompose_lockstep(crystal: CrystalGraph) -> list[tuple]:
             raise DecompositionError(f"component source {src} has non-dominant weight {hw}")
         iso = None
         if len(comp) == diagram.weyl_dimension(hw):
-            iso = pair_from_sources(crystal, _reference_crystal(diagram, hw), src, 0)
+            iso = pair_from_sources(crystal, _reference(diagram, hw).crystal, src, 0)
         if iso is None:
             raise DecompositionError(
                 f"component containing vertex {min(comp)} is not isomorphic to the "

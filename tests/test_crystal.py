@@ -1,17 +1,17 @@
+import importlib
 from collections import Counter
 
 import pytest
 
 from crystal_forge.crystal import (
     CrystalGraph,
-    DecompositionError,
     direct_sum,
-    is_isomorphic,
     tensor,
     tensor_many,
     trivial_crystal,
     verify_axioms,
 )
+from crystal_forge.decompose import DecompositionError, is_isomorphic
 from crystal_forge.dynkin import dynkin, vadd
 from crystal_forge.paths import build_crystal
 from crystal_forge.sl2 import sl2_crystal
@@ -179,6 +179,27 @@ def test_is_isomorphic_examples():
     assert is_isomorphic(sl2_crystal(3, 1), build_crystal(A1, (1,))) is not None
 
 
+def test_is_isomorphic_raises_for_a_closure_that_is_no_highest_weight_crystal():
+    # a chain of weights (2), (0) is generated by its source but is not B(2)
+    with pytest.raises(DecompositionError) as err:
+        is_isomorphic(a1_chain([2, 0]), a1_chain([2, 0]))
+    assert str(err.value) == (
+        "component containing vertex 0 is not isomorphic to the highest-weight crystal of (2,)"
+    )
+
+
+def test_is_isomorphic_answers_a_diagram_or_size_mismatch_without_decomposing(monkeypatch):
+    def no_build(*args, **kwargs):
+        raise AssertionError("a reference crystal was built")
+
+    # the package's `decompose` attribute is the function, so go by module
+    module = importlib.import_module("crystal_forge.decompose")
+    monkeypatch.setattr(module, "_reference_cache", {})
+    monkeypatch.setattr(module, "build_crystal", no_build)
+    assert is_isomorphic(a1_chain([1, -1]), trivial_crystal(A2, 2)) is None
+    assert is_isomorphic(a1_chain([2, 0, -2]), a1_chain([1, -1])) is None
+
+
 def test_is_isomorphic_rejects_component_with_two_sources():
     # 0 -f_0-> 2 <-f_1- 1: one component, two vertices without raising edges
     two_tops = CrystalGraph(A2, [(1, 0), (0, 1), (-1, 1)], [{0: 2}, {1: 2}])
@@ -229,3 +250,10 @@ def test_json_and_dot_export():
     assert seg == [[1, 1], [0, 1]]
     dot = c.to_dot()
     assert dot.startswith("digraph") and dot.count("->") == 2
+
+
+@pytest.mark.parametrize("payload", [5, (), ("pair", 1), ("path",), "xyz", ("custom", 3)])
+def test_json_export_labels_a_payload_of_no_known_shape(payload):
+    # well-formed path, pair and sl2 payloads are pinned by the golden digests
+    c = CrystalGraph(A1, [(0,)], [{}], payloads=[payload])
+    assert c.to_json_dict()["vertices"] == [{"id": 0, "wt": [0], "payload": {"label": repr(payload)}}]

@@ -79,10 +79,10 @@ def test_decomposition_instances_and_assignment():
 def test_decomposition_isos_commute_with_operators():
     t = tensor(build_crystal(A2, (1, 1)), build_crystal(A2, (1, 0)))
     dec = decompose(t)
-    from crystal_forge.decompose import _reference_crystal
+    from crystal_forge.decompose import _reference
 
     for inst in dec.instances:
-        ref = _reference_crystal(A2, inst.hw)
+        ref = _reference(A2, inst.hw).crystal
         for v, rv in inst.iso.items():
             assert t.weights[v] == ref.weights[rv]
             for i in range(2):

@@ -1,7 +1,7 @@
 import pytest
 
-from crystal_forge.crystal import is_isomorphic, tensor, verify_axioms
-from crystal_forge.decompose import decompose
+from crystal_forge.crystal import tensor, verify_axioms
+from crystal_forge.decompose import decompose, is_isomorphic
 from crystal_forge.dynkin import dynkin
 from crystal_forge.paths import DEFAULT_VERTEX_CAP, VertexCapError, build_crystal
 from crystal_forge.sl2 import (
