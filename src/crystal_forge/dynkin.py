@@ -144,6 +144,8 @@ class DynkinDiagram:
     """
 
     def __init__(self, rank: int, edges: tuple[tuple[int, int], ...], label: str | None = None):
+        if not 0 <= rank <= MAX_RANK:
+            raise ValueError(f"diagram rank {rank} is outside 0..{MAX_RANK}")
         edges = tuple(sorted(tuple(sorted(e)) for e in edges))
         for a, b in edges:
             if not (0 <= a < rank and 0 <= b < rank and a != b):
@@ -212,11 +214,18 @@ class DynkinDiagram:
             raise ValueError(f"weight {w} has length {len(w)}, diagram rank is {self.rank}")
         return w
 
+    def _check_color(self, i: int) -> None:
+        # a negative index would alias to color rank + i
+        if i not in range(self.rank):
+            raise ValueError(f"color {i} out of range for {self.label}")
+
     def simple_root(self, i: int) -> Weight:
         """Column i of the Cartan matrix: the simple root in weight coordinates."""
+        self._check_color(i)
         return tuple(self.cartan[j][i] for j in range(self.rank))
 
     def weyl_reflect(self, i: int, w) -> Weight:
+        self._check_color(i)
         w = self.check_weight(w)
         c = w[i]
         return tuple(w[j] - c * self.cartan[j][i] for j in range(self.rank))
@@ -294,13 +303,20 @@ def parse_diagram(text: str) -> DynkinDiagram:
     return dynkin(m.group(1), int(m.group(2)))
 
 
+def _vertex(v) -> int:
+    try:
+        return index(v)
+    except TypeError:
+        raise ValueError(f"vertex {v!r} is not an integer") from None
+
+
 def induced_subdiagram(diagram: DynkinDiagram, keep) -> tuple[DynkinDiagram, tuple[int, ...]]:
     """Full subdiagram on the given vertices.
 
     Returns the subdiagram (vertices relabelled 0..k-1 in increasing order
     of the original indices) together with the tuple of original indices.
     """
-    keep = tuple(sorted(set(int(v) for v in keep)))
+    keep = tuple(sorted(set(map(_vertex, keep))))
     for v in keep:
         if not 0 <= v < diagram.rank:
             raise ValueError(f"vertex {v} out of range for {diagram.label}")

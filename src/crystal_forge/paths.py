@@ -134,9 +134,16 @@ def _endpoint(path: _IntPath, rank: int, denominator: int) -> Weight:
     return tuple([c // denominator for c in end])
 
 
+def _rational(c, k: int) -> Fraction:
+    # a float is refused: its exact binary value is rarely the number meant
+    if isinstance(c, float):
+        raise TypeError(f"path segment {k} has the float entry {c!r}; use an int or a Fraction")
+    return Fraction(c)
+
+
 def _from_fractions(segments) -> tuple[_IntPath, int]:
     """Canonical integer form and denominator of rational segments."""
-    segments = [[Fraction(c) for c in seg] for seg in segments]
+    segments = [[_rational(c, k) for c in seg] for k, seg in enumerate(segments)]
     denominator = lcm(*(c.denominator for seg in segments for c in seg))
     path: _IntPath = ()
     for seg in segments:
@@ -175,12 +182,13 @@ def highest_path(diagram: DynkinDiagram, hw) -> Path:
 
 
 def _apply(diagram: DynkinDiagram, i: int, path: Path, raising: bool) -> Path | None:
+    reflect = _Reflection(diagram, i)  # refuses a color outside range(rank)
     ints, denominator = _from_fractions(path)
     # every rise is then divisible by the slope of the segment it splits
     scale = lcm(*(abs(d[i]) for d, _ in ints if d[i]))
     ints = tuple([(d, n * scale) for d, n in ints])
     denominator *= scale
-    new = _lower(_reverse(ints) if raising else ints, i, denominator, _Reflection(diagram, i))
+    new = _lower(_reverse(ints) if raising else ints, i, denominator, reflect)
     if new is None:
         return None
     return _to_fractions(_reverse(new) if raising else new, denominator)

@@ -1,4 +1,6 @@
+import argparse
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -566,3 +568,93 @@ def test_selftest_seed_default_is_the_selftest_default():
     from crystal_forge.selftest import SEED_DEFAULT
 
     assert build_parser().parse_args(["selftest"]).seed == SEED_DEFAULT
+
+
+def _leaves(parser, name=()):
+    """(command words, parser) for every leaf command under parser."""
+    groups = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not groups:
+        yield name, parser
+    for group in groups:
+        for word, child in group.choices.items():
+            yield from _leaves(child, name + (word,))
+
+
+def test_every_leaf_command_binds_its_handler():
+    leaves = dict(_leaves(build_parser()))
+    assert len(leaves) == 14
+    for name, parser in leaves.items():
+        assert callable(parser.get_default("run")), name
+
+
+class _CountingStdout(io.StringIO):
+    def __init__(self):
+        super().__init__()
+        self.writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return super().write(text)
+
+
+def test_stdout_is_written_once_and_only_on_success(tmp_path, monkeypatch):
+    datum = tmp_path / "datum.json"
+    datum.write_text(json.dumps({
+        "diagram": "A1", "d": [2], "v": [1], "x": {},
+        "p": [[[[0, 1], [1, 1]]]], "q": [[[[1, 1]], [[0, 1]]]],
+        "flag": [[[[[1, 1], [0, 1]]]], [[[[1, 1], [0, 1]], [[0, 1], [1, 1]]]]],
+    }))
+    ok = [
+        ("roots", "--diagram", "D4", "--format", "table"),
+        ("crystal", "--diagram", "A2", "--hw", "1,1", "--format", "dot"),
+        ("tensor", "--diagram", "A2", "--factors", "1,0", "0,1", "--format", "table"),
+        ("decompose", "--diagram", "A2", "--factors", "1,1", "1,1"),
+        ("mult", "--diagram", "A2", "--target", "1,1", "--factors", "1,1", "1,1"),
+        ("branch", "--diagram", "D4", "--hw", "0,1,0,0", "--keep", "1,2,3"),
+        ("dims", "--diagram", "A2", "--d", "2,0", "--v", "1,0"),
+        ("sl2", "crystal", "--d", "3", "--v0", "1", "--format", "table"),
+        ("sl2", "component", "--first", "2,0,1", "--second", "2,0,0"),
+        ("sl2", "range", "--first", "2,0", "--second", "2,0"),
+        ("sl2", "nonempty", "--first", "2,0", "--second", "2,0", "--v", "3"),
+        ("adhm", "check", str(datum)),
+        ("adhm", "stratum", str(datum)),
+        ("selftest", "--only", "c3"),
+    ]
+    failing = [
+        ("roots", "--diagram", "F4"),
+        ("crystal", "--diagram", "A2", "--hw", "-1,0"),
+        ("crystal", "--diagram", "A2", "--hw", "9,9", "--max-vertices", "10"),
+        ("decompose", "--diagram", "A2", "--factors", "1,1", "1,1", "--max-vertices", "10"),
+        ("branch", "--diagram", "A2", "--hw", "1,0", "--keep", "5"),
+        ("sl2", "crystal", "--d", "200000", "--v0", "0"),
+        ("adhm", "check", "/nonexistent/file.json"),
+        ("selftest", "--only", "c99"),
+        ("sl2",),
+    ]
+    covered = {argv[:2] if argv[0] in ("sl2", "adhm") else argv[:1] for argv in ok}
+    assert covered == set(dict(_leaves(build_parser())))
+    for argv in ok + failing:
+        stdout = _CountingStdout()
+        monkeypatch.setattr(sys, "stdout", stdout)
+        code = main(list(argv))
+        if argv in ok:
+            assert (code, stdout.writes) == (0, 1), argv
+            assert stdout.getvalue().endswith("\n"), argv
+        else:
+            assert code in (1, 2) and stdout.writes == 0, argv
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ((), "the following arguments are required: command"),
+        (("frobnicate",), "argument command: invalid choice: 'frobnicate'"),
+        (("sl2",), "the following arguments are required: sl2_command"),
+        (("adhm", "frob"), "argument adhm_command: invalid choice: 'frob'"),
+    ],
+    ids=["missing", "unknown", "sl2-missing", "adhm-unknown"],
+)
+def test_a_missing_or_unknown_command_is_named_by_its_argument(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1

@@ -6,6 +6,7 @@ from hypothesis import example, given, strategies as st
 
 from crystal_forge.dynkin import (
     MAX_RANK,
+    DynkinDiagram,
     dynkin,
     induced_subdiagram,
     pairing,
@@ -13,6 +14,7 @@ from crystal_forge.dynkin import (
     vsub,
 )
 from crystal_forge.dimensions import v_from_weight
+from crystal_forge.decompose import branch
 from crystal_forge.paths import build_crystal
 from oracles import inverse_cartan_fractions, positive_roots_bfs, solve_cartan_fractions
 
@@ -227,6 +229,25 @@ def test_induced_subdiagram():
     assert sub.rank == 0
     with pytest.raises(ValueError):
         induced_subdiagram(a3, [7])
+
+
+@pytest.mark.parametrize(
+    "call",
+    [induced_subdiagram, lambda diagram, keep: branch(build_crystal(diagram, (1, 0)), keep)],
+    ids=["induced_subdiagram", "branch"],
+)
+@pytest.mark.parametrize("vertex", [0.5, 1.2, "1"])
+def test_non_integer_vertices_are_refused(call, vertex):
+    # int() used to keep vertex 0 for 0.5 and vertex 1 for 1.2 and "1"
+    with pytest.raises(ValueError, match=re.escape(f"vertex {vertex!r} is not an integer")):
+        call(dynkin("A", 2), [vertex])
+
+
+@pytest.mark.parametrize("rank", [-1, MAX_RANK + 1])
+def test_diagram_rank_outside_the_bound_is_refused(rank):
+    # DynkinDiagram(-1, ()) used to build a diagram labelled ''
+    with pytest.raises(ValueError, match=re.escape(f"diagram rank {rank} is outside 0..{MAX_RANK}")):
+        DynkinDiagram(rank, ())
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 from random import Random
 
@@ -227,3 +228,38 @@ def test_direct_sum_exports_each_summand_over_its_own_denominator():
         exported_paths(small) + exported_paths(large)
     )
     assert exported_paths(large)[0] == highest_path(A2, (2, 1))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda d, i: d.simple_root(i),
+        lambda d, i: d.weyl_reflect(i, (1, 0)),
+        lambda d, i: path_f(d, i, highest_path(d, (1, 0))),
+        lambda d, i: path_e(d, i, path_f(d, 0, highest_path(d, (1, 0)))),
+    ],
+    ids=["simple_root", "weyl_reflect", "path_f", "path_e"],
+)
+@pytest.mark.parametrize("color", [-1, 2])
+def test_color_outside_the_diagram_is_refused(call, color):
+    # color -1 used to alias color 1 of A2, and color 2 raised IndexError
+    with pytest.raises(ValueError, match=re.escape(f"color {color} out of range for A2")):
+        call(A2, color)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        canonical_path,
+        lambda p: path_endpoint(p, 2),
+        lambda p: path_f(A2, 0, p),
+        lambda p: path_e(A2, 0, p),
+    ],
+    ids=["canonical_path", "path_endpoint", "path_f", "path_e"],
+)
+def test_float_path_entries_are_refused(call):
+    # canonical_path([(0.1, 0)]) used to return the binary value of 0.1
+    # over 2**55; path_f died on an AssertionError
+    path = ((Fraction(1), 0), (1.5, 0))
+    with pytest.raises(TypeError, match=re.escape("path segment 1 has the float entry 1.5")):
+        call(path)
