@@ -62,10 +62,18 @@ _SELFTEST_SEED = 74025381
 _NEGATIVE_VALUE = re.compile(r"^-\d[\d,-]*$")
 
 
+class _Help(Exception):
+    """-h or --help: its one argument is the help text, the request's stdout."""
+
+
 class _Parser(argparse.ArgumentParser):
     # argument errors are domain errors: exit 1, not argparse's default 2
     def error(self, message):
         raise ValueError(message)
+
+    # help is output like any other: `main` writes it and returns 0
+    def print_help(self, file=None):
+        raise _Help(self.format_help())
 
     def _parse_optional(self, arg_string):
         # "-1,0" is a value, never an option, also among several values
@@ -396,6 +404,8 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(sys.argv[1:] if argv is None else list(argv))
         text, code = args.run(args)
+    except _Help as exc:
+        text, code = exc.args[0], 0
     except VertexCapError as exc:
         hint = "; pass a larger --max-vertices to override" if "max_vertices" in args else ""
         print(f"error: {exc}{hint}", file=sys.stderr)

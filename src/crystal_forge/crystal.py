@@ -37,18 +37,41 @@ DOT_COLORS = (
 
 
 class CrystalGraph:
-    """Immutable colored graph with weights and mutually inverse f_i / e_i."""
+    """Immutable colored graph with weights and mutually inverse f_i / e_i.
+
+    The constructor copies and checks its input, raising ValueError unless
+    every weight passes `diagram.check_weight`, there is one f map per
+    color, every f key and value is an int in range(len(weights)), and
+    payloads, if given, number one per vertex.  The graphs the package
+    builds (`build_crystal`, `tensor`, `direct_sum`, `trivial_crystal`,
+    `sl2_crystal`, `decompose`'s references, `branch`) come from `_graph`.
+    """
 
     def __init__(self, diagram: DynkinDiagram, weights, f_maps, payloads=None):
-        self.diagram = diagram
-        self.weights: tuple[Weight, ...] = tuple(map(tuple, weights))
+        weights = tuple(map(diagram.check_weight, weights))
         f_maps = [dict(m) for m in f_maps]
         if len(f_maps) != diagram.rank:
             raise ValueError(f"expected {diagram.rank} colored maps, got {len(f_maps)}")
+        n = len(weights)
+        for i, fm in enumerate(f_maps):
+            for a, b in fm.items():  # a bool or a float equal to an id is no id
+                if type(a) is not int or not 0 <= a < n:
+                    raise ValueError(f"color {i}: f is defined on {a!r}, which is not a vertex")
+                if type(b) is not int or not 0 <= b < n:
+                    raise ValueError(f"color {i}: f({a!r}) = {b!r} is not a vertex")
+        if payloads is not None:
+            payloads = tuple(payloads)
+            if len(payloads) != n:
+                raise ValueError(f"{len(payloads)} payloads for {n} vertices")
+        self._fill(diagram, weights, f_maps, payloads)
+
+    def _fill(self, diagram: DynkinDiagram, weights, f_maps, payloads) -> None:
+        self.diagram = diagram
+        self.weights: tuple[Weight, ...] = tuple(weights)
         self.f_maps: tuple[dict[int, int], ...] = tuple(f_maps)
         self.payloads = tuple(payloads) if payloads is not None else None
-        # set here, not added on first use: an attribute added after __init__
-        # gives the instance a slower attribute layout (CPython 3.11)
+        # set with the others, not added on first use: an attribute added
+        # later gives the instance a slower attribute layout (CPython 3.11)
         self._e_maps: tuple[dict[int, int], ...] | None = None
         self._eps: list[list[int]] | None = None
         self._phi: list[list[int]] | None = None
@@ -93,6 +116,8 @@ class CrystalGraph:
                         continue  # not a chain start
                     chain = [v]
                     while chain[-1] in fm:
+                        if len(chain) == n:  # a repeat: f_i is not injective
+                            raise ValueError(f"color {i}: the f string from {v} runs into a cycle")
                         chain.append(fm[chain[-1]])
                     top = len(chain) - 1
                     for k, w in enumerate(chain):
@@ -144,6 +169,14 @@ class CrystalGraph:
         return "\n".join(lines) + "\n"
 
 
+def _graph(diagram: DynkinDiagram, weights, f_maps, payloads=None) -> CrystalGraph:
+    """A CrystalGraph whose weights, vertex ids and payloads this package
+    guarantees, built without checks or copies."""
+    graph = object.__new__(CrystalGraph)
+    graph._fill(diagram, weights, f_maps, payloads)
+    return graph
+
+
 def _payload_json(payload):
     """The export of a payload; any payload of no known shape is a repr label."""
     kind = payload[0] if isinstance(payload, tuple) and payload else None
@@ -165,7 +198,7 @@ def _ratio(num: int, den: int) -> list[int]:
 def trivial_crystal(diagram: DynkinDiagram, n: int) -> CrystalGraph:
     """n isolated vertices of weight zero with all operators undefined."""
     zero = (0,) * diagram.rank
-    return CrystalGraph(diagram, [zero] * n, [{} for _ in range(diagram.rank)])
+    return _graph(diagram, [zero] * n, [{} for _ in range(diagram.rank)])
 
 
 def direct_sum(crystals, diagram: DynkinDiagram | None = None) -> CrystalGraph:
@@ -174,7 +207,7 @@ def direct_sum(crystals, diagram: DynkinDiagram | None = None) -> CrystalGraph:
     if not crystals:
         if diagram is None:
             raise ValueError("empty direct sum needs an explicit diagram")
-        return CrystalGraph(diagram, [], [{} for _ in range(diagram.rank)])
+        return _graph(diagram, [], [{} for _ in range(diagram.rank)])
     diagram = crystals[0].diagram
     for c in crystals[1:]:
         if c.diagram != diagram:
@@ -192,7 +225,7 @@ def direct_sum(crystals, diagram: DynkinDiagram | None = None) -> CrystalGraph:
         if have_payloads:
             payloads.extend(c.payloads)
         offset += len(c)
-    return CrystalGraph(diagram, weights, f_maps, payloads if have_payloads else None)
+    return _graph(diagram, weights, f_maps, payloads if have_payloads else None)
 
 
 def tensor(left: CrystalGraph, right: CrystalGraph) -> CrystalGraph:
@@ -204,12 +237,6 @@ def tensor(left: CrystalGraph, right: CrystalGraph) -> CrystalGraph:
     if left.diagram != right.diagram:
         raise ValueError("tensor product of crystals over different diagrams")
     diagram = left.diagram
-    for factor in (left, right):
-        for w in factor.weights:
-            if len(w) != diagram.rank:
-                raise ValueError(
-                    f"tensor factor weight {w} has {len(w)} entries, not rank {diagram.rank}"
-                )
     nr = len(right)
     weights = [tuple(map(add, wa, wb)) for wa in left.weights for wb in right.weights]
     f_maps: list[dict[int, int]] = [{} for _ in range(diagram.rank)]
@@ -232,7 +259,7 @@ def tensor(left: CrystalGraph, right: CrystalGraph) -> CrystalGraph:
                     if fb is not None:
                         fm[base + b] = base + fb
     payloads = [("pair", a, b) for a in range(len(left)) for b in range(nr)]
-    return CrystalGraph(diagram, weights, f_maps, payloads)
+    return _graph(diagram, weights, f_maps, payloads)
 
 
 def tensor_many(crystals) -> CrystalGraph:
@@ -255,12 +282,6 @@ def verify_axioms(crystal: CrystalGraph) -> list[str]:
     diagram = crystal.diagram
     n = len(crystal)
     violations: list[str] = []
-    for v, w in enumerate(crystal.weights):
-        if len(w) != diagram.rank:
-            violations.append(f"vertex {v}: weight length {len(w)} != rank {diagram.rank}")
-    if violations:
-        return violations
-
     for i in range(diagram.rank):
         fm = crystal.f_maps[i]
         targets = Counter(fm.values())
@@ -269,12 +290,6 @@ def verify_axioms(crystal: CrystalGraph) -> list[str]:
                 violations.append(f"color {i}: f is not injective at target vertex {tgt}")
         alpha = diagram.simple_root(i)
         for a, b in fm.items():
-            if not (0 <= a < n):
-                violations.append(f"color {i}: f is defined on {a}, which is not a vertex")
-                continue
-            if not (0 <= b < n):
-                violations.append(f"color {i}: f({a}) = {b} is not a vertex")
-                continue
             if vsub(crystal.weights[a], crystal.weights[b]) != alpha:
                 violations.append(
                     f"vertex {a}, color {i}: wt(f a) != wt(a) - simple_root({i})"

@@ -31,7 +31,7 @@ from math import prod
 from operator import add, itemgetter
 from typing import NamedTuple, NoReturn
 
-from .crystal import SCHEMA, CrystalGraph
+from .crystal import SCHEMA, CrystalGraph, _graph
 from .dynkin import DynkinDiagram, Weight, induced_subdiagram, vadd
 from .paths import DEFAULT_VERTEX_CAP, VertexCapError, build_crystal, check_vertex_cap
 
@@ -84,7 +84,7 @@ def _reference(diagram: DynkinDiagram, hw: Weight) -> _Reference:
     entry = _reference_cache.get(key)
     if entry is None:
         built = build_crystal(diagram, hw, max_vertices=diagram.weyl_dimension(hw))
-        ref = CrystalGraph(diagram, built.weights, built.f_maps)
+        ref = _graph(diagram, built.weights, built.f_maps)
         parent: dict[int, int] = {}
         color: dict[int, int] = {}
         for i in reversed(range(diagram.rank)):  # lower colors overwrite
@@ -217,11 +217,8 @@ def _certified(crystal: CrystalGraph) -> Decomposition | None:
         instances.append(SummandInstance(hw, src, comp))
         result.summands[hw] += 1
     # The closures list at most n vertices, so n distinct ones are a
-    # disjoint cover.  An id past the end failed its weight lookup; a
-    # negative one would leave a vertex of range(n) out, which is no
-    # source, so an f edge into it would come on top of the certified
-    # edges, distinct entries counted in `certified`.  With no edge beyond
-    # these, no f or e edge leaves a closure.
+    # disjoint cover.  With no edge beyond the certified ones, distinct
+    # entries counted in `certified`, no f or e edge leaves a closure.
     if len(assignment) != n or list(map(len, f_maps)) != certified:
         return None
     return result
@@ -247,7 +244,7 @@ def _walk(crystal: CrystalGraph, src: int, ref: _Reference) -> list[int] | None:
         # two or more items returns a tuple
         if len(comp) > 1 and itemgetter(*comp)(weights) != ref.crystal.weights:
             return None
-    except LookupError:  # an f_i undefined along a tree step, or an id past the end
+    except KeyError:  # an f_i undefined along a tree step
         return None
     for i, sources, targets in ref.edges:
         if tuple(map(f_maps[i].get, sources(comp))) != targets(comp):
@@ -288,19 +285,11 @@ def _rooted_components(crystal: CrystalGraph) -> list[tuple[int, list[int]]]:
     so the closures are the connected components.  Each closure is listed
     in canonical BFS order, the order in which `paths.build_crystal`
     numbers B(lam), so a built B(lam) is its own closure
-    `list(range(len(B)))`.  Raises DecompositionError, in
-    `verify_axioms`'s wording, for an f edge from or to an id outside
-    range(len(crystal)), and when a vertex lies below no source or below
-    two.
+    `list(range(len(B)))`.  Every f edge joins two vertices, as the
+    CrystalGraph constructor checks.  Raises DecompositionError when a
+    vertex lies below no source or below two.
     """
-    n = len(crystal)
-    for i, fm in enumerate(crystal.f_maps):
-        for a, b in fm.items():
-            if not 0 <= a < n:
-                raise DecompositionError(f"color {i}: f is defined on {a}, which is not a vertex")
-            if not 0 <= b < n:
-                raise DecompositionError(f"color {i}: f({a}) = {b} is not a vertex")
-    owner: list[int | None] = [None] * n
+    owner: list[int | None] = [None] * len(crystal)
     out = []
     for src in highest_vertices(crystal):
         owner[src] = src
@@ -423,5 +412,5 @@ def branch(crystal: CrystalGraph, keep) -> tuple[Decomposition, DynkinDiagram]:
         cut = slice(kept[0], kept[0] + 1) if kept else slice(0)
         weights = [w[cut] for w in crystal.weights]
     f_maps = [crystal.f_maps[j] for j in kept]
-    restricted = CrystalGraph(sub, weights, f_maps, crystal.payloads)
+    restricted = _graph(sub, weights, f_maps, crystal.payloads)
     return decompose(restricted), sub

@@ -34,7 +34,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from .crystal import CrystalGraph
+from .crystal import CrystalGraph, _graph
 from .dynkin import DynkinDiagram, Weight
 
 Segment = tuple[Fraction, ...]
@@ -254,4 +254,4 @@ def build_crystal(
     start = ((tuple([x // g for x in hw]), g * denominator),) if g else ()
     order, weights, f_maps = _close(diagram, hw, start, denominator, max_vertices)
     payloads = [("path", denominator, p) for p in order]
-    return CrystalGraph(diagram, weights, f_maps, payloads)
+    return _graph(diagram, weights, f_maps, payloads)

@@ -13,7 +13,7 @@ engine restricted to A1.
 
 from __future__ import annotations
 
-from .crystal import CrystalGraph
+from .crystal import CrystalGraph, _graph
 from .dynkin import dynkin
 from .paths import DEFAULT_VERTEX_CAP, VertexCapError
 
@@ -37,12 +37,12 @@ def sl2_crystal(d: int, v0: int) -> CrystalGraph:
     if size > DEFAULT_VERTEX_CAP:
         raise VertexCapError(f"sl2 chain of {size} vertices", DEFAULT_VERTEX_CAP)
     if 2 * v0 > d:
-        return CrystalGraph(_A1, [], [{}])
+        return _graph(_A1, [], [{}])
     vs = list(range(v0, d - v0 + 1))
     weights = [(d - 2 * v,) for v in vs]
     f_map = {k: k + 1 for k in range(len(vs) - 1)}
     payloads = [("sl2", d, v0, v) for v in vs]
-    return CrystalGraph(_A1, weights, [f_map], payloads)
+    return _graph(_A1, weights, [f_map], payloads)
 
 
 def sl2_tensor_component(first, second) -> tuple[int, int]:

@@ -658,3 +658,25 @@ def test_a_missing_or_unknown_command_is_named_by_its_argument(capsys, argv, mes
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (1, "")
     assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv", [("-h",), ("--help",), ("crystal", "--help"), ("sl2", "crystal", "-h"), ("adhm", "-h")]
+)
+def test_help_returns_0_and_is_written_once(monkeypatch, argv):
+    stdout = _CountingStdout()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert main(list(argv)) == 0
+    assert stdout.writes == 1
+    assert stdout.getvalue().startswith("usage: crystal-forge")
+
+
+def test_console_script_help_exits_0():
+    src = Path(crystal_forge.__file__).resolve().parent.parent
+    code = "from crystal_forge.cli import console_main; console_main()"
+    proc = subprocess.run(
+        [sys.executable, "-c", code, "-h"],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(src)), timeout=60,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.startswith("usage: crystal-forge")

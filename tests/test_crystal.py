@@ -1,23 +1,27 @@
 import importlib
+import sys
 from collections import Counter
 
 import pytest
 
 from crystal_forge.crystal import (
     CrystalGraph,
+    _graph,
     direct_sum,
     tensor,
     tensor_many,
     trivial_crystal,
     verify_axioms,
 )
-from crystal_forge.decompose import DecompositionError, is_isomorphic
+from crystal_forge.decompose import DecompositionError, branch, decompose, is_isomorphic
 from crystal_forge.dynkin import dynkin, vadd
 from crystal_forge.paths import build_crystal
+from crystal_forge.selftest import crystal_family
 from crystal_forge.sl2 import sl2_crystal
 
 A1 = dynkin("A", 1)
 A2 = dynkin("A", 2)
+E6 = dynkin("E", 6)
 
 
 def a1_chain(weights):
@@ -228,11 +232,34 @@ def test_diagram_mismatch_rejected():
         tensor(trivial_crystal(A1, 1), trivial_crystal(A2, 1))
 
 
-def test_tensor_refuses_weights_of_the_wrong_length():
-    long_weight = CrystalGraph(A1, [(1, 0)], [{}])
-    for left, right in ((long_weight, a1_chain([0])), (a1_chain([0]), long_weight)):
-        with pytest.raises(ValueError, match=r"weight \(1, 0\) has 2 entries, not rank 1"):
-            tensor(left, right)
+def test_construction_refuses_a_malformed_weight_or_payload_count():
+    # refused here, so `tensor` and `verify_axioms` never see such a graph
+    for weights, payloads, message in [
+        ([(1, 0)], None, "weight (1, 0) has length 2, diagram rank is 1"),
+        ([(1.5,)], None, "weight (1.5,) has a non-integer entry"),
+        ([(0,), (0,)], [("x",)], "1 payloads for 2 vertices"),
+        ([(0,)], [("x",)] * 3, "3 payloads for 1 vertices"),
+    ]:
+        with pytest.raises(ValueError) as err:
+            CrystalGraph(A1, weights, [{}], payloads)
+        assert str(err.value) == message
+
+
+def test_a_string_that_runs_into_a_cycle_is_refused():
+    # f_0 is not injective: the string from 0 runs into the cycle 1 -> 2 -> 1
+    x = CrystalGraph(A1, [(2,), (0,), (-2,)], [{0: 1, 1: 2, 2: 1}])
+    message = "color 0: the f string from 0 runs into a cycle"
+    for fn in (lambda: x.epsilon(0, 0), lambda: x.phi(2, 0), lambda: tensor(x, a1_chain([0]))):
+        with pytest.raises(ValueError) as err:
+            fn()
+        assert str(err.value) == message
+    assert verify_axioms(x) == [
+        "color 0: f is not injective at target vertex 1",
+        "vertex 2, color 0: wt(f a) != wt(a) - simple_root(0)",
+        "color 0: f-cycle through vertex 0",
+        "color 0: f-cycle through vertex 1",
+        "color 0: f-cycle through vertex 2",
+    ]
 
 
 def test_json_and_dot_export():
@@ -257,3 +284,45 @@ def test_json_export_labels_a_payload_of_no_known_shape(payload):
     # well-formed path, pair and sl2 payloads are pinned by the golden digests
     c = CrystalGraph(A1, [(0,)], [{}], payloads=[payload])
     assert c.to_json_dict()["vertices"] == [{"id": 0, "wt": [0], "payload": {"label": repr(payload)}}]
+
+
+def test_every_graph_the_package_builds_passes_the_checked_constructor(monkeypatch):
+    # `_graph` skips the constructor's checks; this pins its precondition
+    built = []
+
+    def checked(diagram, weights, f_maps, payloads=None):
+        graph = CrystalGraph(diagram, weights, f_maps, payloads)
+        trusted = _graph(diagram, weights, f_maps, payloads)
+        assert vars(graph) == vars(trusted)
+        built.append(trusted)
+        return trusted
+
+    producers = {
+        name
+        for name, module in sys.modules.items()
+        if name.startswith("crystal_forge.") and getattr(module, "_graph", None) is _graph
+    }
+    assert {f"crystal_forge.{name}" for name in ("crystal", "decompose", "paths", "sl2")} <= producers
+    for name in producers:
+        monkeypatch.setattr(sys.modules[name], "_graph", checked)
+    # the package's `decompose` attribute is the function, so go by module
+    monkeypatch.setattr(importlib.import_module("crystal_forge.decompose"), "_reference_cache", {})
+
+    family = [(diagram, lam) for diagram, lam, _ in crystal_family()[::11]]
+    crystals = [build_crystal(diagram, lam) for diagram, lam in family]
+    crystals.append(build_crystal(E6, (1, 0, 0, 0, 0, 1)))
+    b10, b11 = build_crystal(A2, (1, 0)), build_crystal(A2, (1, 1))
+    product = tensor_many([b11, b10, build_crystal(A2, (0, 1))])
+    crystals += [
+        product,
+        direct_sum([b10, b11, trivial_crystal(A2, 2)]),
+        direct_sum([], A2),
+        sl2_crystal(5, 1),
+        sl2_crystal(1, 1),
+    ]
+    count = len(built)
+    for crystal in crystals:
+        decompose(crystal)
+    branch(product, (0,))
+    branch(build_crystal(E6, (1, 0, 0, 0, 0, 1)), (0, 1, 2, 3, 4))
+    assert len(built) > count

@@ -20,7 +20,7 @@ from itertools import product as cartesian
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from crystal_forge.crystal import CrystalGraph, direct_sum, tensor_many, verify_axioms
+from crystal_forge.crystal import CrystalGraph, direct_sum, tensor_many
 from crystal_forge.decompose import (
     DecompositionError,
     _rooted_components,
@@ -367,16 +367,14 @@ def test_a_closure_larger_than_the_rest_is_refused_unbuilt(monkeypatch):
         ({0: -1}, "color 0: f(0) = -1 is not a vertex"),
         ({2: 1}, "color 0: f is defined on 2, which is not a vertex"),
         ({-1: 1}, "color 0: f is defined on -1, which is not a vertex"),
+        ({0: 1.0}, "color 0: f(0) = 1.0 is not a vertex"),
+        ({"0": 1}, "color 0: f is defined on '0', which is not a vertex"),
+        ({0: True}, "color 0: f(0) = True is not a vertex"),
     ],
 )
 def test_an_edge_from_or_to_a_non_vertex_is_refused(f_map, message):
-    x = CrystalGraph(A1, [(1,), (-1,)], [f_map])
-    assert message in verify_axioms(x)
-    for fn, args in [
-        (_instances, (x,)),
-        (decompose_lockstep, (x,)),
-        (branch, (x, (0,))),
-        (is_isomorphic, (x, x)),
-        (is_isomorphic_lockstep, (x, x)),
-    ]:
-        assert _outcome(fn, *args) == f"DecompositionError: {message}"
+    # refused on construction, so `verify_axioms`, `decompose`, `branch`
+    # and `is_isomorphic` never see such an edge
+    with pytest.raises(ValueError) as err:
+        CrystalGraph(A1, [(1,), (-1,)], [f_map])
+    assert str(err.value) == message
