@@ -24,7 +24,6 @@ target keeps S meet m^{-1}(V) = S, and a zero S is cut no further.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import lcm
@@ -33,6 +32,7 @@ from random import Random
 from .dynkin import DynkinDiagram, Weight, parse_diagram
 from .linalg import (
     Mat,
+    _Frozen,
     column_space,
     contains,
     full_space,
@@ -67,9 +67,12 @@ def full_graded(dims) -> GradedSubspace:
     return tuple(full_space(n) for n in dims)
 
 
-@dataclass(frozen=True)
-class ADHMDatum:
-    """Explicit rational ADHM datum on graded spaces of dimensions d and v."""
+class ADHMDatum(_Frozen):
+    """Explicit rational ADHM datum on graded spaces of dimensions d and v.
+
+    Frozen: data with equal fields compare equal, but `x` is a dict, so
+    hashing one raises TypeError.
+    """
 
     diagram: DynkinDiagram
     d: Weight
@@ -78,27 +81,25 @@ class ADHMDatum:
     p: tuple[Mat, ...]
     q: tuple[Mat, ...]
 
-    def __post_init__(self):
-        diagram = self.diagram
-        object.__setattr__(self, "d", diagram.check_weight(self.d))
-        object.__setattr__(self, "v", diagram.check_weight(self.v))
+    def __init__(self, diagram, d, v, x, p, q):
+        d, v = diagram.check_weight(d), diagram.check_weight(v)
         oriented = set(diagram.oriented_edges)
-        for h, m in self.x.items():
+        for h, m in x.items():
             if h not in oriented:
                 raise ValueError(f"{h} is not an oriented edge of {diagram.label}")
             src, dst = h
-            if (m.rows, m.cols) != (self.v[dst], self.v[src]):
+            if (m.rows, m.cols) != (v[dst], v[src]):
                 raise ValueError(
-                    f"x{h} has shape {m.rows}x{m.cols}, expected "
-                    f"{self.v[dst]}x{self.v[src]}"
+                    f"x{h} has shape {m.rows}x{m.cols}, expected {v[dst]}x{v[src]}"
                 )
-        if len(self.p) != diagram.rank or len(self.q) != diagram.rank:
+        if len(p) != diagram.rank or len(q) != diagram.rank:
             raise ValueError("p and q need one matrix per vertex")
         for i in range(diagram.rank):
-            if (self.p[i].rows, self.p[i].cols) != (self.v[i], self.d[i]):
+            if (p[i].rows, p[i].cols) != (v[i], d[i]):
                 raise ValueError(f"p[{i}] has the wrong shape")
-            if (self.q[i].rows, self.q[i].cols) != (self.d[i], self.v[i]):
+            if (q[i].rows, q[i].cols) != (d[i], v[i]):
                 raise ValueError(f"q[{i}] has the wrong shape")
+        self.__dict__.update(diagram=diagram, d=d, v=v, x=x, p=p, q=q)
 
     def x_map(self, h: tuple[int, int]) -> Mat:
         m = self.x.get(h)
@@ -239,32 +240,32 @@ def is_nilpotent(datum: ADHMDatum) -> bool:
     return all(c == 0 for c in _space_dims(image))
 
 
-@dataclass(frozen=True)
-class GradedFlag:
-    """Increasing chain of graded subspaces of D, ending at the full space."""
+class GradedFlag(_Frozen):
+    """Increasing chain of graded subspaces of D, ending at the full space.
+
+    Frozen: flags with equal fields compare equal and hash alike.
+    """
 
     diagram: DynkinDiagram
     d: Weight
     steps: tuple[GradedSubspace, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "d", self.diagram.check_weight(self.d))
-        steps = tuple(
-            tuple(column_space(s) for s in step) for step in self.steps
-        )
-        object.__setattr__(self, "steps", steps)
+    def __init__(self, diagram, d, steps):
+        d = diagram.check_weight(d)
+        steps = tuple(tuple(column_space(s) for s in step) for step in steps)
         if not steps:
             raise ValueError("a flag needs at least one step")
-        prev = zero_graded(self.d)
+        prev = zero_graded(d)
         for k, step in enumerate(steps):
-            if tuple(s.rows for s in step) != self.d:
+            if tuple(s.rows for s in step) != d:
                 raise ValueError(f"flag step {k} lives in the wrong ambient space")
-            for i in range(self.diagram.rank):
+            for i in range(diagram.rank):
                 if not contains(step[i], prev[i]):
                     raise ValueError(f"flag step {k} does not contain step {k - 1}")
             prev = step
-        if _space_dims(steps[-1]) != self.d:
+        if _space_dims(steps[-1]) != d:
             raise ValueError("the last flag step must be the full space")
+        self.__dict__.update(diagram=diagram, d=d, steps=steps)
 
     @property
     def n(self) -> int:

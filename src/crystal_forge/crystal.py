@@ -295,8 +295,11 @@ def verify_axioms(crystal: CrystalGraph) -> list[str]:
                     f"vertex {a}, color {i}: wt(f a) != wt(a) - simple_root({i})"
                 )
         # finite chains: walking f from any vertex must terminate.  Each
-        # vertex is walked once; cyclic[v] is None while v is on the walk
+        # vertex is walked once; cyclic[v] is None while v is on the walk,
+        # so a walk that ends on None has come back to itself and closed
+        # a cycle, whose vertices go into on_cycle
         cyclic: dict[int, bool | None] = {}
+        on_cycle: set[int] = set()
         for a in fm:
             walk = []
             cur = a
@@ -304,11 +307,15 @@ def verify_axioms(crystal: CrystalGraph) -> list[str]:
                 cyclic[cur] = None
                 walk.append(cur)
                 cur = fm[cur]
-            ends_in_cycle = cur in cyclic and cyclic[cur] is not False
+            end = cyclic.get(cur, False)
+            if end is None:
+                on_cycle.update(walk[walk.index(cur):])
             for v in walk:
-                cyclic[v] = ends_in_cycle
-            if cyclic[a]:
+                cyclic[v] = end is not False
+            if a in on_cycle:
                 violations.append(f"color {i}: f-cycle through vertex {a}")
+            elif cyclic[a]:
+                violations.append(f"color {i}: the f string from {a} runs into a cycle")
     if violations:
         return violations
 

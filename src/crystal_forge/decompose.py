@@ -25,7 +25,6 @@ signature rule.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 from itertools import compress, repeat
 from math import prod
 from operator import add, itemgetter
@@ -33,6 +32,7 @@ from typing import NamedTuple, NoReturn
 
 from .crystal import SCHEMA, CrystalGraph, _graph
 from .dynkin import DynkinDiagram, Weight, induced_subdiagram, vadd
+from .linalg import _Record
 from .paths import DEFAULT_VERTEX_CAP, VertexCapError, build_crystal, check_vertex_cap
 
 
@@ -124,14 +124,21 @@ def _signature_counts(diagram: DynkinDiagram, hw: Weight) -> Counter:
     return counts
 
 
-@dataclass
-class SummandInstance:
+class SummandInstance(_Record):
     """One connected summand: its highest weight, source vertex, and its
-    vertices listed in the order of the reference crystal of that weight."""
+    vertices listed in the order of the reference crystal of that weight.
+
+    Mutable: equal fields compare equal, and an instance is unhashable.
+    """
 
     hw: Weight
     source: int
     closure: list[int]
+
+    def __init__(self, hw, source, closure):
+        self.hw = hw
+        self.source = source
+        self.closure = closure
 
     @property
     def iso(self) -> dict[int, int]:
@@ -139,12 +146,23 @@ class SummandInstance:
         return dict(zip(self.closure, range(len(self.closure))))
 
 
-@dataclass
-class Decomposition:
+class Decomposition(_Record):
+    """Summand multiplicities, the summands and the summand of each vertex.
+
+    Mutable: equal fields compare equal, and a decomposition is unhashable.
+    Each one gets its own empty Counter, list and dict by default.
+    """
+
     diagram: DynkinDiagram
-    summands: Counter = field(default_factory=Counter)
-    instances: list[SummandInstance] = field(default_factory=list)
-    assignment: dict[int, int] = field(default_factory=dict)
+    summands: Counter
+    instances: list[SummandInstance]
+    assignment: dict[int, int]
+
+    def __init__(self, diagram, summands=None, instances=None, assignment=None):
+        self.diagram = diagram
+        self.summands = Counter() if summands is None else summands
+        self.instances = [] if instances is None else instances
+        self.assignment = {} if assignment is None else assignment
 
     def total_cardinality(self) -> int:
         return len(self.assignment)

@@ -11,10 +11,10 @@ relevant non-emptiness flags separately.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import mul
 
 from .dynkin import DynkinDiagram, Weight, pairing, vadd, vsub
+from .linalg import _Frozen
 
 
 def _half(n: int) -> int:
@@ -73,46 +73,40 @@ def basic_dims(diagram: DynkinDiagram, d, v, v0=None) -> dict:
     return out
 
 
-@dataclass(frozen=True)
-class StratumParams:
+class StratumParams(_Frozen):
     """Data of a flag-compatible stratum: framing d, total v, and the
-    per-step dimension tuples (with the optional complementary tuple)."""
+    per-step dimension tuples (with the optional complementary tuple).
+
+    Frozen: equal data compare equal and hash alike.
+    """
 
     diagram: DynkinDiagram
     d: Weight
     v: Weight
     d_tuple: tuple[Weight, ...]
     v_tuple: tuple[Weight, ...]
-    vt_tuple: tuple[Weight, ...] | None = None
+    vt_tuple: tuple[Weight, ...] | None
 
-    def __post_init__(self):
-        diagram = self.diagram
-        object.__setattr__(self, "d", diagram.check_weight(self.d))
-        object.__setattr__(self, "v", diagram.check_weight(self.v))
-        object.__setattr__(
-            self, "d_tuple", tuple(diagram.check_weight(w) for w in self.d_tuple)
-        )
-        object.__setattr__(
-            self, "v_tuple", tuple(diagram.check_weight(w) for w in self.v_tuple)
-        )
-        if self.vt_tuple is not None:
-            object.__setattr__(
-                self, "vt_tuple", tuple(diagram.check_weight(w) for w in self.vt_tuple)
-            )
-        n = len(self.d_tuple)
-        if n < 1 or len(self.v_tuple) != n:
+    def __init__(self, diagram, d, v, d_tuple, v_tuple, vt_tuple=None):
+        check = diagram.check_weight
+        d, v = check(d), check(v)
+        d_tuple = tuple(map(check, d_tuple))
+        v_tuple = tuple(map(check, v_tuple))
+        if vt_tuple is not None:
+            vt_tuple = tuple(map(check, vt_tuple))
+        n = len(d_tuple)
+        if n < 1 or len(v_tuple) != n:
             raise ValueError("d_tuple and v_tuple must have the same length n >= 1")
-        if tuple(map(sum, zip(*self.d_tuple, strict=True))) != tuple(self.d):
+        if tuple(map(sum, zip(*d_tuple, strict=True))) != d:
             raise ValueError("d_tuple entries must sum to d")
-        if self.vt_tuple is not None:
-            if len(self.vt_tuple) != n:
+        if vt_tuple is not None:
+            if len(vt_tuple) != n:
                 raise ValueError("vt_tuple must have length n")
-            total = [0] * diagram.rank
-            for w in self.v_tuple + self.vt_tuple:
-                for j, c in enumerate(w):
-                    total[j] += c
-            if tuple(total) != tuple(self.v):
+            if tuple(map(sum, zip(*v_tuple, *vt_tuple))) != v:
                 raise ValueError("v_tuple plus vt_tuple must sum to v")
+        self.__dict__.update(
+            diagram=diagram, d=d, v=v, d_tuple=d_tuple, v_tuple=v_tuple, vt_tuple=vt_tuple
+        )
 
     @property
     def n(self) -> int:

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import time
 from collections import Counter, deque
-from dataclasses import dataclass
 from functools import cache
 from random import Random
 
@@ -43,7 +42,7 @@ from .dimensions import (
     v_from_weight,
 )
 from .dynkin import DynkinDiagram, dynkin, induced_subdiagram, pairing, vadd, vsub
-from .linalg import full_space, mat, span
+from .linalg import _Record, full_space, mat, span
 from .paths import build_crystal
 from .sl2 import sl2_crystal, sl2_mult_range, sl2_tensor_component
 
@@ -64,13 +63,24 @@ _FAMILY_EXHAUSTIVE_BOUND = 300
 _FAMILY_EXTRA_BOUND = 5000
 
 
-@dataclass
-class CriterionResult:
+class CriterionResult(_Record):
+    """One criterion's verdict.
+
+    Mutable: equal fields compare equal, and a result is unhashable.
+    """
+
     cid: str
     name: str
     passed: bool
     seconds: float
     details: str
+
+    def __init__(self, cid, name, passed, seconds, details):
+        self.cid = cid
+        self.name = name
+        self.passed = passed
+        self.seconds = seconds
+        self.details = details
 
     def to_json_dict(self) -> dict:
         return {

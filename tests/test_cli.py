@@ -564,6 +564,24 @@ def test_importing_the_cli_does_not_import_selftest():
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
 
 
+def test_importing_the_cli_adds_neither_dataclasses_nor_inspect():
+    # the difference from the bare interpreter's modules, so that a site
+    # hook which preloads some does not count
+    src = Path(crystal_forge.__file__).resolve().parent.parent
+    code = (
+        "import sys; bare = set(sys.modules); import crystal_forge.cli; "
+        "print(*sorted(set(sys.modules) - bare))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(src)), timeout=60,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    added = set(proc.stdout.split())
+    assert "crystal_forge.cli" in added
+    assert added.isdisjoint({"dataclasses", "inspect"})
+
+
 def test_selftest_seed_default_is_the_selftest_default():
     from crystal_forge.selftest import SEED_DEFAULT
 

@@ -52,6 +52,10 @@ def _cycle(i, a):
     return f"color {i}: f-cycle through vertex {a}"
 
 
+def _into_cycle(i, a):
+    return f"color {i}: the f string from {a} runs into a cycle"
+
+
 @pytest.mark.parametrize(
     "graph,expected",
     [
@@ -59,7 +63,7 @@ def _cycle(i, a):
         (
             CrystalGraph(A1, [(2,), (0,), (-2,), (4,)], [{0: 1, 1: 2, 2: 1, 3: 0}]),
             ["color 0: f is not injective at target vertex 1", _wt(0, 2)]
-            + [_cycle(0, a) for a in (0, 1, 2, 3)],
+            + [_into_cycle(0, 0), _cycle(0, 1), _cycle(0, 2), _into_cycle(0, 3)],
         ),
         # a pure 3-cycle
         (
@@ -71,6 +75,12 @@ def _cycle(i, a):
             CrystalGraph(A2, [(0, 0)] * 4, [{0: 1, 1: 0}, {1: 2, 2: 3, 3: 1}]),
             [_wt(0, 0), _wt(0, 1), _cycle(0, 0), _cycle(0, 1)]
             + [_wt(1, 1), _wt(1, 2), _wt(1, 3), _cycle(1, 1), _cycle(1, 2), _cycle(1, 3)],
+        ),
+        # the cycle is listed first, so the walk from 0 runs into labelled vertices
+        (
+            CrystalGraph(A1, [(2,), (0,), (-2,)], [{1: 2, 2: 1, 0: 1}]),
+            ["color 0: f is not injective at target vertex 1", _wt(0, 2)]
+            + [_cycle(0, 1), _cycle(0, 2), _into_cycle(0, 0)],
         ),
     ],
 )
@@ -256,7 +266,7 @@ def test_a_string_that_runs_into_a_cycle_is_refused():
     assert verify_axioms(x) == [
         "color 0: f is not injective at target vertex 1",
         "vertex 2, color 0: wt(f a) != wt(a) - simple_root(0)",
-        "color 0: f-cycle through vertex 0",
+        message,
         "color 0: f-cycle through vertex 1",
         "color 0: f-cycle through vertex 2",
     ]
