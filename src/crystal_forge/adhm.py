@@ -328,14 +328,14 @@ def random_preprojective(
     """Sample a datum satisfying the moment-map equation exactly.
 
     The matrices on the canonical orientation and q are drawn with small
-    integer entries; the reversed-orientation matrices and p then satisfy
-    a linear system, and a random solution is taken.  This is a sampling
-    heuristic, not a uniform measure on the variety.
-
-    A draw whose x and p are all zero is retried, up to 20 draws in all.
-    When every draw is trivial (likely when the solution space is small,
-    e.g. v = d = (1, 0) on A2), the last one is returned: it still
-    satisfies the moment-map equation, but p = 0 and every x is zero.
+    integer entries; the reversed-orientation matrices and p then solve a
+    linear system, and a random solution is taken: a sampling heuristic,
+    not a uniform measure on the variety.  A draw whose x and p are zero
+    is retried, up to 20 draws in all; when all are (likely when the
+    solution space is small, e.g. v = (2,), d = (1,) on A1), the last is
+    returned, with p = 0 and every x zero.  Only the returned draw becomes
+    an `ADHMDatum` and is checked: a trivial draw needs no check, since
+    with x = 0 and p = 0 each moment-map product is zero, whatever q is.
     """
     if rng is None or isinstance(rng, int):
         rng = Random(rng)
@@ -385,15 +385,15 @@ def random_preprojective(
         for key, (rows, cols) in unknown.items():
             at = offset[key]
             data[key] = [sol[at + r * cols : at + (r + 1) * cols] for r in range(rows)]
-        blocks = {key: int_mat(*shape, data[key]) for key, shape in drawn.items()}
-        blocks |= {key: int_mat(*shape, data[key], null.den) for key, shape in unknown.items()}
-        x = {h: m for (kind, h), m in blocks.items() if kind == "x"}
-        p, q = (tuple(blocks[kind, i] for i in vertices) for kind in "pq")
-        datum = ADHMDatum(diagram, d, v, x, p, q)
-        if not check_preprojective(datum):
-            raise AssertionError("solved datum fails the moment-map equation")
-        if size == 0 or any(not m.is_zero() for (kind, _), m in blocks.items() if kind != "q"):
-            return datum
+        if size == 0 or any(any(r) for (kind, _), m in data.items() if kind != "q" for r in m):
+            break
+    blocks = {key: int_mat(*shape, data[key]) for key, shape in drawn.items()}
+    blocks |= {key: int_mat(*shape, data[key], null.den) for key, shape in unknown.items()}
+    x = {h: m for (kind, h), m in blocks.items() if kind == "x"}
+    p, q = (tuple(blocks[kind, i] for i in vertices) for kind in "pq")
+    datum = ADHMDatum(diagram, d, v, x, p, q)
+    if not check_preprojective(datum):
+        raise AssertionError("solved datum fails the moment-map equation")
     return datum
 
 
@@ -516,4 +516,8 @@ def datum_from_json(payload: dict) -> tuple[ADHMDatum, GradedFlag | None]:
 
 def datum_from_json_file(path: str) -> tuple[ADHMDatum, GradedFlag | None]:
     with open(path, encoding="utf-8") as fh:
-        return datum_from_json(json.load(fh))
+        try:
+            document = json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}: the JSON nests too deeply") from None
+    return datum_from_json(document)

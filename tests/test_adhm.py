@@ -261,12 +261,30 @@ def test_residual_matches_the_fraction_reference(datum):
     assert preprojective_residual(datum) == preprojective_residual_fractions(datum)
 
 
-def test_random_preprojective_falls_back_to_the_last_trivial_draw():
-    # with seed 8 all twenty draws come out trivial (x and p zero)
-    datum = random_preprojective(A2, (1, 0), (1, 0), 8)
-    assert check_preprojective(datum)
-    assert all(m.is_zero() for m in datum.p)
-    assert all(m.is_zero() for m in datum.x.values())
+def _counted_sampler(monkeypatch):
+    """random_preprojective returning the datum and its calls of the three
+    adhm functions that draw (kernel), build (ADHMDatum) and check."""
+    counts = {}
+    for name in ("ADHMDatum", "check_preprojective", "kernel"):
+        def counted(*args, _name=name, _f=getattr(adhm, name), **kwargs):
+            counts[_name] = counts.get(_name, 0) + 1
+            return _f(*args, **kwargs)
+        monkeypatch.setattr(adhm, name, counted)
+
+    def sample(*args):
+        counts.clear()
+        return random_preprojective(*args), dict(counts)
+    return sample
+
+
+def test_random_preprojective_falls_back_to_the_last_trivial_draw(monkeypatch):
+    sample = _counted_sampler(monkeypatch)
+    # in both cases all twenty draws come out trivial (x and p zero)
+    for case in ((A2, (1, 0), (1, 0), 8), (A1, (2,), (1,), 0)):
+        datum, counts = sample(*case)
+        assert counts == {"kernel": 20, "ADHMDatum": 1, "check_preprojective": 1}
+        assert check_preprojective(datum)
+        assert all(m.is_zero() for m in (*datum.p, *datum.x.values()))
 
 
 # sha256 of the sampler's output on _sampler_grid(); pins every random draw,
@@ -297,6 +315,17 @@ def test_random_preprojective_output_is_pinned():
         digest.update(repr((list(datum.x), entries)).encode())
     assert fallbacks > 0
     assert digest.hexdigest() == SAMPLER_GRID_SHA256
+
+
+def test_random_preprojective_builds_and_checks_one_datum(monkeypatch):
+    sample = _counted_sampler(monkeypatch)
+    grid = _sampler_grid()
+    draws = 0
+    for case in grid:
+        _, counts = sample(*case)
+        assert (counts["ADHMDatum"], counts["check_preprojective"]) == (1, 1)
+        draws += counts["kernel"]
+    assert draws > len(grid)  # some cases retry
 
 
 def test_stratum_membership_examples():

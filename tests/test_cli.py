@@ -535,6 +535,25 @@ def test_adhm_missing_file(capsys):
     assert code == 1 and out == ""
 
 
+@pytest.mark.parametrize("command", ["check", "stratum"])
+@pytest.mark.parametrize("nested", ["document", "x"])
+def test_adhm_deeply_nested_json_is_one_error_line(tmp_path, capsys, command, nested):
+    # json.load raises RecursionError on deep nesting, which used to escape
+    # as a traceback
+    deep = "[" * 50_000 + "]" * 50_000
+    if nested == "x":
+        text = (
+            '{"diagram": "A1", "d": [2], "v": [1], "x": ' + deep
+            + ', "p": [[[[0, 1], [1, 1]]]], "q": [[[[1, 1]], [[0, 1]]]]}'
+        )
+    else:
+        text = "[" + deep + "]"
+    path = tmp_path / "deep.json"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, "adhm", command, str(path))
+    assert (code, out, err) == (1, "", f"error: {path}: the JSON nests too deeply\n")
+
+
 def test_unknown_flag_is_domain_error(capsys):
     code, out, err = run_cli(capsys, "roots", "--diagram", "A2", "--bogus")
     assert code == 1
@@ -582,10 +601,14 @@ def test_importing_the_cli_adds_neither_dataclasses_nor_inspect():
     assert added.isdisjoint({"dataclasses", "inspect"})
 
 
-def test_selftest_seed_default_is_the_selftest_default():
-    from crystal_forge.selftest import SEED_DEFAULT
+@pytest.mark.parametrize("options,expected", [((), None), (("--seed", "5"), 5)])
+def test_selftest_seed_reaches_the_criteria(monkeypatch, capsys, options, expected):
+    from crystal_forge import selftest
 
-    assert build_parser().parse_args(["selftest"]).seed == SEED_DEFAULT
+    seeds = []
+    monkeypatch.setattr(selftest, "run_criteria", lambda seed, only: seeds.append(seed) or [])
+    assert run_cli(capsys, "selftest", *options) == (0, "all criteria passed\n", "")
+    assert seeds == [selftest.SEED_DEFAULT if expected is None else expected]
 
 
 def _leaves(parser, name=()):
