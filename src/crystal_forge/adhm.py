@@ -520,4 +520,8 @@ def datum_from_json_file(path: str) -> tuple[ADHMDatum, GradedFlag | None]:
             document = json.load(fh)
         except RecursionError:
             raise ValueError(f"{path}: the JSON nests too deeply") from None
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: not valid JSON: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: not UTF-8: {exc}") from None
     return datum_from_json(document)

@@ -15,8 +15,9 @@ standard convention.
 from __future__ import annotations
 
 from collections import Counter
+from itertools import product
 from math import gcd
-from operator import add
+from operator import add, itemgetter, sub
 
 from .dynkin import DynkinDiagram, Weight, vsub
 
@@ -137,12 +138,14 @@ class CrystalGraph:
     # -- export -------------------------------------------------------------
 
     def to_json_dict(self) -> dict:
+        """The JSON export; vertices whose paths share a segment share its list."""
+        segments: dict = {}  # (D, direction, length) -> the segment's export
         vertices = []
         for v, w in enumerate(self.weights):
             entry: dict = {"id": v, "wt": list(w)}
             payload = self.payloads[v] if self.payloads is not None else None
             if payload is not None:
-                entry["payload"] = _payload_json(payload)
+                entry["payload"] = _payload_json(payload, segments)
             vertices.append(entry)
         edges = [
             {"color": i, "from": a, "to": b}
@@ -177,12 +180,22 @@ def _graph(diagram: DynkinDiagram, weights, f_maps, payloads=None) -> CrystalGra
     return graph
 
 
-def _payload_json(payload):
-    """The export of a payload; any payload of no known shape is a repr label."""
+def _payload_json(payload, segments: dict):
+    """The export of a payload; any payload of no known shape is a repr label.
+
+    `segments` caches the export of each path segment by its value.
+    """
     kind = payload[0] if isinstance(payload, tuple) and payload else None
     if kind == "path" and len(payload) == 3:  # ("path", D, p): segment (d, n) is d * n / D
         _, den, path = payload
-        return {"path": [[_ratio(x * n, den) for x in d] for d, n in path]}
+        out = []
+        for d, n in path:
+            key = (den, tuple(d), n)
+            seg = segments.get(key)
+            if seg is None:
+                seg = segments[key] = [_ratio(x * n, den) for x in d]
+            out.append(seg)
+        return {"path": out}
     if kind == "pair" and len(payload) == 3:
         return {"pair": [payload[1], payload[2]]}
     if kind == "sl2":
@@ -232,25 +245,41 @@ def tensor(left: CrystalGraph, right: CrystalGraph) -> CrystalGraph:
     """Tensor product on the product vertex set, signature rule per color.
 
     Vertex (a, b) gets the dense id a*|right| + b; the payload records the
-    factor pair.
+    factor pair.  The product is built row by row, a row being the |right|
+    vertices (a, b) of one left vertex a.  Rows of equal left weight share
+    one list of weight tuples.  In a row with phi_i(a) = 0, f_i acts on the
+    right factor throughout, so that row's f_i edges are the right
+    factor's f_i map shifted by a*|right|; other rows take the signature
+    rule vertex by vertex.  Each f map lists its edges by increasing
+    source id.
     """
     if left.diagram != right.diagram:
         raise ValueError("tensor product of crystals over different diagrams")
     diagram = left.diagram
-    nr = len(right)
-    weights = [tuple(map(add, wa, wb)) for wa in left.weights for wb in right.weights]
+    nl, nr = len(left), len(right)
+    weights: list[Weight] = []
+    rows: dict[Weight, list[Weight]] = {}  # left weight -> its row of weights
+    for wa in left.weights:
+        row = rows.get(wa)
+        if row is None:
+            row = rows[wa] = [tuple(map(add, wa, wb)) for wb in right.weights]
+        weights.extend(row)
     f_maps: list[dict[int, int]] = [{} for _ in range(diagram.rank)]
     phi_left = left._string_data()[1]
     eps_right = right._string_data()[0]
     for i in range(diagram.rank):
         fm = f_maps[i]
         f_left = left.f_maps[i]
+        right_keys = sorted(right.f_maps[i])
+        right_values = list(map(right.f_maps[i].__getitem__, right_keys))
         f_right = [right.f_maps[i].get(b) for b in range(nr)]
         eps_i = eps_right[i]
         for a, phi_a in enumerate(phi_left[i]):
             base = a * nr
-            # phi_a > eps >= 0 means f_i is defined on a
-            fa_base = f_left[a] * nr if phi_a else 0
+            if not phi_a:  # phi_a > eps never holds: the whole row acts on the right
+                fm.update(zip(map(base.__add__, right_keys), map(base.__add__, right_values)))
+                continue
+            fa_base = f_left[a] * nr
             for b, eps_b in enumerate(eps_i):
                 if phi_a > eps_b:
                     fm[base + b] = fa_base + b
@@ -258,7 +287,7 @@ def tensor(left: CrystalGraph, right: CrystalGraph) -> CrystalGraph:
                     fb = f_right[b]
                     if fb is not None:
                         fm[base + b] = base + fb
-    payloads = [("pair", a, b) for a in range(len(left)) for b in range(nr)]
+    payloads = list(product(("pair",), range(nl), range(nr)))
     return _graph(diagram, weights, f_maps, payloads)
 
 
@@ -319,6 +348,10 @@ def verify_axioms(crystal: CrystalGraph) -> list[str]:
     if violations:
         return violations
 
+    eps, phi = crystal._string_data()
+    columns = (list(map(itemgetter(i), crystal.weights)) for i in range(diagram.rank))
+    if all(col == list(map(sub, p, e)) for col, p, e in zip(columns, phi, eps)):
+        return violations
     for v in range(n):
         for i in range(diagram.rank):
             if crystal.weights[v][i] != crystal.phi(v, i) - crystal.epsilon(v, i):

@@ -11,7 +11,15 @@ reached.  An isomorphism of closures fixes the source and commutes with
 every f_i, so it maps BFS order to BFS order: the k-th vertex of a
 closure can only go to vertex k of its reference.  The walk lists the
 closure in that order, and the certificate only checks that this one
-candidate map keeps every weight and every f_i edge.  Two direct sums of
+candidate map keeps every weight and every f_i edge.  A product from
+`crystal.tensor` arrives built row by row: the vertices (a, b) of one
+left vertex a are consecutive ids, rows of equal left weight share their
+weight tuples, and a row on which f_i acts on the right factor alone
+copies that factor's f_i edges.  The certificate reads no rows; per call
+it looks each highest weight's reference up once, takes a one-vertex
+reference B(0) as its source alone with no walk, and checks the edge
+count of each color once, against the sum over highest weights of
+multiplicity times the reference's edge counts.  Two direct sums of
 highest-weight crystals are isomorphic exactly when their summands have
 the same highest weights, so `is_isomorphic` decomposes both and pairs
 summands of equal weight.
@@ -27,11 +35,11 @@ from __future__ import annotations
 from collections import Counter
 from itertools import compress, repeat
 from math import prod
-from operator import add, itemgetter
+from operator import add, itemgetter, le
 from typing import NamedTuple, NoReturn
 
 from .crystal import SCHEMA, CrystalGraph, _graph
-from .dynkin import DynkinDiagram, Weight, induced_subdiagram, vadd
+from .dynkin import DynkinDiagram, Weight, induced_subdiagram
 from .linalg import _Record
 from .paths import DEFAULT_VERTEX_CAP, VertexCapError, build_crystal, check_vertex_cap
 
@@ -50,10 +58,12 @@ class _Reference(NamedTuple):
     edges that are no tree step, getters of their sources and of their
     targets; each repeats its first item at the end, so that it returns a
     tuple for a lone edge too.  `counts` is the number of f_i edges per
-    color.  The crystal keeps no payloads: no caller reads them.
+    color.  `size` is the number of vertices.  The crystal keeps no
+    payloads: no caller reads them.
     """
 
     crystal: CrystalGraph
+    size: int
     parents: list[int]
     colors: list[int]
     edges: list[tuple[int, itemgetter, itemgetter]]
@@ -105,6 +115,7 @@ def _reference(diagram: DynkinDiagram, hw: Weight) -> _Reference:
         vertices = range(1, len(ref))
         entry = _reference_cache[key] = _Reference(
             ref,
+            len(ref),
             list(map(parent.__getitem__, vertices)),
             list(map(color.__getitem__, vertices)),
             edges,
@@ -214,26 +225,34 @@ def _certified(crystal: CrystalGraph) -> Decomposition | None:
     weights, f_maps = crystal.weights, crystal.f_maps
     n = len(weights)
     result = Decomposition(diagram)
-    instances, assignment = result.instances, result.assignment
-    certified = [0] * diagram.rank  # f_i edges per color
+    instances, assignment, summands = result.instances, result.assignment, result.summands
+    refs: dict[Weight, _Reference] = {}  # per highest weight met in this call
     unassigned = n
     for src in highest_vertices(crystal):
         hw = weights[src]
-        ref = _reference_cache.get((diagram.key, hw))  # a cached reference is dominant
+        ref = refs.get(hw)
         if ref is None:
-            if not diagram.is_dominant(hw) or diagram.weyl_dimension(hw) > unassigned:
-                return None
-            ref = _reference(diagram, hw)
-        unassigned -= len(ref.crystal)
+            ref = _reference_cache.get((diagram.key, hw))  # a cached reference is dominant
+            if ref is None:
+                if not diagram.is_dominant(hw) or diagram.weyl_dimension(hw) > unassigned:
+                    return None
+                ref = _reference(diagram, hw)
+            refs[hw] = ref
+        unassigned -= ref.size
         if unassigned < 0:
             return None
-        comp = _walk(crystal, src, ref)
-        if comp is None:
-            return None
-        certified = list(map(add, certified, ref.counts))
+        if ref.size == 1:  # B(hw) is its source alone, which `_walk` would return
+            comp = [src]
+        else:
+            comp = _walk(crystal, src, ref)
+            if comp is None:
+                return None
         assignment.update(dict.fromkeys(comp, len(instances)))
         instances.append(SummandInstance(hw, src, comp))
-        result.summands[hw] += 1
+        summands[hw] += 1
+    certified = [0] * diagram.rank  # f_i edges per color
+    for hw, m in summands.items():
+        certified = [c + m * k for c, k in zip(certified, refs[hw].counts)]
     # The closures list at most n vertices, so n distinct ones are a
     # disjoint cover.  With no edge beyond the certified ones, distinct
     # entries counted in `certified`, no f or e edge leaves a closure.
@@ -392,8 +411,8 @@ def multiplicity(
         nxt: Counter = Counter()
         for lam, m in tops.items():
             for (eps, wt), k in vertices.items():
-                if all(e <= c for e, c in zip(eps, lam)):
-                    nxt[vadd(lam, wt)] += m * k
+                if all(map(le, eps, lam)):
+                    nxt[tuple(map(add, lam, wt))] += m * k
         tops = nxt
     return tops[target]
 

@@ -22,14 +22,16 @@ Summand certificates have the lockstep pairing as their reference: a
 breadth-first walk of the f maps of both closures side by side that
 grows the vertex map one edge at a time and never reads a BFS order.
 Built crystals expose their paths to tests through `exported_paths`,
-which reads the JSON export back as `Fraction` tuples.
+which reads the JSON export back as `Fraction` tuples.  Tensor products
+have the per-pair signature rule as their reference: one weight tuple,
+one payload and one comparison per vertex pair and color, with no rows.
 """
 
 from collections import Counter, deque
 from fractions import Fraction
 
 from crystal_forge.adhm import kernel_of_q
-from crystal_forge.crystal import CrystalGraph
+from crystal_forge.crystal import CrystalGraph, _graph
 from crystal_forge.decompose import DecompositionError, _reference, _rooted_components
 from crystal_forge.dynkin import DynkinDiagram, vadd, vsub
 from crystal_forge.linalg import (
@@ -445,6 +447,27 @@ def preprojective_residual_fractions(datum) -> tuple[Mat, ...]:
             acc = _fraction_sum(acc, term)
         out.append(acc)
     return tuple(out)
+
+
+def tensor_per_pair(left: CrystalGraph, right: CrystalGraph) -> CrystalGraph:
+    """The tensor product by the signature rule, one vertex pair at a time.
+
+    f_i acts on the left factor when phi_i(a) > eps_i(b), else on the right.
+    Vertex (a, b) gets id a*|right| + b, and each f map lists its edges by
+    increasing source id.
+    """
+    nr = len(right)
+    weights = [vadd(wa, wb) for wa in left.weights for wb in right.weights]
+    f_maps = [{} for _ in range(left.diagram.rank)]
+    for i, fm in enumerate(f_maps):
+        for a in range(len(left)):
+            for b in range(nr):
+                if left.phi(a, i) > right.epsilon(b, i):
+                    fm[a * nr + b] = left.f(i, a) * nr + b
+                elif right.f(i, b) is not None:
+                    fm[a * nr + b] = a * nr + right.f(i, b)
+    payloads = [("pair", a, b) for a in range(len(left)) for b in range(nr)]
+    return _graph(left.diagram, weights, f_maps, payloads)
 
 
 def pair_from_sources(a: CrystalGraph, b: CrystalGraph, src_a: int, src_b: int) -> dict | None:

@@ -554,6 +554,30 @@ def test_adhm_deeply_nested_json_is_one_error_line(tmp_path, capsys, command, ne
     assert (code, out, err) == (1, "", f"error: {path}: the JSON nests too deeply\n")
 
 
+@pytest.mark.parametrize("command", ["check", "stratum"])
+@pytest.mark.parametrize(
+    "content,reason",
+    [
+        (
+            b'{"diagram": "A1", ',
+            "not valid JSON: Expecting property name enclosed in double quotes: "
+            "line 1 column 19 (char 18)",
+        ),
+        (
+            b'\xff\xfe{"diagram": "A1"}',
+            "not UTF-8: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte",
+        ),
+    ],
+)
+def test_adhm_file_that_is_no_json_text_is_one_error_line_naming_it(
+    tmp_path, capsys, command, content, reason
+):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    code, out, err = run_cli(capsys, "adhm", command, str(path))
+    assert (code, out, err) == (1, "", f"error: {path}: {reason}\n")
+
+
 def test_unknown_flag_is_domain_error(capsys):
     code, out, err = run_cli(capsys, "roots", "--diagram", "A2", "--bogus")
     assert code == 1

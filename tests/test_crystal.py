@@ -1,6 +1,7 @@
 import importlib
 import sys
 from collections import Counter
+from itertools import permutations
 
 import pytest
 
@@ -18,6 +19,8 @@ from crystal_forge.dynkin import dynkin, vadd
 from crystal_forge.paths import build_crystal
 from crystal_forge.selftest import crystal_family
 from crystal_forge.sl2 import sl2_crystal
+
+from oracles import tensor_per_pair
 
 A1 = dynkin("A", 1)
 A2 = dynkin("A", 2)
@@ -104,6 +107,48 @@ def test_tensor_rule_on_two_doublets():
     assert t.e(0, 1) is None    # (high, low) is the source of the B(0) part
     assert t.f(0, 0) == 2       # (high, high) lowers in the left factor
     assert verify_axioms(t) == []
+
+
+def _same_product(left, right):
+    """`tensor` equals the per-pair reference, f-map insertion order included."""
+    got, want = tensor(left, right), tensor_per_pair(left, right)
+    assert got.weights == want.weights
+    assert got.payloads == want.payloads
+    assert [list(m.items()) for m in got.f_maps] == [list(m.items()) for m in want.f_maps]
+    return want
+
+
+@pytest.mark.parametrize(
+    "diagram,triple",
+    [
+        (A1, [(1,), (2,), (3,)]),
+        (A2, [(1, 0), (0, 1), (1, 1)]),
+        (dynkin("A", 3), [(1, 0, 0), (0, 1, 0), (0, 0, 1)]),
+        (dynkin("A", 4), [(1, 0, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]),
+        (dynkin("D", 4), [(1, 0, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]),
+        (dynkin("D", 5), [(1, 0, 0, 0, 0), (0, 0, 0, 1, 0), (0, 0, 0, 0, 1)]),
+        (E6, [(1, 0, 0, 0, 0, 0), (0, 0, 0, 0, 0, 1), (1, 0, 0, 0, 0, 0)]),
+    ],
+)
+def test_tensor_matches_the_per_pair_signature_rule(diagram, triple):
+    built = {hw: build_crystal(diagram, hw) for hw in triple}
+    for order in sorted(set(permutations(triple))):
+        x, y, z = (built[hw] for hw in order)
+        _same_product(_same_product(x, y), z)
+
+
+def test_tensor_matches_the_per_pair_rule_on_other_graphs():
+    chain = sl2_crystal(4, 1)
+    pair = direct_sum([a1_chain([1, -1]), trivial_crystal(A1, 2), a1_chain([2, 0, -2])])
+    # f inserted out of key order: tensor must not follow the dict order
+    shuffled = CrystalGraph(A1, [(3,), (1,), (-1,), (-3,)], [{2: 3, 0: 1, 1: 2}])
+    assert list(shuffled.f_maps[0]) == [2, 0, 1]
+    graphs = [chain, trivial_crystal(A1, 3), pair, shuffled]
+    for left in graphs:
+        for right in graphs:
+            _same_product(left, right)
+    _same_product(trivial_crystal(A2, 2), build_crystal(A2, (1, 1)))
+    _same_product(build_crystal(A2, (2, 0)), direct_sum([build_crystal(A2, (0, 1))] * 2))
 
 
 def test_tensor_with_trivial_is_direct_sum():

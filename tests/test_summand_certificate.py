@@ -62,6 +62,16 @@ def certified_only(monkeypatch):
     monkeypatch.setattr(_decompose_module, "_refuse_decomposition", refuse)
 
 
+def _restricted(crystal: CrystalGraph, keep) -> CrystalGraph:
+    """The crystal on the Levi subdiagram of `keep`, built apart from `branch`."""
+    sub, kept = induced_subdiagram(crystal.diagram, keep)
+    return CrystalGraph(
+        sub,
+        [tuple(w[j] for j in kept) for w in crystal.weights],
+        [crystal.f_maps[j] for j in kept],
+    )
+
+
 def _is_one_bfs_closure(crystal: CrystalGraph) -> bool:
     return _rooted_components(crystal) == [(0, list(range(len(crystal))))]
 
@@ -104,12 +114,8 @@ def test_tensor_products_are_certified_without_refusal(certified_only, diagram, 
 )
 def test_levi_closures_in_bfs_order_are_the_built_crystals(certified_only, diagram, hw, keep):
     crystal = build_crystal(diagram, hw)
-    sub, kept = induced_subdiagram(diagram, keep)
-    restricted = CrystalGraph(
-        sub,
-        [tuple(w[j] for j in kept) for w in crystal.weights],
-        [crystal.f_maps[j] for j in kept],
-    )
+    restricted = _restricted(crystal, keep)
+    sub = restricted.diagram
     comps = _rooted_components(restricted)
     dec, _ = branch(crystal, keep)
     assert len(dec.instances) == len(comps)
@@ -123,6 +129,33 @@ def test_levi_closures_in_bfs_order_are_the_built_crystals(certified_only, diagr
             assert {pos[a]: pos[b] for a, b in fm.items() if a in pos} == ref_fm
         assert (inst.hw, inst.source) == (restricted.weights[src], src)
         assert list(inst.iso.items()) == list(zip(comp, range(len(comp))))
+
+
+@pytest.mark.parametrize(
+    "diagram,factors,keep",
+    [
+        (A3, [(1, 0, 1), (0, 1, 0)], (1,)),  # A1: many lone vertices of weight 0
+        (D4, [(1, 0, 0, 0), (0, 0, 1, 0)], (0, 2)),  # A1 + A1
+        (A2, [(1, 1)], ()),  # rank 0: every vertex is its own summand
+    ],
+)
+def test_one_vertex_summands_of_a_levi_branch_skip_the_walk(monkeypatch, diagram, factors, keep):
+    crystal = tensor_many(_built(diagram, hw) for hw in factors)
+    restricted = _restricted(crystal, keep)
+    walked = []
+    walk = _decompose_module._walk
+
+    def recording_walk(crystal, src, ref):
+        walked.append(ref.size)
+        return walk(crystal, src, ref)
+
+    monkeypatch.setattr(_decompose_module, "_walk", recording_walk)
+    dec, _ = branch(crystal, keep)
+    got = [(inst.hw, inst.source, inst.iso) for inst in dec.instances]
+    assert _items(got) == _items(decompose_lockstep(restricted))
+    lone = sum(len(inst.closure) == 1 for inst in dec.instances)
+    assert lone > 0 and 1 not in walked
+    assert len(walked) == len(dec.instances) - lone
 
 
 # dominant weights per diagram with entries below 3 and dimension at most 20
