@@ -1,10 +1,11 @@
 """Finite normal crystals as colored graphs.
 
 A crystal is stored as a vertex list with integer weights plus, for every
-color i, the partial lowering map f_i as a dict; the raising map e_i is
-always the inverse dict, built on first use.  String lengths eps/phi are
-never stored: they are recomputed from the maps, which is what normality
-means.
+color i, the partial lowering map f_i as a dict.  String lengths eps/phi
+are not given: they are read off the f maps alone, by walking each f_i
+string from its start (a vertex that no f_i edge reaches), which is what
+normality means.  The raising map e_i is the inverse dict, built on first
+use and only for `e` and `is_source`.
 
 The tensor product follows Kashiwara's signature rule: operators act on
 the left factor when phi(left) beats eps(right), otherwise on the right,
@@ -19,7 +20,7 @@ from itertools import product
 from math import gcd
 from operator import add, itemgetter, sub
 
-from .dynkin import DynkinDiagram, Weight, vsub
+from .dynkin import DynkinDiagram, Weight
 
 SCHEMA = "crystal-forge/1"
 
@@ -111,9 +112,10 @@ class CrystalGraph:
             eps = [[0] * n for _ in range(self.diagram.rank)]
             phi = [[0] * n for _ in range(self.diagram.rank)]
             for i in range(self.diagram.rank):
-                fm, em = self.f_maps[i], self.e_maps[i]
+                fm = self.f_maps[i]
+                targets = set(fm.values())
                 for v in range(n):
-                    if v in em:
+                    if v in targets:
                         continue  # not a chain start
                     chain = [v]
                     while chain[-1] in fm:
@@ -309,7 +311,7 @@ def verify_axioms(crystal: CrystalGraph) -> list[str]:
     graph is a normal crystal.
     """
     diagram = crystal.diagram
-    n = len(crystal)
+    columns = [list(map(itemgetter(i), crystal.weights)) for i in range(diagram.rank)]
     violations: list[str] = []
     for i in range(diagram.rank):
         fm = crystal.f_maps[i]
@@ -318,8 +320,11 @@ def verify_axioms(crystal: CrystalGraph) -> list[str]:
             if cnt > 1:
                 violations.append(f"color {i}: f is not injective at target vertex {tgt}")
         alpha = diagram.simple_root(i)
-        for a, b in fm.items():
-            if vsub(crystal.weights[a], crystal.weights[b]) != alpha:
+        # wt(a) - wt(f a) for every edge, one column at a time
+        drops = zip(*(map(sub, map(col.__getitem__, fm), map(col.__getitem__, fm.values()))
+                      for col in columns))
+        for a, drop in zip(fm, drops):
+            if drop != alpha:
                 violations.append(
                     f"vertex {a}, color {i}: wt(f a) != wt(a) - simple_root({i})"
                 )
@@ -349,12 +354,11 @@ def verify_axioms(crystal: CrystalGraph) -> list[str]:
         return violations
 
     eps, phi = crystal._string_data()
-    columns = (list(map(itemgetter(i), crystal.weights)) for i in range(diagram.rank))
     if all(col == list(map(sub, p, e)) for col, p, e in zip(columns, phi, eps)):
         return violations
-    for v in range(n):
+    for v in range(len(crystal)):
         for i in range(diagram.rank):
-            if crystal.weights[v][i] != crystal.phi(v, i) - crystal.epsilon(v, i):
+            if columns[i][v] != phi[i][v] - eps[i][v]:
                 violations.append(
                     f"vertex {v}, color {i}: wt_i != phi - epsilon (normality)"
                 )

@@ -65,35 +65,25 @@ def _family_edges(family: str, rank: int) -> tuple[tuple[int, int], ...]:
     raise ValueError(f"unknown diagram family {family!r} (expected A, D or E)")
 
 
-def _classify_component(vertices: list[int], edges: list[tuple[int, int]]) -> str:
+def _classify_component(neighbors: tuple[tuple[int, ...], ...], comp: list[int]) -> str:
     """Classify a connected simply-laced diagram as A_n, D_n or E_n."""
-    n = len(vertices)
-    if len(edges) != n - 1:
+    n = len(comp)
+    degree = [len(neighbors[v]) for v in comp]
+    if sum(degree) != 2 * (n - 1):
         raise ValueError("diagram component is not a tree")
-    degree = {v: 0 for v in vertices}
-    for a, b in edges:
-        degree[a] += 1
-        degree[b] += 1
-    branch = [v for v, dg in degree.items() if dg >= 3]
-    if any(degree[v] > 3 for v in vertices):
+    if max(degree) > 3:
         raise ValueError("diagram has a vertex of degree > 3")
+    branch = [v for v, dg in zip(comp, degree) if dg == 3]
     if not branch:
         return f"A{n}"
     if len(branch) > 1:
         raise ValueError("diagram has more than one branch vertex")
-    # leg lengths from the branch vertex
-    adj = {v: [] for v in vertices}
-    for a, b in edges:
-        adj[a].append(b)
-        adj[b].append(a)
+    # leg lengths from the branch vertex; every other vertex has degree <= 2
     legs = []
-    for start in adj[branch[0]]:
+    for start in neighbors[branch[0]]:
         length, prev, cur = 1, branch[0], start
-        while True:
-            nxt = [w for w in adj[cur] if w != prev]
-            if not nxt:
-                break
-            prev, cur = cur, nxt[0]
+        while len(neighbors[cur]) == 2:
+            prev, cur = cur, sum(neighbors[cur]) - prev  # the neighbour that is not prev
             length += 1
         legs.append(length)
     legs.sort()
@@ -108,16 +98,12 @@ def _classify_component(vertices: list[int], edges: list[tuple[int, int]]) -> st
     raise ValueError(f"diagram component with legs {legs} is not of finite ADE type")
 
 
-def _classify(rank: int, edges: tuple[tuple[int, int], ...]) -> str:
-    if rank == 0:
+def _classify(neighbors: tuple[tuple[int, ...], ...]) -> str:
+    if not neighbors:
         return "0"
-    adj = {v: [] for v in range(rank)}
-    for a, b in edges:
-        adj[a].append(b)
-        adj[b].append(a)
     seen: set[int] = set()
     labels = []
-    for v in range(rank):
+    for v in range(len(neighbors)):
         if v in seen:
             continue
         comp, stack = [], [v]
@@ -125,12 +111,11 @@ def _classify(rank: int, edges: tuple[tuple[int, int], ...]) -> str:
         while stack:
             w = stack.pop()
             comp.append(w)
-            for nb in adj[w]:
+            for nb in neighbors[w]:
                 if nb not in seen:
                     seen.add(nb)
                     stack.append(nb)
-        comp_edges = [(a, b) for a, b in edges if a in comp]
-        labels.append(_classify_component(comp, comp_edges))
+        labels.append(_classify_component(neighbors, comp))
     return "+".join(labels)
 
 
@@ -138,12 +123,13 @@ class DynkinDiagram:
     """An ADE diagram (possibly a disjoint union of ADE components).
 
     Carries the Cartan matrix ``A``, the adjacency matrix ``X = 2*Id - A``
-    and the doubled oriented edge set.  Instances are immutable and
+    and the doubled oriented edge set, and names itself (``A3``, ``D4+A1``)
+    from its neighbour lists.  Instances are immutable and
     hashable; two diagrams compare equal iff they have the same vertex
     count and edge set.
     """
 
-    def __init__(self, rank: int, edges: tuple[tuple[int, int], ...], label: str | None = None):
+    def __init__(self, rank: int, edges: tuple[tuple[int, int], ...]):
         if not 0 <= rank <= MAX_RANK:
             raise ValueError(f"diagram rank {rank} is outside 0..{MAX_RANK}")
         edges = tuple(sorted(tuple(sorted(e)) for e in edges))
@@ -154,7 +140,6 @@ class DynkinDiagram:
             raise ValueError("duplicate edges")
         self.rank = rank
         self.edges = edges
-        self.label = label if label is not None else _classify(rank, edges)
         adj = [[0] * rank for _ in range(rank)]
         for a, b in edges:
             adj[a][b] = adj[b][a] = 1
@@ -170,6 +155,7 @@ class DynkinDiagram:
         self._neighbors: tuple[tuple[int, ...], ...] = tuple(
             tuple(j for j in range(rank) if adj[i][j]) for i in range(rank)
         )
+        self.label = _classify(self._neighbors)
         self._inv_cartan: Mat | None = None
         self._positive_roots: tuple[Weight, ...] | None = None
 
@@ -292,7 +278,7 @@ def dynkin(family: str, rank: int) -> DynkinDiagram:
     family = family.upper()
     if rank > MAX_RANK:
         raise ValueError(f"{family}{rank} has rank {rank}, above the maximum rank {MAX_RANK}")
-    return DynkinDiagram(rank, _family_edges(family, rank), f"{family}{rank}")
+    return DynkinDiagram(rank, _family_edges(family, rank))
 
 
 def parse_diagram(text: str) -> DynkinDiagram:

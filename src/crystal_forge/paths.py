@@ -123,17 +123,6 @@ def _reverse(path: _IntPath) -> _IntPath:
     return tuple([(tuple([-x for x in d]), n) for d, n in reversed(path)])
 
 
-def _endpoint(path: _IntPath, rank: int, denominator: int) -> Weight:
-    end = [0] * rank
-    for d, n in path:
-        for k, x in enumerate(d):
-            end[k] += x * n
-    if any(c % denominator for c in end):
-        shown = ", ".join(f"{c}/{denominator}" for c in end)
-        raise AssertionError(f"path endpoint ({shown}) is not integral")
-    return tuple([c // denominator for c in end])
-
-
 def _rational(c, k: int) -> Fraction:
     # a float is refused: its exact binary value is rarely the number meant
     if isinstance(c, float):
@@ -158,17 +147,6 @@ def _to_fractions(path: _IntPath, denominator: int) -> Path:
     return tuple([tuple([Fraction(x * n, denominator) for x in d]) for d, n in path])
 
 
-def canonical_path(segments) -> Path:
-    """Drop zero segments and merge consecutive same-direction segments."""
-    return _to_fractions(*_from_fractions(segments))
-
-
-def path_endpoint(path: Path, rank: int) -> Weight:
-    """Endpoint of the path; must land on the integer weight lattice."""
-    ints, denominator = _from_fractions(path)
-    return _endpoint(ints, rank, denominator)
-
-
 def _dominant(diagram: DynkinDiagram, hw) -> Weight:
     hw = diagram.check_weight(hw)
     if not diagram.is_dominant(hw):
@@ -178,7 +156,7 @@ def _dominant(diagram: DynkinDiagram, hw) -> Weight:
 
 def highest_path(diagram: DynkinDiagram, hw) -> Path:
     """The straight path to a dominant weight; the source of its crystal."""
-    return canonical_path([_dominant(diagram, hw)])
+    return _to_fractions(*_from_fractions([_dominant(diagram, hw)]))
 
 
 def _apply(diagram: DynkinDiagram, i: int, path: Path, raising: bool) -> Path | None:

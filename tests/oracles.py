@@ -25,6 +25,10 @@ Built crystals expose their paths to tests through `exported_paths`,
 which reads the JSON export back as `Fraction` tuples.  Tensor products
 have the per-pair signature rule as their reference: one weight tuple,
 one payload and one comparison per vertex pair and color, with no rows.
+Built crystals have minuscule crystals as their edge-level reference:
+B(omega_k) for a minuscule node k is the Weyl group orbit of omega_k,
+read off the Cartan matrix without paths, and `bfs_listing` writes any
+component in canonical BFS order, so two crystals compare edge for edge.
 """
 
 from collections import Counter, deque
@@ -468,6 +472,63 @@ def tensor_per_pair(left: CrystalGraph, right: CrystalGraph) -> CrystalGraph:
                     fm[a * nr + b] = a * nr + right.f(i, b)
     payloads = [("pair", a, b) for a in range(len(left)) for b in range(nr)]
     return _graph(left.diagram, weights, f_maps, payloads)
+
+
+def minuscule_nodes(diagram: DynkinDiagram) -> tuple[int, ...]:
+    """The nodes k of a connected diagram whose omega_k is minuscule."""
+    family, n = diagram.label[0], diagram.rank
+    if family == "A":
+        return tuple(range(n))
+    if family == "D":
+        return (0, n - 2, n - 1)
+    return {"E6": (0, 4), "E7": (5,), "E8": ()}[diagram.label]
+
+
+def minuscule_crystal(diagram: DynkinDiagram, node: int) -> CrystalGraph:
+    """B(omega_node) as the Weyl group orbit of omega_node, for a minuscule node.
+
+    Every pairing <mu, alpha_i^v> = mu_i on the orbit is -1, 0 or 1, and
+    f_i mu = mu - alpha_i exactly when it is 1.  Vertices are numbered as
+    the orbit is reached, colours in order.
+    """
+    rank = diagram.rank
+    top = tuple(int(j == node) for j in range(rank))
+    ids = {top: 0}
+    weights = [top]
+    f_maps: list[dict[int, int]] = [{} for _ in range(rank)]
+    for k, mu in enumerate(weights):  # weights grows as the orbit is reached
+        assert set(mu) <= {-1, 0, 1}, f"omega_{node} of {diagram.label} is not minuscule"
+        for i in range(rank):
+            if mu[i] == 1:
+                nu = vsub(mu, diagram.simple_root(i))
+                if nu not in ids:
+                    ids[nu] = len(weights)
+                    weights.append(nu)
+                f_maps[i][k] = ids[nu]
+    return CrystalGraph(diagram, weights, f_maps)
+
+
+def bfs_listing(crystal: CrystalGraph, source: int) -> tuple:
+    """The f-closure of source in canonical BFS order.
+
+    Vertices are renumbered as first reached from source, colours in
+    order.  Each gets the row (weight, targets), where targets holds the
+    new number of f_i of it for each colour i, or None.  Two closures are
+    isomorphic, source to source, exactly when their listings are equal.
+    """
+    ids = {source: 0}
+    order = [source]
+    rows = []
+    for v in order:  # order grows as vertices are reached
+        targets = []
+        for fm in crystal.f_maps:
+            t = fm.get(v)
+            if t is not None and t not in ids:
+                ids[t] = len(order)
+                order.append(t)
+            targets.append(None if t is None else ids[t])
+        rows.append((crystal.weights[v], tuple(targets)))
+    return tuple(rows)
 
 
 def pair_from_sources(a: CrystalGraph, b: CrystalGraph, src_a: int, src_b: int) -> dict | None:

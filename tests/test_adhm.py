@@ -42,6 +42,7 @@ from crystal_forge.linalg import (
     span,
     zero_space,
 )
+from crystal_forge.sl2 import sl2_tensor_component
 from oracles import (
     closure_plain,
     core_plain,
@@ -380,6 +381,33 @@ def test_stratum_membership_matches_the_per_step_reference():
         assert got == _label_or_error(stratum_label_per_step, datum, flag)
         outcomes.add("raise" if isinstance(got, str) else "member" if got else "reject")
     assert outcomes == {"raise", "member", "reject"}
+
+
+def test_a1_stratum_labels_are_sl2_tensor_components():
+    # Step k of a stable A1 member reads as the chain vertex (d_k, v0, v)
+    # with v0 = v_tuple_k and v = v_tuple_k + vt_tuple_k; the two steps must
+    # land on the datum's own sl2 label (rank qp, dim V).  Open question,
+    # asserted neither way: on ADE diagrams the per-step readings hold, but
+    # the joint claim missed once in 1,311 members (ROADMAP item 13).
+    rng = Random(3)
+    members = 0
+    for _ in range(400):
+        d, v = rng.randint(0, 5), rng.randint(0, 3)
+        datum = random_preprojective(A1, (v,), (d,), rng)
+        if not is_stable(datum):
+            continue
+        first = span([[rng.randint(-1, 1) for _ in range(d)] for _ in range(rng.randint(0, d))], d)
+        flag = GradedFlag(A1, (d,), ((first,), (full_space(d),)))
+        label = stratum_membership(datum, flag)
+        if label is None:
+            continue
+        members += 1
+        steps = [
+            (dk, v0, v0 + vt)
+            for (dk,), (v0,), (vt,) in zip(flag.step_dims(), *label)
+        ]
+        assert sl2_tensor_component(*steps) == (rank(matmul(datum.q[0], datum.p[0])), v)
+    assert members >= 100
 
 
 def test_stratum_requires_stability():

@@ -1,5 +1,7 @@
+import hashlib
 import re
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -229,6 +231,35 @@ def test_induced_subdiagram():
     assert sub.rank == 0
     with pytest.raises(ValueError):
         induced_subdiagram(a3, [7])
+    # a diagram derives its label from its own neighbour lists: the standard
+    # diagrams carry their family and rank, and the digest pins the labels
+    # of all 576 induced subdiagrams of A6, D6, E6, E7 and E8, vertex sets
+    # in combinations order
+    families = {"A": range(1, MAX_RANK + 1), "D": range(4, MAX_RANK + 1), "E": (6, 7, 8)}
+    for family, ranks in families.items():
+        for n in ranks:
+            assert dynkin(family, n).label == f"{family}{n}"
+    labels = [
+        induced_subdiagram(diagram, keep)[0].label
+        for diagram in map(parse_diagram, ("A6", "D6", "E6", "E7", "E8"))
+        for k in range(diagram.rank + 1)
+        for keep in combinations(range(diagram.rank), k)
+    ]
+    assert len(labels) == 576
+    digest = hashlib.sha256("\n".join(labels).encode()).hexdigest()
+    assert digest == "9014901f294dacf549a16e765e2e45c5e8d8461e73ff7f6adb19e1960b4f5563"
+    for rank, edges, message in [
+        (3, [(0, 1), (1, 2), (0, 2)], "diagram component is not a tree"),
+        (5, [(0, 1), (0, 2), (0, 3), (0, 4)], "diagram has a vertex of degree > 3"),
+        (6, [(0, 1), (0, 2), (0, 3), (3, 4), (3, 5)], "diagram has more than one branch vertex"),
+        (9, [(k, k + 1) for k in range(7)] + [(2, 8)], "legs [1, 2, 5]"),
+        (8, [(k, k + 1) for k in range(6)] + [(3, 7)], "legs [1, 3, 3]"),
+        (7, [(0, 1), (1, 2), (2, 3), (3, 4), (2, 5), (5, 6)], "legs [2, 2, 2]"),
+    ]:
+        if message.startswith("legs"):
+            message = f"diagram component with {message} is not of finite ADE type"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            DynkinDiagram(rank, edges)
 
 
 @pytest.mark.parametrize(
@@ -265,3 +296,6 @@ def test_diagram_rank_outside_the_bound_is_refused(rank):
 def test_e_type_subdiagrams(label, keep, expected):
     sub, _ = induced_subdiagram(parse_diagram(label), keep)
     assert sub.label == expected
+    # the diagram names itself from its edges, with no name passed in
+    diagram = parse_diagram(label)
+    assert DynkinDiagram(diagram.rank, diagram.edges).label == diagram.label == label

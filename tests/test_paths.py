@@ -1,5 +1,6 @@
 import re
 from fractions import Fraction
+from itertools import combinations_with_replacement
 from random import Random
 
 import pytest
@@ -7,22 +8,35 @@ from hypothesis import given, settings, strategies as st
 
 from crystal_forge import paths
 from crystal_forge.crystal import direct_sum
-from crystal_forge.dynkin import dynkin
+from crystal_forge.dynkin import dynkin, parse_diagram
 from crystal_forge.paths import (
     VertexCapError,
     build_crystal,
-    canonical_path,
     highest_path,
     path_e,
-    path_endpoint,
     path_f,
 )
 
-from oracles import exported_paths, freudenthal_character, root_e, root_f
+from oracles import (
+    _canonical,
+    bfs_listing,
+    exported_paths,
+    freudenthal_character,
+    minuscule_crystal,
+    minuscule_nodes,
+    root_e,
+    root_f,
+    tensor_per_pair,
+)
 
 A1 = dynkin("A", 1)
 A2 = dynkin("A", 2)
 D4 = dynkin("D", 4)
+
+
+def _endpoint(path, rank):
+    """Where a path of Fraction segments ends: the sum of its segments."""
+    return tuple(sum((seg[k] for seg in path), Fraction(0)) for k in range(rank))
 
 
 def test_highest_path_examples():
@@ -36,14 +50,14 @@ def test_lowering_splits_the_straight_path():
     p = highest_path(A1, (2,))
     q = path_f(A1, 0, p)
     assert q == ((Fraction(-1),), (Fraction(1),))
-    assert path_endpoint(q, 1) == (0,)
+    assert _endpoint(q, 1) == (0,)
 
 
 def test_string_exhaustion():
     p = highest_path(A1, (2,))
     p1 = path_f(A1, 0, p)
     p2 = path_f(A1, 0, p1)
-    assert path_endpoint(p2, 1) == (-2,)
+    assert _endpoint(p2, 1) == (-2,)
     assert path_f(A1, 0, p2) is None
     assert path_e(A1, 0, p) is None
 
@@ -72,13 +86,13 @@ def test_operators_are_mutually_inverse():
 
 def test_canonicalization_idempotent_and_respected():
     for path in exported_paths(build_crystal(A2, (1, 1))):
-        assert canonical_path(path) == path
+        assert _canonical(path) == path
         # split every segment in two; operators must not notice
         split = []
         for seg in path:
             split.append(tuple(c / 2 for c in seg))
             split.append(tuple(c / 2 for c in seg))
-        assert canonical_path(split) == path
+        assert _canonical(split) == path
         for i in range(2):
             a = path_f(A2, i, path)
             b = path_f(A2, i, tuple(split))
@@ -151,13 +165,46 @@ def test_crystal_matches_oracles_and_operators_invert(case):
     paths = exported_paths(crystal)
     for v, path in enumerate(paths):
         # the BFS weights, checked against each exported path's own endpoint
-        assert path_endpoint(path, diagram.rank) == crystal.weights[v]
+        assert _endpoint(path, diagram.rank) == crystal.weights[v]
         for i in range(diagram.rank):
             down = path_f(diagram, i, path)
             assert (down is None) == (crystal.f(i, v) is None)
             if down is not None:
                 assert down == paths[crystal.f(i, v)]
                 assert path_e(diagram, i, down) == path
+
+
+def test_minuscule_crystals_are_their_weyl_orbits():
+    labels = [f"A{n}" for n in range(1, 7)] + [f"D{n}" for n in range(4, 8)] + ["E6", "E7"]
+    for diagram in map(parse_diagram, labels):
+        for node in minuscule_nodes(diagram):
+            built = build_crystal(diagram, [int(j == node) for j in range(diagram.rank)])
+            listing = bfs_listing(built, 0)
+            assert len(listing) == len(built)
+            assert listing == bfs_listing(minuscule_crystal(diagram, node), 0), (diagram, node)
+
+
+@pytest.mark.parametrize("label, top", [("A3", 3), ("D4", 3), ("D5", 3), ("E6", 2)])
+def test_components_of_minuscule_products_are_the_built_crystals(label, top):
+    # every component of a product of 2..top minuscule crystals, powers
+    # included, built from Weyl orbits by the per-pair signature rule, against
+    # build_crystal of its source weight, edge for edge
+    diagram = parse_diagram(label)
+    orbits = {node: minuscule_crystal(diagram, node) for node in minuscule_nodes(diagram)}
+    built = {}
+    for m in range(2, top + 1):
+        for word in combinations_with_replacement(orbits, m):
+            product = orbits[word[0]]
+            for node in word[1:]:
+                product = tensor_per_pair(product, orbits[node])
+            sources = [v for v in range(len(product)) if product.is_source(v)]
+            listings = [bfs_listing(product, s) for s in sources]
+            assert sum(map(len, listings)) == len(product)
+            for s, listing in zip(sources, listings):
+                hw = product.weights[s]
+                if hw not in built:
+                    built[hw] = bfs_listing(build_crystal(diagram, hw), 0)
+                assert listing == built[hw], (word, hw)
 
 
 def test_integrality_assertions_fire():
@@ -167,10 +214,6 @@ def test_integrality_assertions_fire():
         path_f(A1, 0, half_off)
     with pytest.raises(AssertionError, match="integral class"):
         path_e(A1, 0, half_off)
-    with pytest.raises(AssertionError, match="not integral"):
-        path_endpoint(((Fraction(1, 2),),), 1)
-    with pytest.raises(AssertionError, match="not integral"):
-        path_endpoint(((Fraction(1, 3), Fraction(1)), (Fraction(1, 3), Fraction(0))), 2)
 
 
 @st.composite
@@ -205,11 +248,7 @@ def test_close_asserts_an_integral_split_point():
         paths._close(A2, (30, 2), start, 1, 10_000)
 
 
-def test_build_takes_weights_from_the_parent_and_keeps_integer_paths(monkeypatch):
-    def endpoint(*args):
-        raise AssertionError("build_crystal summed a path for its endpoint")
-
-    monkeypatch.setattr(paths, "_endpoint", endpoint)
+def test_build_takes_weights_from_the_parent_and_keeps_integer_paths():
     e6 = dynkin("E", 6)
     crystal = build_crystal(e6, (1, 0, 0, 0, 0, 1))
     assert len(crystal) == e6.weyl_dimension((1, 0, 0, 0, 0, 1))
@@ -249,17 +288,11 @@ def test_color_outside_the_diagram_is_refused(call, color):
 
 @pytest.mark.parametrize(
     "call",
-    [
-        canonical_path,
-        lambda p: path_endpoint(p, 2),
-        lambda p: path_f(A2, 0, p),
-        lambda p: path_e(A2, 0, p),
-    ],
-    ids=["canonical_path", "path_endpoint", "path_f", "path_e"],
+    [lambda p: path_f(A2, 0, p), lambda p: path_e(A2, 0, p)],
+    ids=["path_f", "path_e"],
 )
 def test_float_path_entries_are_refused(call):
-    # canonical_path([(0.1, 0)]) used to return the binary value of 0.1
-    # over 2**55; path_f died on an AssertionError
+    # path_f used to die on an AssertionError
     path = ((Fraction(1), 0), (1.5, 0))
     with pytest.raises(TypeError, match=re.escape("path segment 1 has the float entry 1.5")):
         call(path)
