@@ -42,6 +42,7 @@ from .decompose import (
     is_isomorphic,
     levi_maps,
     multiplicity,
+    tensor_summands,
 )
 from .sl2 import (
     sl2_crystal,
@@ -123,6 +124,7 @@ __all__ = [
     "strat_dims",
     "tensor",
     "tensor_many",
+    "tensor_summands",
     "trivial_crystal",
     "v_from_weight",
     "verify_axioms",

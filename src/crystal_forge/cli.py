@@ -31,10 +31,11 @@ from .adhm import (
 from .crystal import SCHEMA, CrystalGraph, tensor_many
 from .decompose import (
     Decomposition,
-    _check_product_size,
+    _check_product,
     branch,
     decompose,
     multiplicity,
+    tensor_summands,
 )
 from .dimensions import (
     StratumParams,
@@ -139,10 +140,9 @@ def _product(args) -> CrystalGraph:
     """Tensor product of the --factors crystals, refused above --max-vertices
     before anything is built."""
     diagram = parse_diagram(args.diagram)
-    _check_product_size(diagram, args.factors, args.max_vertices)
     return tensor_many(
         build_crystal(diagram, f, max_vertices=args.max_vertices)
-        for f in args.factors
+        for f in _check_product(diagram, args.factors, args.max_vertices)
     )
 
 
@@ -181,7 +181,12 @@ def _tensor(args) -> tuple[str, int]:
 
 
 def _decompose(args) -> tuple[str, int]:
-    return _decomposition_text(decompose(_product(args)), args.format), 0
+    if args.format == "table":  # the summands alone, counted from the factors
+        diagram = parse_diagram(args.diagram)
+        dec = Decomposition(diagram, tensor_summands(diagram, args.factors, args.max_vertices))
+    else:  # the vertex assignment needs the built product
+        dec = decompose(_product(args))
+    return _decomposition_text(dec, args.format), 0
 
 
 def _mult(args) -> tuple[str, int]:

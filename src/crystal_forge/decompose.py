@@ -26,8 +26,15 @@ summands of equal weight.
 Multiplicities of highest weights in tensor products are read off as
 counts of source vertices, which is the combinatorial shadow of the
 tensor-decomposition bijection between irreducible components of quiver
-strata; `multiplicity` counts them from the factors alone, through the
-signature rule.
+strata.  `multiplicity` and `tensor_summands` count them from the factors
+alone, through the signature rule: the source vertices of B(lam) x B(mu)
+are the u_lam x b with eps_i(b) <= lam_i for every color i.  Each factor
+B(mu) is read through its weight index, cached per process, which lists
+for each weight of B(mu) the distinct eps of its vertices with their
+counts.  `tensor_summands` carries the highest weights of the partial
+products as a multiset through every later factor; `multiplicity` does
+so through all but the last, and reads the last factor only at the
+weights target - lam.
 """
 
 from __future__ import annotations
@@ -35,7 +42,7 @@ from __future__ import annotations
 from collections import Counter
 from itertools import compress, repeat
 from math import prod
-from operator import add, itemgetter, le
+from operator import add, itemgetter, le, sub
 from typing import NamedTuple, NoReturn
 
 from .crystal import SCHEMA, CrystalGraph, _graph
@@ -72,15 +79,31 @@ class _Reference(NamedTuple):
 
 # per reference key: B(hw) and its certificate, built by `_reference`
 _reference_cache: dict[tuple, _Reference] = {}
-# per reference key: the (eps, wt) pairs of B(hw) with their multiplicities
-_signature_cache: dict[tuple, Counter] = {}
+# per reference key: the weight index of B(hw), each weight with the
+# distinct eps(b) of its vertices b and how many share each
+_signature_cache: dict[tuple, dict[Weight, tuple[tuple[Weight, int], ...]]] = {}
 
 
-def _check_product_size(diagram: DynkinDiagram, factors, max_vertices: int) -> None:
-    """Raise ValueError for a cap below 1 and VertexCapError when the
-    product of the factors' crystals, prod |B(factor)|, is above it."""
+def _check_product(diagram: DynkinDiagram, factors, max_vertices: int) -> list[Weight]:
+    """The factors as dominant weights of the diagram, checked in the order
+    a product of their crystals is: ValueError for a cap below 1, then for
+    each factor in turn for a wrong length or a negative entry, and
+    VertexCapError when the product's size is above the cap."""
     check_vertex_cap(max_vertices)
-    size = prod(diagram.weyl_dimension(f) for f in factors)
+    checked = []
+    for f in factors:
+        f = diagram.check_weight(f)
+        if min(f, default=0) < 0:
+            raise ValueError(f"weight {f} is not dominant")
+        checked.append(f)
+    _check_product_size(diagram, checked, max_vertices)
+    return checked
+
+
+def _check_product_size(diagram: DynkinDiagram, factors: list[Weight], max_vertices: int) -> None:
+    """Raise VertexCapError when the product of the crystals of checked
+    dominant factors, prod |B(factor)|, is above a checked cap."""
+    size = prod(map(diagram._weyl_dimension, factors))
     if size > max_vertices:
         raise VertexCapError(f"tensor product of {size} vertices on {diagram.label}", max_vertices)
 
@@ -124,15 +147,42 @@ def _reference(diagram: DynkinDiagram, hw: Weight) -> _Reference:
     return entry
 
 
-def _signature_counts(diagram: DynkinDiagram, hw: Weight) -> Counter:
-    """(eps(b), wt(b)) over b in B(hw) with multiplicity, counted once per process."""
+def _signature_index(diagram: DynkinDiagram, hw: Weight) -> dict[Weight, tuple[tuple[Weight, int], ...]]:
+    """The weight index of B(hw): wt -> ((eps, count), ...) over its vertices
+    b of weight wt, with the count of each distinct eps(b); built once per
+    process."""
     key = (diagram.key, hw)
-    counts = _signature_cache.get(key)
-    if counts is None:
+    index = _signature_cache.get(key)
+    if index is None:
         ref = _reference(diagram, hw).crystal
-        # vertices sharing both eps and weight add alike in `multiplicity`
-        counts = _signature_cache[key] = Counter(zip(zip(*ref._string_data()[0]), ref.weights))
-    return counts
+        eps = zip(*ref._string_data()[0]) if diagram.rank else repeat(())
+        by_weight: dict[Weight, Counter] = {}
+        for e, wt in zip(eps, ref.weights):
+            by_weight.setdefault(wt, Counter())[e] += 1
+        index = _signature_cache[key] = {wt: tuple(c.items()) for wt, c in by_weight.items()}
+    return index
+
+
+def _fold(diagram: DynkinDiagram, tops: Counter, factors: list[Weight]) -> Counter:
+    """The highest weights of a product, as a multiset, carried through
+    `factors` tensored on its right.
+
+    Under the signature rule a vertex of B(lam) x B(mu) is a source iff
+    it is u_lam x b with eps_i(b) <= lam_i for every color i, so each
+    source weight lam of the product gives lam + wt once per weight wt of
+    B(mu), with the number of vertices of that weight whose eps is below
+    lam.
+    """
+    for mu in factors:
+        index = _signature_index(diagram, mu)
+        nxt: Counter = Counter()
+        for lam, m in tops.items():
+            for wt, signatures in index.items():
+                k = sum([count for eps, count in signatures if all(map(le, eps, lam))])
+                if k:
+                    nxt[tuple(map(add, lam, wt))] += m * k
+        tops = nxt
+    return tops
 
 
 class SummandInstance(_Record):
@@ -388,33 +438,56 @@ def multiplicity(
 
     Counts source vertices of that weight in the left-nested tensor
     product of the highest-weight crystals of `factors` without building
-    the product.  Under the signature rule a vertex of B(lam) x B(mu) is a
-    source iff it is u_lam x b with eps_i(b) <= lam_i for every color i,
-    so the highest weights of the partial products are carried as a
-    multiset and each later factor is read once.  Raises ValueError for a
-    cap below 1 and VertexCapError when the product would have more than
-    max_vertices vertices.
+    the product.  The highest weights of the product of all but the last
+    factor are folded by `_fold`.  The last factor B(mu) is read only at
+    the weights target - lam, through its weight index: each source
+    weight lam adds its multiplicity times the number of vertices of B(mu)
+    of that weight with eps_i <= lam_i for every color i.  Raises
+    ValueError for a cap below 1 and VertexCapError when the product would
+    have more than max_vertices vertices.
     """
     target = diagram.check_weight(target)
-    if not diagram.is_dominant(target):
+    if min(target, default=0) < 0:
         raise ValueError(f"target weight {target} is not dominant")
     factors = [diagram.check_weight(f) for f in factors]
     if not factors:
         raise ValueError("multiplicity needs at least one tensor factor")
     for f in factors:
-        if not diagram.is_dominant(f):
+        if min(f, default=0) < 0:
             raise ValueError(f"factor weight {f} is not dominant")
+    check_vertex_cap(max_vertices)
     _check_product_size(diagram, factors, max_vertices)
-    tops = Counter({factors[0]: 1})
-    for mu in factors[1:]:
-        vertices = _signature_counts(diagram, mu)
-        nxt: Counter = Counter()
-        for lam, m in tops.items():
-            for (eps, wt), k in vertices.items():
-                if all(map(le, eps, lam)):
-                    nxt[tuple(map(add, lam, wt))] += m * k
-        tops = nxt
-    return tops[target]
+    if len(factors) == 1:
+        return int(factors[0] == target)
+    tops = _fold(diagram, Counter({factors[0]: 1}), factors[1:-1])
+    index = _signature_index(diagram, factors[-1])
+    total = 0
+    for lam, m in tops.items():
+        signatures = index.get(tuple(map(sub, target, lam)))
+        if signatures:
+            total += m * sum([count for eps, count in signatures if all(map(le, eps, lam))])
+    return total
+
+
+def tensor_summands(
+    diagram: DynkinDiagram,
+    factors,
+    max_vertices: int = DEFAULT_VERTEX_CAP,
+) -> Counter:
+    """The summands of the left-nested tensor product of the highest-weight
+    crystals of `factors`: each highest weight with its multiplicity, as
+    `decompose` of the built product counts them, read off the factors by
+    `_fold` without building the product.
+
+    The factors are checked as a product of their crystals is: ValueError
+    for a cap below 1, then for each factor in turn for a wrong length or
+    a non-dominant weight, VertexCapError when the product would have more
+    than max_vertices vertices, and ValueError for no factor.
+    """
+    factors = _check_product(diagram, factors, max_vertices)
+    if not factors:
+        raise ValueError("tensor_summands needs at least one tensor factor")
+    return _fold(diagram, Counter({factors[0]: 1}), factors[1:])
 
 
 def levi_maps(diagram: DynkinDiagram, d, v, keep) -> tuple[Weight, Weight]:

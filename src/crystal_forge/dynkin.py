@@ -20,13 +20,16 @@ sign of an edge and of its reversal always cancel.
 from __future__ import annotations
 
 import re
-from operator import index
+from math import prod
+from operator import add, index
 
 from .linalg import Mat, hstack, identity, int_mat, mat, rref
 
 Weight = tuple[int, ...]
 
 _DIAGRAM_RE = re.compile(r"^([ADE])(\d+)$")
+
+_INT = {int}  # the one entry type `check_weight` passes through as it is
 
 # Diagrams carry rank x rank tables, so the rank is bounded before any is built.
 MAX_RANK = 100
@@ -158,6 +161,7 @@ class DynkinDiagram:
         self.label = _classify(self._neighbors)
         self._inv_cartan: Mat | None = None
         self._positive_roots: tuple[Weight, ...] | None = None
+        self._weyl_data: tuple[list[int], list[Weight], int] | None = None
 
     # -- identity ---------------------------------------------------------
 
@@ -191,6 +195,9 @@ class DynkinDiagram:
     # -- weight arithmetic --------------------------------------------------
 
     def check_weight(self, w) -> Weight:
+        # an exact tuple of exact ints of the right length is its own check
+        if type(w) is tuple and len(w) == self.rank and _INT.issuperset(map(type, w)):
+            return w
         w = tuple(w)
         try:
             w = tuple(map(index, w))
@@ -261,13 +268,24 @@ class DynkinDiagram:
     def weyl_dimension(self, hw) -> int:
         """Dimension of the irreducible highest-weight module with highest weight hw."""
         hw = self.check_weight(hw)
-        if not self.is_dominant(hw):
+        if min(hw, default=0) < 0:
             raise ValueError(f"weight {hw} is not dominant")
-        num, den = 1, 1
-        for root in self.positive_roots():
-            num *= sum((hw[j] + 1) * root[j] for j in range(self.rank))
-            den *= sum(root)
-        q, r = divmod(num, den)
+        return self._weyl_dimension(hw)
+
+    def _weyl_dimension(self, hw: Weight) -> int:
+        """Weyl's product over positive roots r of <hw + rho, r> / <rho, r> for
+        a checked dominant hw.  <rho, r> is the height of r, and the
+        numerators are the heights plus hw_j times column j of the roots'
+        coordinates, summed over the nonzero hw_j."""
+        if self._weyl_data is None:
+            roots = self.positive_roots()
+            heights = list(map(sum, roots))
+            self._weyl_data = (heights, list(zip(*roots)), prod(heights))
+        nums, columns, den = self._weyl_data
+        for c, column in zip(hw, columns):
+            if c:
+                nums = list(map(add, nums, map(c.__mul__, column)))
+        q, r = divmod(prod(nums), den)
         if r:
             raise AssertionError("Weyl dimension did not come out integral")
         return q

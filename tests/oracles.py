@@ -8,7 +8,8 @@ the Cartan matrix with their own `Fraction` inverse read off
 positive roots have a reference that reflects every root, negative ones
 included, in every simple reflection.  The root operators have a plain
 Fraction reference that splits segments at rational points, with no
-common denominator.  Stratum labels have a
+common denominator.  Weyl dimensions have the formula taken one
+positive root at a time as their reference.  Stratum labels have a
 per-step reference that recomputes every closure and core, with the
 first flag step as a special case, and it reads its closures and cores
 from the plain fixpoints: `closure_plain`, `core_plain` and
@@ -83,6 +84,19 @@ def positive_roots_bfs(diagram: DynkinDiagram) -> tuple[tuple[int, ...], ...]:
                 seen.add(s)
                 queue.append(s)
     return tuple(sorted(r for r in seen if all(c >= 0 for c in r)))
+
+
+def weyl_dimension_per_root(roots, hw) -> int:
+    """Weyl's dimension formula one positive root at a time: the product
+    of <hw + rho, r> over the product of <rho, r>, for roots r in root
+    coordinates and a dominant hw."""
+    num, den = 1, 1
+    for root in roots:
+        num *= sum((c + 1) * r for c, r in zip(hw, root))
+        den *= sum(root)
+    q, r = divmod(num, den)
+    assert r == 0, "Weyl dimension did not come out integral"
+    return q
 
 
 def _form(inv, u, w) -> Fraction:

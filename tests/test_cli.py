@@ -7,6 +7,7 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
+from itertools import product as cartesian
 from pathlib import Path
 from random import Random
 
@@ -156,6 +157,59 @@ def test_branch_json_is_byte_identical_to_golden(capsys, diagram, hw, keep):
     )
     assert code == 0 and err == ""
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_BRANCH_JSON[diagram, hw, keep]
+
+
+def _table_sweep() -> list[tuple[str, ...]]:
+    """49 `decompose --format table` requests: 1-3 factors with entries at
+    most 2 and dimension at most 80 on A1-A4, D4, D5 and E6, drawn with
+    seed 24; one of them is above the default cap."""
+    rng = Random(24)
+    sweep = []
+    for label in ("A1", "A2", "A3", "A4", "D4", "D5", "E6"):
+        diagram = parse_diagram(label)
+        pool = [
+            w for w in cartesian(range(3), repeat=diagram.rank) if diagram.weyl_dimension(w) <= 80
+        ]
+        for n in (1, 2, 2, 2, 3, 3, 3):
+            factors = [",".join(map(str, rng.choice(pool))) for _ in range(n)]
+            sweep.append(
+                ("decompose", "--diagram", label, "--factors", *factors, "--format", "table")
+            )
+    return sweep
+
+
+def test_decompose_table_sweep_is_byte_identical_to_golden(capsys):
+    # the summand tables are counted from the factors; this sha256 of the
+    # exit codes, stdout and stderr was taken when they were read off the
+    # built and decomposed product
+    digest = hashlib.sha256()
+    for argv in _table_sweep():
+        code, out, err = run_cli(capsys, *argv)
+        digest.update(f"{code}\t{out}\t{err}\n".encode())
+    assert digest.hexdigest() == "37b01119ef1f90188442df994d2fa183a7859c3bce2d5963b6f9ece6659b4643"
+
+
+@pytest.mark.parametrize("fmt", ["table", "json"])
+@pytest.mark.parametrize(
+    "argv, code, message",
+    [
+        (("--factors", "1,1", "1,1", "1,1", "--max-vertices", "511"), 2,
+         "tensor product of 512 vertices on A2 exceeded the vertex cap of 511; "
+         "pass a larger --max-vertices to override"),
+        (("--factors", "300,300", "300,300"), 2,
+         "tensor product of 743702041351801 vertices on A2 exceeded the vertex cap of 200000; "
+         "pass a larger --max-vertices to override"),
+        (("--factors", "1,1", "1,-1"), 1, "weight (1, -1) is not dominant"),
+        (("--factors", "1,-1", "1,0,0"), 1, "weight (1, -1) is not dominant"),
+        (("--factors", "1,0,0", "1,-1"), 1, "weight (1, 0, 0) has length 3, diagram rank is 2"),
+        (("--factors", "1,1", "--max-vertices", "0"), 1, "max_vertices must be at least 1, got 0"),
+        (("--factors", "1,-1", "--max-vertices", "0"), 1, "max_vertices must be at least 1, got 0"),
+    ],
+)
+def test_decompose_refusals_are_the_same_in_both_formats(capsys, fmt, argv, code, message):
+    # the cap first, then each factor in turn, then the product size
+    got = run_cli(capsys, "decompose", "--diagram", "A2", *argv, "--format", fmt)
+    assert got == (code, "", f"error: {message}\n")
 
 
 # sha256 of the other payload kinds and output formats: `tensor` json

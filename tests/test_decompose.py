@@ -1,10 +1,10 @@
 import importlib
 from collections import Counter
-from itertools import product as cartesian
+from itertools import permutations, product as cartesian
 from random import Random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from crystal_forge.crystal import CrystalGraph, tensor, tensor_many, trivial_crystal
 from crystal_forge.decompose import (
@@ -14,8 +14,9 @@ from crystal_forge.decompose import (
     highest_vertices,
     levi_maps,
     multiplicity,
+    tensor_summands,
 )
-from crystal_forge.dynkin import dynkin, vadd, vsub
+from crystal_forge.dynkin import DynkinDiagram, dynkin, vadd, vsub
 from crystal_forge.paths import VertexCapError, build_crystal
 
 from oracles import character_product, freudenthal_character, peel_character
@@ -128,11 +129,14 @@ def test_multiplicity_counts_each_factor_signature_once(monkeypatch):
     expected = peel_character(A2, character_product(*chars))[(1, 1)]
     for _ in range(2):
         assert multiplicity(A2, (1, 1), factors) == expected
-    # one count per distinct later factor, under the reference cache's own keys
+    # one weight index per distinct later factor, under the reference
+    # cache's own keys; each lists every vertex of B(hw) once
     assert len(reads) == 3
     assert set(module._signature_cache) <= set(module._reference_cache)
-    for (_, hw), counts in module._signature_cache.items():
-        assert sum(counts.values()) == A2.weyl_dimension(hw)
+    for (_, hw), index in module._signature_cache.items():
+        assert sum(count for signatures in index.values() for _, count in signatures) == (
+            A2.weyl_dimension(hw)
+        )
 
 
 def test_multiplicity_validation():
@@ -142,6 +146,12 @@ def test_multiplicity_validation():
         multiplicity(A2, (1, 0), [(1, -1)])
     with pytest.raises(ValueError):
         multiplicity(A2, (1, 0), [])
+
+
+def test_rank_0_products_count_their_one_vertex():
+    point = DynkinDiagram(0, ())
+    assert multiplicity(point, (), [(), (), ()]) == 1
+    assert tensor_summands(point, [(), ()]) == Counter({(): 1})
 
 
 def test_sum_rule():
@@ -287,6 +297,9 @@ def _small_products(draw):
 # D4 products near 3,000 vertices
 @settings(max_examples=30, deadline=None)
 @given(_small_products())
+# V(1) x V(3) = V(4) + V(2) on A1: the vertex u_1 x f^2 u_3 has weight 0
+# but eps = 2 > 1, so it is no source
+@example((A1, [(1,), (3,)], (0,)))
 def test_multiplicity_matches_the_product_and_character_peeling(case):
     diagram, factors, target = case
     count = multiplicity(diagram, target, factors)
@@ -294,3 +307,48 @@ def test_multiplicity_matches_the_product_and_character_peeling(case):
     sources = sum(1 for v in highest_vertices(product) if product.weights[v] == target)
     char = character_product(*(freudenthal_character(diagram, f) for f in factors))
     assert count == sources == peel_character(diagram, char)[target]
+
+
+# dominant factor weights with entries at most 2 and module dimension at
+# most 30, per diagram
+_SUMMAND_POOLS = {
+    diagram: [w for w in cartesian(range(3), repeat=diagram.rank) if diagram.weyl_dimension(w) <= 30]
+    for diagram in (A1, A2, A3, dynkin("A", 4), D4, dynkin("D", 5), dynkin("E", 6))
+}
+
+
+@st.composite
+def _summand_products(draw):
+    """(diagram, factors) with 1-3 factors and at most 2,000 product vertices."""
+    diagram = draw(st.sampled_from(list(_SUMMAND_POOLS)))
+    factors, budget = [], 2000
+    for _ in range(draw(st.integers(1, 3))):
+        fits = [w for w in _SUMMAND_POOLS[diagram] if diagram.weyl_dimension(w) <= budget]
+        if not fits:
+            break
+        mu = draw(st.sampled_from(fits))
+        factors.append(mu)
+        budget //= diagram.weyl_dimension(mu)
+    return diagram, factors
+
+
+@settings(max_examples=60, deadline=None)
+@given(_summand_products())
+def test_tensor_summands_match_the_decomposed_product_in_every_order(case):
+    diagram, factors = case
+    for order in set(permutations(factors)):
+        product = tensor_many(build_crystal(diagram, f) for f in order)
+        assert tensor_summands(diagram, order) == decompose(product).summands
+
+
+def test_tensor_summands_of_one_factor_and_of_a_product_above_the_cap():
+    e6 = dynkin("E", 6)
+    assert tensor_summands(e6, [(0, 1, 0, 0, 0, 0)]) == Counter({(0, 1, 0, 0, 0, 0): 1})
+    assert tensor_summands(A2, [[1, 1]], max_vertices=8) == Counter({(1, 1): 1})
+    # 8**3 = 512 vertices
+    with pytest.raises(VertexCapError, match="tensor product of 512 vertices on A2"):
+        tensor_summands(A2, [(1, 1)] * 3, max_vertices=511)
+    summands = tensor_summands(A2, [(1, 1)] * 3, max_vertices=512)
+    assert sum(m * A2.weyl_dimension(w) for w, m in summands.items()) == 512
+    with pytest.raises(ValueError, match="at least one tensor factor"):
+        tensor_summands(A2, [])

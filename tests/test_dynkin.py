@@ -1,7 +1,7 @@
 import hashlib
 import re
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product as cartesian
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -18,7 +18,12 @@ from crystal_forge.dynkin import (
 from crystal_forge.dimensions import v_from_weight
 from crystal_forge.decompose import branch
 from crystal_forge.paths import build_crystal
-from oracles import inverse_cartan_fractions, positive_roots_bfs, solve_cartan_fractions
+from oracles import (
+    inverse_cartan_fractions,
+    positive_roots_bfs,
+    solve_cartan_fractions,
+    weyl_dimension_per_root,
+)
 
 
 def test_a1_tables():
@@ -149,6 +154,46 @@ def test_positive_roots_match_the_reflection_orbit(label):
 )
 def test_weyl_dimension(label, hw, dim):
     assert parse_diagram(label).weyl_dimension(hw) == dim
+
+
+@pytest.mark.parametrize(
+    "label", [f"A{n}" for n in range(1, 9)] + [f"D{n}" for n in range(4, 9)] + ["E6", "E7", "E8"]
+)
+def test_weyl_dimension_matches_the_root_by_root_formula(label):
+    diagram = parse_diagram(label)
+    roots = positive_roots_bfs(diagram)
+    for hw in cartesian(range(3), repeat=diagram.rank):
+        assert diagram.weyl_dimension(hw) == weyl_dimension_per_root(roots, hw), hw
+
+
+@pytest.mark.parametrize(
+    "hw, message",
+    [
+        ((-1, 0), "weight (-1, 0) is not dominant"),
+        ([2, -3], "weight (2, -3) is not dominant"),
+        ((1,), "weight (1,) has length 1, diagram rank is 2"),
+        ((1, 0, 0), "weight (1, 0, 0) has length 3, diagram rank is 2"),
+    ],
+)
+def test_weyl_dimension_error_texts(hw, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        dynkin("A", 2).weyl_dimension(hw)
+
+
+def test_check_weight_passes_exact_int_tuples_as_they_are():
+    a2 = dynkin("A", 2)
+    w = (3, -1)
+    assert a2.check_weight(w) is w
+    # any other shape or entry type is converted as before: to a new tuple
+    # of exact ints, or refused with the same message
+    for given in ([3, -1], (True, 0), iter((3, -1))):
+        checked = a2.check_weight(given)
+        assert type(checked) is tuple and list(map(type, checked)) == [int, int]
+    assert a2.check_weight((True, False)) == (1, 0)
+    with pytest.raises(ValueError, match=re.escape("weight (1, 0.0) has a non-integer entry")):
+        a2.check_weight((1, 0.0))
+    with pytest.raises(ValueError, match=re.escape("weight (1,) has length 1, diagram rank is 2")):
+        a2.check_weight((1,))
 
 
 @pytest.mark.parametrize(
