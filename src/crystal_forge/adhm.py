@@ -24,6 +24,7 @@ target keeps S meet m^{-1}(V) = S, and a zero S is cut no further.
 from __future__ import annotations
 
 import json
+import sys
 from fractions import Fraction
 from itertools import product
 from math import lcm
@@ -524,4 +525,7 @@ def datum_from_json_file(path: str) -> tuple[ADHMDatum, GradedFlag | None]:
             raise ValueError(f"{path}: not valid JSON: {exc}") from None
         except UnicodeDecodeError as exc:
             raise ValueError(f"{path}: not UTF-8: {exc}") from None
+        except ValueError:  # the one other decode error: int() refused a long integer
+            limit = sys.get_int_max_str_digits()
+            raise ValueError(f"{path}: an integer has more than {limit} digits") from None
     return datum_from_json(document)

@@ -29,12 +29,15 @@ tensor-decomposition bijection between irreducible components of quiver
 strata.  `multiplicity` and `tensor_summands` count them from the factors
 alone, through the signature rule: the source vertices of B(lam) x B(mu)
 are the u_lam x b with eps_i(b) <= lam_i for every color i.  Each factor
-B(mu) is read through its weight index, cached per process, which lists
-for each weight of B(mu) the distinct eps of its vertices with their
-counts.  `tensor_summands` carries the highest weights of the partial
-products as a multiset through every later factor; `multiplicity` does
-so through all but the last, and reads the last factor only at the
-weights target - lam.
+B(mu) is read through its weight index, which lists for each weight of
+B(mu) the distinct eps of its vertices with their counts; it is kept on
+the cached reference of B(mu), so each B(mu) is cached once.
+`tensor_summands` carries the highest weights of the partial products as
+a multiset through every later factor; `multiplicity` does so through
+all but the last, and reads the last factor only at the weights
+target - lam.  Both check their factors in one order, the cap first,
+then each factor's length and sign in turn, then the product size;
+`multiplicity` checks its target before them.
 """
 
 from __future__ import annotations
@@ -66,7 +69,8 @@ class _Reference(NamedTuple):
     targets; each repeats its first item at the end, so that it returns a
     tuple for a lone edge too.  `counts` is the number of f_i edges per
     color.  `size` is the number of vertices.  The crystal keeps no
-    payloads: no caller reads them.
+    payloads: no caller reads them.  `index`, the weight index of B(hw),
+    starts empty; `_signature_index` fills it on first use.
     """
 
     crystal: CrystalGraph
@@ -75,13 +79,11 @@ class _Reference(NamedTuple):
     colors: list[int]
     edges: list[tuple[int, itemgetter, itemgetter]]
     counts: list[int]
+    index: dict[Weight, tuple[tuple[Weight, int], ...]]
 
 
 # per reference key: B(hw) and its certificate, built by `_reference`
 _reference_cache: dict[tuple, _Reference] = {}
-# per reference key: the weight index of B(hw), each weight with the
-# distinct eps(b) of its vertices b and how many share each
-_signature_cache: dict[tuple, dict[Weight, tuple[tuple[Weight, int], ...]]] = {}
 
 
 def _check_product(diagram: DynkinDiagram, factors, max_vertices: int) -> list[Weight]:
@@ -96,27 +98,21 @@ def _check_product(diagram: DynkinDiagram, factors, max_vertices: int) -> list[W
         if min(f, default=0) < 0:
             raise ValueError(f"weight {f} is not dominant")
         checked.append(f)
-    _check_product_size(diagram, checked, max_vertices)
+    size = prod(map(diagram._weyl_dimension, checked))
+    if size > max_vertices:
+        raise VertexCapError(f"tensor product of {size} vertices on {diagram.label}", max_vertices)
     return checked
 
 
-def _check_product_size(diagram: DynkinDiagram, factors: list[Weight], max_vertices: int) -> None:
-    """Raise VertexCapError when the product of the crystals of checked
-    dominant factors, prod |B(factor)|, is above a checked cap."""
-    size = prod(map(diagram._weyl_dimension, factors))
-    if size > max_vertices:
-        raise VertexCapError(f"tensor product of {size} vertices on {diagram.label}", max_vertices)
-
-
 def _reference(diagram: DynkinDiagram, hw: Weight) -> _Reference:
-    """B(hw) and its certificate, built once per process.
+    """B(hw) and its certificate for a checked dominant hw, cached per process.
 
     B(hw) is built with its Weyl dimension, its exact size, as the cap.
     """
     key = (diagram.key, hw)
     entry = _reference_cache.get(key)
     if entry is None:
-        built = build_crystal(diagram, hw, max_vertices=diagram.weyl_dimension(hw))
+        built = build_crystal(diagram, hw, max_vertices=diagram._weyl_dimension(hw))
         ref = _graph(diagram, built.weights, built.f_maps)
         parent: dict[int, int] = {}
         color: dict[int, int] = {}
@@ -143,23 +139,25 @@ def _reference(diagram: DynkinDiagram, hw: Weight) -> _Reference:
             list(map(color.__getitem__, vertices)),
             edges,
             list(map(len, ref.f_maps)),
+            {},
         )
     return entry
 
 
 def _signature_index(diagram: DynkinDiagram, hw: Weight) -> dict[Weight, tuple[tuple[Weight, int], ...]]:
     """The weight index of B(hw): wt -> ((eps, count), ...) over its vertices
-    b of weight wt, with the count of each distinct eps(b); built once per
-    process."""
-    key = (diagram.key, hw)
-    index = _signature_cache.get(key)
-    if index is None:
-        ref = _reference(diagram, hw).crystal
+    b of weight wt, with the count of each distinct eps(b); filled into the
+    cached reference of B(hw) on first use.  B(hw) has a vertex, so a filled
+    index is never empty."""
+    entry = _reference(diagram, hw)
+    index = entry.index
+    if not index:
+        ref = entry.crystal
         eps = zip(*ref._string_data()[0]) if diagram.rank else repeat(())
         by_weight: dict[Weight, Counter] = {}
         for e, wt in zip(eps, ref.weights):
             by_weight.setdefault(wt, Counter())[e] += 1
-        index = _signature_cache[key] = {wt: tuple(c.items()) for wt, c in by_weight.items()}
+        index.update((wt, tuple(c.items())) for wt, c in by_weight.items())
     return index
 
 
@@ -284,7 +282,7 @@ def _certified(crystal: CrystalGraph) -> Decomposition | None:
         if ref is None:
             ref = _reference_cache.get((diagram.key, hw))  # a cached reference is dominant
             if ref is None:
-                if not diagram.is_dominant(hw) or diagram.weyl_dimension(hw) > unassigned:
+                if min(hw, default=0) < 0 or diagram._weyl_dimension(hw) > unassigned:
                     return None
                 ref = _reference(diagram, hw)
             refs[hw] = ref
@@ -443,20 +441,15 @@ def multiplicity(
     the weights target - lam, through its weight index: each source
     weight lam adds its multiplicity times the number of vertices of B(mu)
     of that weight with eps_i <= lam_i for every color i.  Raises
-    ValueError for a cap below 1 and VertexCapError when the product would
-    have more than max_vertices vertices.
+    ValueError for a target of the wrong length or not dominant, and then
+    refuses the factors exactly as `tensor_summands` does.
     """
     target = diagram.check_weight(target)
     if min(target, default=0) < 0:
         raise ValueError(f"target weight {target} is not dominant")
-    factors = [diagram.check_weight(f) for f in factors]
+    factors = _check_product(diagram, factors, max_vertices)
     if not factors:
         raise ValueError("multiplicity needs at least one tensor factor")
-    for f in factors:
-        if min(f, default=0) < 0:
-            raise ValueError(f"factor weight {f} is not dominant")
-    check_vertex_cap(max_vertices)
-    _check_product_size(diagram, factors, max_vertices)
     if len(factors) == 1:
         return int(factors[0] == target)
     tops = _fold(diagram, Counter({factors[0]: 1}), factors[1:-1])

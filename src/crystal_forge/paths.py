@@ -149,7 +149,7 @@ def _to_fractions(path: _IntPath, denominator: int) -> Path:
 
 def _dominant(diagram: DynkinDiagram, hw) -> Weight:
     hw = diagram.check_weight(hw)
-    if not diagram.is_dominant(hw):
+    if min(hw, default=0) < 0:
         raise ValueError(f"highest weight {hw} is not dominant")
     return hw
 
@@ -224,7 +224,7 @@ def build_crystal(
     """
     check_vertex_cap(max_vertices)
     hw = _dominant(diagram, hw)
-    if diagram.weyl_dimension(hw) > max_vertices:
+    if diagram._weyl_dimension(hw) > max_vertices:
         raise VertexCapError(f"crystal for highest weight {hw} on {diagram.label}", max_vertices)
     pairings = (sum(x * g for x, g in zip(hw, r)) for r in diagram.positive_roots())
     denominator = lcm(*filter(None, pairings))

@@ -189,6 +189,44 @@ def test_decompose_table_sweep_is_byte_identical_to_golden(capsys):
     assert digest.hexdigest() == "37b01119ef1f90188442df994d2fa183a7859c3bce2d5963b6f9ece6659b4643"
 
 
+def _mult_sweep() -> list[tuple[str, ...]]:
+    """49 `mult` requests in each format: 1-3 factors with entries at most
+    2 and dimension at most 40 on A1-A4, D4, D5 and E6, drawn with seed 25,
+    each with a target that is the sum of its factors, its first factor, or
+    a weight with entries at most 2, in turn."""
+    rng = Random(25)
+    sweep = []
+    for label in ("A1", "A2", "A3", "A4", "D4", "D5", "E6"):
+        diagram = parse_diagram(label)
+        small = list(cartesian(range(3), repeat=diagram.rank))
+        pool = [w for w in small if diagram.weyl_dimension(w) <= 40]
+        for k, n in enumerate((1, 2, 2, 2, 3, 3, 3)):
+            factors = [rng.choice(pool) for _ in range(n)]
+            target = [
+                tuple(map(sum, zip(*factors))), factors[0], rng.choice(small)
+            ][k % 3]
+            argv = (
+                "mult", "--diagram", label, "--target", ",".join(map(str, target)),
+                "--factors", *(",".join(map(str, f)) for f in factors),
+            )
+            sweep.extend((argv + ("--format", fmt) for fmt in ("table", "json")))
+    return sweep
+
+
+def test_mult_sweep_is_byte_identical_to_golden(capsys):
+    # this sha256 of the exit codes, stdout and stderr was taken when
+    # `multiplicity` kept its own checks and a second per-factor cache
+    digest = hashlib.sha256()
+    for argv in _mult_sweep():
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0 and err == ""
+        digest.update(f"{code}\t{out}\t{err}\n".encode())
+    assert digest.hexdigest() == "dc979fa6d26351c9ad2625944ca7f6ed38d1dfcd33169f5b4aa075907aedfbc5"
+
+
+@pytest.mark.parametrize(
+    "command", [("decompose",), ("mult", "--target", "0,0")], ids=["decompose", "mult"]
+)
 @pytest.mark.parametrize("fmt", ["table", "json"])
 @pytest.mark.parametrize(
     "argv, code, message",
@@ -206,9 +244,10 @@ def test_decompose_table_sweep_is_byte_identical_to_golden(capsys):
         (("--factors", "1,-1", "--max-vertices", "0"), 1, "max_vertices must be at least 1, got 0"),
     ],
 )
-def test_decompose_refusals_are_the_same_in_both_formats(capsys, fmt, argv, code, message):
-    # the cap first, then each factor in turn, then the product size
-    got = run_cli(capsys, "decompose", "--diagram", "A2", *argv, "--format", fmt)
+def test_decompose_refusals_are_the_same_in_both_formats(capsys, command, fmt, argv, code, message):
+    # the cap first, then each factor in turn, then the product size; `mult`
+    # checks its target first and then refuses its factors as `decompose` does
+    got = run_cli(capsys, *command, "--diagram", "A2", *argv, "--format", fmt)
     assert got == (code, "", f"error: {message}\n")
 
 
@@ -630,6 +669,21 @@ def test_adhm_file_that_is_no_json_text_is_one_error_line_naming_it(
     path.write_bytes(content)
     code, out, err = run_cli(capsys, "adhm", command, str(path))
     assert (code, out, err) == (1, "", f"error: {path}: {reason}\n")
+
+
+@pytest.mark.skipif(
+    not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+    reason="this Python reads integers of any length",
+)
+@pytest.mark.parametrize("command", ["check", "stratum"])
+def test_adhm_integer_above_the_digit_limit_is_one_error_line_naming_it(
+    tmp_path, capsys, command
+):
+    limit = sys.get_int_max_str_digits()
+    path = tmp_path / "big.json"
+    path.write_text('{"diagram": "A1", "d": [' + "9" * (limit + 700) + "]}")
+    code, out, err = run_cli(capsys, "adhm", command, str(path))
+    assert (code, out, err) == (1, "", f"error: {path}: an integer has more than {limit} digits\n")
 
 
 def test_unknown_flag_is_domain_error(capsys):

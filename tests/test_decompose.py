@@ -120,7 +120,7 @@ def test_multiplicity_examples():
 
 def test_multiplicity_counts_each_factor_signature_once(monkeypatch):
     module = importlib.import_module("crystal_forge.decompose")
-    monkeypatch.setattr(module, "_signature_cache", {})
+    monkeypatch.setattr(module, "_reference_cache", {})
     reads = []
     real = CrystalGraph._string_data
     monkeypatch.setattr(CrystalGraph, "_string_data", lambda self: reads.append(1) or real(self))
@@ -129,11 +129,12 @@ def test_multiplicity_counts_each_factor_signature_once(monkeypatch):
     expected = peel_character(A2, character_product(*chars))[(1, 1)]
     for _ in range(2):
         assert multiplicity(A2, (1, 1), factors) == expected
-    # one weight index per distinct later factor, under the reference
-    # cache's own keys; each lists every vertex of B(hw) once
+    # one weight index per distinct later factor, filled on its cached
+    # reference; each lists every vertex of B(hw) once
     assert len(reads) == 3
-    assert set(module._signature_cache) <= set(module._reference_cache)
-    for (_, hw), index in module._signature_cache.items():
+    filled = {hw: ref.index for (_, hw), ref in module._reference_cache.items() if ref.index}
+    assert set(filled) == {(1, 1), (1, 0), (0, 1)}
+    for hw, index in filled.items():
         assert sum(count for signatures in index.values() for _, count in signatures) == (
             A2.weyl_dimension(hw)
         )
@@ -146,6 +147,28 @@ def test_multiplicity_validation():
         multiplicity(A2, (1, 0), [(1, -1)])
     with pytest.raises(ValueError):
         multiplicity(A2, (1, 0), [])
+
+
+@pytest.mark.parametrize(
+    "factors, cap",
+    [
+        ([(1, 1)] * 3, 511),
+        ([(300, 300)] * 2, 200_000),
+        ([(1, 1), (1, -1)], 200_000),
+        ([(1, -1), (1, 0, 0)], 200_000),
+        ([(1, 0, 0), (1, -1)], 200_000),
+        ([(1, 1)], 0),
+        ([(1, -1)], 0),
+        ([], 0),
+    ],
+)
+def test_multiplicity_refuses_its_factors_as_tensor_summands_does(factors, cap):
+    with pytest.raises((ValueError, VertexCapError)) as summands_error:
+        tensor_summands(A2, factors, max_vertices=cap)
+    with pytest.raises((ValueError, VertexCapError)) as mult_error:
+        multiplicity(A2, (0, 0), factors, max_vertices=cap)
+    assert mult_error.type is summands_error.type
+    assert str(mult_error.value) == str(summands_error.value)
 
 
 def test_rank_0_products_count_their_one_vertex():
