@@ -110,7 +110,13 @@ def _pair(text: str) -> tuple[int, ...]:
 
 
 def _json(payload: dict) -> str:
-    return json.dumps({**payload, "schema": SCHEMA}, indent=2, sort_keys=True)
+    try:
+        return json.dumps({**payload, "schema": SCHEMA}, indent=2, sort_keys=True)
+    except ValueError:
+        # payloads hold ints, strings, lists, bools and None: the one ValueError
+        # json raises on them is an int above the int-to-string digit limit
+        limit = sys.get_int_max_str_digits()
+        raise ValueError(f"the result holds an integer of more than {limit} digits") from None
 
 
 def _crystal_text(crystal: CrystalGraph, fmt: str) -> str:

@@ -51,7 +51,7 @@ from typing import NamedTuple, NoReturn
 from .crystal import SCHEMA, CrystalGraph, _graph
 from .dynkin import DynkinDiagram, Weight, induced_subdiagram
 from .linalg import _Record
-from .paths import DEFAULT_VERTEX_CAP, VertexCapError, build_crystal, check_vertex_cap
+from .paths import DEFAULT_VERTEX_CAP, VertexCapError, build_crystal, check_vertex_cap, counted
 
 
 class DecompositionError(ValueError):
@@ -92,15 +92,12 @@ def _check_product(diagram: DynkinDiagram, factors, max_vertices: int) -> list[W
     each factor in turn for a wrong length or a negative entry, and
     VertexCapError when the product's size is above the cap."""
     check_vertex_cap(max_vertices)
-    checked = []
-    for f in factors:
-        f = diagram.check_weight(f)
-        if min(f, default=0) < 0:
-            raise ValueError(f"weight {f} is not dominant")
-        checked.append(f)
+    checked = [diagram.check_dominant(f) for f in factors]
     size = prod(map(diagram._weyl_dimension, checked))
     if size > max_vertices:
-        raise VertexCapError(f"tensor product of {size} vertices on {diagram.label}", max_vertices)
+        raise VertexCapError(
+            f"tensor product of {counted(size, 'vertices')} on {diagram.label}", max_vertices
+        )
     return checked
 
 
@@ -444,9 +441,7 @@ def multiplicity(
     ValueError for a target of the wrong length or not dominant, and then
     refuses the factors exactly as `tensor_summands` does.
     """
-    target = diagram.check_weight(target)
-    if min(target, default=0) < 0:
-        raise ValueError(f"target weight {target} is not dominant")
+    target = diagram.check_dominant(target, "target weight")
     factors = _check_product(diagram, factors, max_vertices)
     if not factors:
         raise ValueError("multiplicity needs at least one tensor factor")

@@ -2,8 +2,10 @@
 
 Weights are plain integer tuples in fundamental-weight coordinates; root
 coordinates are always derived through the Cartan matrix (or its inverse)
-on demand.  The vertex numbering is fixed so weight vectors are
-reproducible:
+on demand.  `DynkinDiagram.check_weight` checks a weight's length and
+entries; `DynkinDiagram.check_dominant` also checks its sign, and is the
+one place a weight is refused as not dominant.  The vertex numbering is
+fixed so weight vectors are reproducible:
 
 * ``A_n`` is the path ``0 - 1 - ... - (n-1)``.
 * ``D_n`` is the path ``0 - 1 - ... - (n-3)`` with the two fork vertices
@@ -181,10 +183,6 @@ class DynkinDiagram:
     # -- oriented edges ---------------------------------------------------
 
     @staticmethod
-    def reversed_edge(h: tuple[int, int]) -> tuple[int, int]:
-        return (h[1], h[0])
-
-    @staticmethod
     def orientation_sign(h: tuple[int, int]) -> int:
         """+1 on the canonical (low -> high) orientation, -1 on the reverse."""
         return 1 if h[0] < h[1] else -1
@@ -205,6 +203,14 @@ class DynkinDiagram:
             raise ValueError(f"weight {w} has a non-integer entry") from None
         if len(w) != self.rank:
             raise ValueError(f"weight {w} has length {len(w)}, diagram rank is {self.rank}")
+        return w
+
+    def check_dominant(self, w, what: str = "weight") -> Weight:
+        """`check_weight(w)`, refused as not dominant when an entry is negative;
+        `what` names w in that refusal."""
+        w = self.check_weight(w)
+        if min(w, default=0) < 0:
+            raise ValueError(f"{what} {w} is not dominant")
         return w
 
     def _check_color(self, i: int) -> None:
@@ -267,10 +273,7 @@ class DynkinDiagram:
 
     def weyl_dimension(self, hw) -> int:
         """Dimension of the irreducible highest-weight module with highest weight hw."""
-        hw = self.check_weight(hw)
-        if min(hw, default=0) < 0:
-            raise ValueError(f"weight {hw} is not dominant")
-        return self._weyl_dimension(hw)
+        return self._weyl_dimension(self.check_dominant(hw))
 
     def _weyl_dimension(self, hw: Weight) -> int:
         """Weyl's product over positive roots r of <hw + rho, r> / <rho, r> for

@@ -80,17 +80,6 @@ class Mat(_Frozen):
     num: tuple[tuple[int, ...], ...]
     den: int
 
-    # the ADHM fixpoints compare Mats: inline attribute loads beat attrgetter
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.rows, self.cols, self.num, self.den) == (
-                other.rows, other.cols, other.num, other.den
-            )
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.rows, self.cols, self.num, self.den))
-
     def __init__(self, rows: int, cols: int, data):
         """The matrix with the given rational entries (ints or Fractions).
 

@@ -27,12 +27,17 @@ A built crystal keeps its integer paths: vertex v carries ("path", D, p),
 and its weight is its BFS parent's minus alpha_i, as wt(f_i p) = wt(p) -
 alpha_i.  Public path operators take and return tuples of Fraction tuples.
 Floats never appear; integral height minima and end heights are asserted.
+
+`build_crystal` refuses lambda before it builds anything: through
+`DynkinDiagram.check_dominant` when it is not dominant, and by its Weyl
+dimension, which is |B(lambda)|, when that is above the vertex cap.  The
+closure itself then counts nothing.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, log10
 
 from .crystal import CrystalGraph, _graph
 from .dynkin import DynkinDiagram, Weight
@@ -52,6 +57,18 @@ class VertexCapError(RuntimeError):
     def __init__(self, what: str, cap: int):
         super().__init__(f"{what} exceeded the vertex cap of {cap}")
         self.cap = cap
+
+
+def counted(n: int, noun: str) -> str:
+    """A count n > 0 of noun as text: "n noun", or "a k-digit number of
+    noun" when n has more digits than the interpreter writes as text
+    (4,300 by default)."""
+    try:
+        return f"{n} {noun}"
+    except ValueError:
+        k = int(log10(n))  # floor(log10 n) up to rounding, which the powers correct
+        k += (10 ** (k + 1) <= n) - (10**k > n)
+        return f"a {k + 1}-digit number of {noun}"
 
 
 def check_vertex_cap(max_vertices: int) -> None:
@@ -147,16 +164,9 @@ def _to_fractions(path: _IntPath, denominator: int) -> Path:
     return tuple([tuple([Fraction(x * n, denominator) for x in d]) for d, n in path])
 
 
-def _dominant(diagram: DynkinDiagram, hw) -> Weight:
-    hw = diagram.check_weight(hw)
-    if min(hw, default=0) < 0:
-        raise ValueError(f"highest weight {hw} is not dominant")
-    return hw
-
-
 def highest_path(diagram: DynkinDiagram, hw) -> Path:
     """The straight path to a dominant weight; the source of its crystal."""
-    return _to_fractions(*_from_fractions([_dominant(diagram, hw)]))
+    return _to_fractions(*_from_fractions([diagram.check_dominant(hw, "highest weight")]))
 
 
 def _apply(diagram: DynkinDiagram, i: int, path: Path, raising: bool) -> Path | None:
@@ -182,9 +192,7 @@ def path_e(diagram: DynkinDiagram, i: int, path: Path) -> Path | None:
     return _apply(diagram, i, path, raising=True)
 
 
-def _close(
-    diagram: DynkinDiagram, hw: Weight, start: _IntPath, denominator: int, max_vertices: int
-):
+def _close(diagram: DynkinDiagram, hw: Weight, start: _IntPath, denominator: int):
     """Breadth-first closure of start, of weight hw: (paths, weights, f_maps)."""
     ids: dict[_IntPath, int] = {start: 0}
     order: list[_IntPath] = [start]
@@ -200,10 +208,6 @@ def _close(
                 continue
             cid = ids.get(child)
             if cid is None:
-                if len(order) >= max_vertices:
-                    raise VertexCapError(
-                        f"crystal for highest weight {hw} on {diagram.label}", max_vertices
-                    )
                 cid = ids[child] = len(order)
                 order.append(child)
                 weights.append(tuple([w - a for w, a in zip(weights[vid], reflect.alpha)]))
@@ -223,13 +227,13 @@ def build_crystal(
     its Weyl dimension before anything is built.
     """
     check_vertex_cap(max_vertices)
-    hw = _dominant(diagram, hw)
+    hw = diagram.check_dominant(hw, "highest weight")
     if diagram._weyl_dimension(hw) > max_vertices:
         raise VertexCapError(f"crystal for highest weight {hw} on {diagram.label}", max_vertices)
     pairings = (sum(x * g for x, g in zip(hw, r)) for r in diagram.positive_roots())
     denominator = lcm(*filter(None, pairings))
     g = gcd(*hw)
     start = ((tuple([x // g for x in hw]), g * denominator),) if g else ()
-    order, weights, f_maps = _close(diagram, hw, start, denominator, max_vertices)
+    order, weights, f_maps = _close(diagram, hw, start, denominator)
     payloads = [("path", denominator, p) for p in order]
     return _graph(diagram, weights, f_maps, payloads)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from .crystal import CrystalGraph, _graph
 from .dynkin import dynkin
-from .paths import DEFAULT_VERTEX_CAP, VertexCapError
+from .paths import DEFAULT_VERTEX_CAP, VertexCapError, counted
 
 _A1 = dynkin("A", 1)
 
@@ -35,7 +35,7 @@ def sl2_crystal(d: int, v0: int) -> CrystalGraph:
     _check_label(d, v0)
     size = d - 2 * v0 + 1
     if size > DEFAULT_VERTEX_CAP:
-        raise VertexCapError(f"sl2 chain of {size} vertices", DEFAULT_VERTEX_CAP)
+        raise VertexCapError(f"sl2 chain of {counted(size, 'vertices')}", DEFAULT_VERTEX_CAP)
     if 2 * v0 > d:
         return _graph(_A1, [], [{}])
     vs = list(range(v0, d - v0 + 1))
@@ -69,14 +69,19 @@ def sl2_mult_range(d1: int, v1: int, d2: int, v2: int) -> list[int]:
     """All v0 labels occurring in the decomposition of a tensor of chains.
 
     Runs from v1 + v2 up to min(d2 - v2 + v1, d1 - v1 + v2), inclusive;
-    empty when that bound is below the start.
+    empty when that bound is below the start.  Raises VertexCapError,
+    before building the list, for a range longer than
+    paths.DEFAULT_VERTEX_CAP.
     """
     for d, v0 in ((d1, v1), (d2, v2)):
         _check_label(d, v0)
         if 2 * v0 > d:
             raise ValueError(f"empty sl2 label (d, v0) = {(d, v0)}")
-    top = min(d2 - v2 + v1, d1 - v1 + v2)
-    return list(range(v1 + v2, top + 1))
+    start, top = v1 + v2, min(d2 - v2 + v1, d1 - v1 + v2)
+    size = top - start + 1
+    if size > DEFAULT_VERTEX_CAP:
+        raise VertexCapError(f"sl2 v0 range of {counted(size, 'labels')}", DEFAULT_VERTEX_CAP)
+    return list(range(start, top + 1))
 
 
 def sl2_multiplicity_nonempty(d1: int, v1: int, d2: int, v2: int, v: int) -> bool:

@@ -469,6 +469,52 @@ def test_shape_validation():
         )
 
 
+_NO_COLUMNS = mat([[]], rows=1, cols=0)  # p_i for d_i = 0, v_i = 1
+_NO_ROWS = mat([], rows=0, cols=1)  # q_i for d_i = 0, v_i = 1
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (
+            lambda: ADHMDatum(
+                A2, (0, 0), (1, 1), {(0, 1): mat([[1, 0]])}, (_NO_COLUMNS,) * 2, (_NO_ROWS,) * 2
+            ),
+            "x(0, 1) has shape 1x2, expected 1x1",
+        ),
+        (
+            lambda: ADHMDatum(A2, (0, 0), (1, 1), {}, (_NO_COLUMNS,), (_NO_ROWS,) * 2),
+            "p and q need one matrix per vertex",
+        ),
+        (
+            lambda: ADHMDatum(A1, (2,), (1,), {}, (mat([[1]]),), (mat([[1], [0]]),)),
+            "p[0] has the wrong shape",
+        ),
+        (
+            lambda: ADHMDatum(A1, (2,), (1,), {}, (mat([[0, 1]]),), (mat([[1, 0]]),)),
+            "q[0] has the wrong shape",
+        ),
+        (lambda: GradedFlag(A1, (2,), ()), "a flag needs at least one step"),
+        (
+            lambda: GradedFlag(A1, (2,), ((full_space(3),),)),
+            "flag step 0 lives in the wrong ambient space",
+        ),
+        (
+            lambda: stratum_membership(
+                ADHMDatum(A1, (2,), (1,), {}, (mat([[0, 1]]),), (mat([[1], [0]]),)),
+                GradedFlag(A1, (3,), ((full_space(3),),)),
+            ),
+            "flag and datum live on different framing spaces",
+        ),
+    ],
+    ids=["x-shape", "p-count", "p-shape", "q-shape", "no-step", "flag-ambient", "framing"],
+)
+def test_refusal_texts(build, message):
+    with pytest.raises(ValueError) as err:
+        build()
+    assert str(err.value) == message
+
+
 def test_json_interchange():
     payload = {
         "diagram": "A1",
@@ -546,6 +592,10 @@ def _with(payload, key, value):
         (_with(EDGE_PAYLOAD, "q", [[[[0, 1]]]]), "q must be a list of 2 entries"),
         (_with(EDGE_PAYLOAD, "x", {"0->5": [[[1, 1]]]}), "'0->5'"),
         (_with(EDGE_PAYLOAD, "x", {"0->1": 7}), "x['0->1']"),
+        (
+            _with(EDGE_PAYLOAD, "x", {"a->b": [[[1, 1]]]}),
+            "x key 'a->b' is not an oriented edge \"src->dst\" of A2",
+        ),
         (_with(STRATUM_PAYLOAD, "flag", [[[[[1, 1]]]]]), "flag[0][0][0]"),
         (_with(STRATUM_PAYLOAD, "flag", [[[[[1, 1], 5]]]]), "flag[0][0][0][1]"),
         ({("X" if k == "x" else k): v for k, v in EDGE_PAYLOAD.items()}, "unknown 'X' entry"),

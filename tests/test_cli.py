@@ -20,6 +20,13 @@ from crystal_forge.cli import build_parser, main
 from crystal_forge.dynkin import parse_diagram
 
 
+# Python's limit on the digits of an int written as text, or 0 for none
+DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+needs_digit_limit = pytest.mark.skipif(
+    not DIGIT_LIMIT, reason="this Python reads and writes integers of any length"
+)
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -319,6 +326,14 @@ def test_branch_json(capsys):
     ]
 
 
+def test_branch_table(capsys):
+    code, out, err = run_cli(
+        capsys, "branch", "--diagram", "A2", "--hw", "1,1", "--keep", "0", "--format", "table"
+    )
+    assert (code, err) == (0, "")
+    assert out == "# decomposition over A1\n(2,)\tx1\n(1,)\tx2\n(0,)\tx1\n"
+
+
 def test_dims_json(capsys):
     code, out, _ = run_cli(
         capsys,
@@ -447,6 +462,81 @@ def test_sl2_crystal_above_the_vertex_cap_exits_2(capsys, d):
     assert (code, out) == (2, "")
     assert err.count("\n") == 1
     assert f"chain of {int(d) + 1} vertices" in err and "vertex cap of 200000" in err
+
+
+# each factor's crystal has 10**k vertices, so their product has 2k + 1
+# digits: more than Python writes as text
+_BIG_FACTOR = "9" * (DIGIT_LIMIT // 2 + 1)
+
+
+@needs_digit_limit
+@pytest.mark.parametrize(
+    "command",
+    [("mult", "--target", "0"), ("decompose",), ("decompose", "--format", "table"), ("tensor",)],
+    ids=["mult", "decompose-json", "decompose-table", "tensor"],
+)
+def test_product_size_above_the_digit_limit_exits_2(capsys, command):
+    digits = 2 * len(_BIG_FACTOR) + 1
+    assert run_cli(capsys, *command, "--diagram", "A1", "--factors", _BIG_FACTOR, _BIG_FACTOR) == (
+        2,
+        "",
+        f"error: tensor product of a {digits}-digit number of vertices on A1 exceeded the "
+        "vertex cap of 200000; pass a larger --max-vertices to override\n",
+    )
+
+
+@needs_digit_limit
+def test_sl2_chain_above_the_digit_limit_exits_2(capsys):
+    d = "9" * DIGIT_LIMIT
+    assert run_cli(capsys, "sl2", "crystal", "--d", d, "--v0", "0") == (
+        2,
+        "",
+        f"error: sl2 chain of a {DIGIT_LIMIT + 1}-digit number of vertices "
+        "exceeded the vertex cap of 200000\n",
+    )
+
+
+@pytest.mark.parametrize(
+    "labels, length",
+    [("400000", "400001"), ("9" * 2200, str(10**2200))],
+    ids=["above-the-cap", "huge-labels"],
+)
+def test_sl2_range_above_the_cap_exits_2_before_it_is_built(capsys, labels, length):
+    # the huge labels used to end in an OverflowError traceback
+    argv = ("sl2", "range", "--first", f"{labels},0", "--second", f"{labels},0")
+    assert run_cli(capsys, *argv) == (
+        2,
+        "",
+        f"error: sl2 v0 range of {length} labels exceeded the vertex cap of 200000\n",
+    )
+
+
+@needs_digit_limit
+def test_sl2_range_longer_than_the_digit_limit_exits_2(capsys):
+    labels = "9" * DIGIT_LIMIT
+    argv = ("sl2", "range", "--first", f"{labels},0", "--second", f"{labels},0")
+    assert run_cli(capsys, *argv) == (
+        2,
+        "",
+        f"error: sl2 v0 range of a {DIGIT_LIMIT + 1}-digit number of labels "
+        "exceeded the vertex cap of 200000\n",
+    )
+
+
+@needs_digit_limit
+@pytest.mark.parametrize("command", ["dims", "sl2-component"])
+def test_result_above_the_digit_limit_is_one_error_line(capsys, command):
+    if command == "dims":  # the stable locus has dimension about d * v
+        n = "9" * (DIGIT_LIMIT // 2 + 50)
+        argv = ("dims", "--diagram", "A1", "--d", n, "--v", n)
+    else:  # v = 2n
+        n = "9" * DIGIT_LIMIT
+        argv = ("sl2", "component", "--first", f"{n},0,{n}", "--second", f"{n},0,{n}")
+    assert run_cli(capsys, *argv) == (
+        1,
+        "",
+        f"error: the result holds an integer of more than {DIGIT_LIMIT} digits\n",
+    )
 
 
 @pytest.mark.parametrize(
@@ -671,19 +761,29 @@ def test_adhm_file_that_is_no_json_text_is_one_error_line_naming_it(
     assert (code, out, err) == (1, "", f"error: {path}: {reason}\n")
 
 
-@pytest.mark.skipif(
-    not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
-    reason="this Python reads integers of any length",
-)
+@needs_digit_limit
 @pytest.mark.parametrize("command", ["check", "stratum"])
 def test_adhm_integer_above_the_digit_limit_is_one_error_line_naming_it(
     tmp_path, capsys, command
 ):
-    limit = sys.get_int_max_str_digits()
+    limit = DIGIT_LIMIT
     path = tmp_path / "big.json"
     path.write_text('{"diagram": "A1", "d": [' + "9" * (limit + 700) + "]}")
     code, out, err = run_cli(capsys, "adhm", command, str(path))
     assert (code, out, err) == (1, "", f"error: {path}: an integer has more than {limit} digits\n")
+
+
+def test_adhm_stratum_without_a_flag_is_refused(tmp_path, capsys):
+    path = tmp_path / "datum.json"
+    path.write_text(
+        '{"diagram": "A1", "d": [2], "v": [1], "x": {}, '
+        '"p": [[[[0, 1], [1, 1]]]], "q": [[[[1, 1]], [[0, 1]]]]}'
+    )
+    assert run_cli(capsys, "adhm", "stratum", str(path)) == (
+        1,
+        "",
+        'error: stratum membership needs a "flag" entry in the JSON file\n',
+    )
 
 
 def test_unknown_flag_is_domain_error(capsys):

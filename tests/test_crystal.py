@@ -234,6 +234,9 @@ def test_direct_sum_examples():
 def test_is_isomorphic_examples():
     assert is_isomorphic(a1_chain([2, 0, -2]), build_crystal(A1, (2,))) is not None
     assert is_isomorphic(a1_chain([2, 0, -2]), a1_chain([1, -1])) is None
+    # four vertices each, but B(1) + B(1) and B(3) have different summands
+    b1 = build_crystal(A1, (1,))
+    assert is_isomorphic(direct_sum([b1, b1]), build_crystal(A1, (3,))) is None
     # the explicit one-vertex model agrees with the generic realization
     assert is_isomorphic(sl2_crystal(3, 1), build_crystal(A1, (1,))) is not None
 
@@ -298,6 +301,21 @@ def test_construction_refuses_a_malformed_weight_or_payload_count():
         with pytest.raises(ValueError) as err:
             CrystalGraph(A1, weights, [{}], payloads)
         assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: CrystalGraph(A2, [(0, 0)], [{}]), "expected 2 colored maps, got 1"),
+        (lambda: direct_sum([]), "empty direct sum needs an explicit diagram"),
+        (lambda: tensor_many([]), "tensor product of an empty list"),
+    ],
+    ids=["f-map-count", "empty-direct-sum", "empty-tensor"],
+)
+def test_refusal_texts(call, message):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message
 
 
 def test_a_string_that_runs_into_a_cycle_is_refused():

@@ -218,5 +218,34 @@ def test_param_validation():
         )
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (
+            lambda: StratumParams(A2, (2, 0), (1, 1), ((1, 0), (1, 0)), ((1, 0), (0, 1)), ((0, 0),)),
+            "vt_tuple must have length n",
+        ),
+        (
+            lambda: flag_split_fiber_dim(
+                StratumParams(
+                    A2, (2, 0), (1, 1), ((1, 0), (1, 0)), ((1, 0), (0, 1)), ((0, 0), (0, 0))
+                ),
+                0,
+            ),
+            "cut position k must satisfy 0 < k < 2",
+        ),
+        (
+            lambda: gprime_integrable(((1, 0), (1,))),
+            "extended weight components must have equal length",
+        ),
+    ],
+    ids=["short-vt-tuple", "cut-at-0", "unequal-lengths"],
+)
+def test_refusal_texts(call, message):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message
+
+
 def test_dominance_vector():
     assert dominance_vector(A2, (2, 0), (1, 0)) == (0, 1)

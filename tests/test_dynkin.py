@@ -109,8 +109,8 @@ def test_oriented_edge_reversal():
     H = d4.oriented_edges
     assert len(H) == 2 * len(d4.edges)
     for h in H:
-        rev = d4.reversed_edge(h)
-        assert rev in H and rev != h and d4.reversed_edge(rev) == h
+        rev = (h[1], h[0])
+        assert rev in H and rev != h
         assert d4.orientation_sign(h) + d4.orientation_sign(rev) == 0
 
 
@@ -317,6 +317,33 @@ def test_non_integer_vertices_are_refused(call, vertex):
     # int() used to keep vertex 0 for 0.5 and vertex 1 for 1.2 and "1"
     with pytest.raises(ValueError, match=re.escape(f"vertex {vertex!r} is not an integer")):
         call(dynkin("A", 2), [vertex])
+
+
+@pytest.mark.parametrize(
+    "rank, edges, message",
+    [
+        (2, [(0, 2)], "edge (0, 2) out of range for rank 2"),
+        (2, [(1, 1)], "edge (1, 1) out of range for rank 2"),
+        (3, [(0, 1), (1, 0)], "duplicate edges"),
+    ],
+)
+def test_edges_out_of_range_or_repeated_are_refused(rank, edges, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        DynkinDiagram(rank, edges)
+
+
+@pytest.mark.parametrize("what", ["weight", "highest weight", "target weight"])
+def test_check_dominant_names_the_weight_it_refuses(what):
+    a2 = dynkin("A", 2)
+    w = (3, 0)
+    assert a2.check_dominant(w, what) is w
+    assert a2.check_dominant([0, 2]) == (0, 2)
+    with pytest.raises(ValueError) as err:
+        a2.check_dominant((0, -1), what)
+    assert str(err.value) == f"{what} (0, -1) is not dominant"
+    # the length is checked before the sign
+    with pytest.raises(ValueError, match=re.escape("weight (-1,) has length 1, diagram rank is 2")):
+        a2.check_dominant((-1,), what)
 
 
 @pytest.mark.parametrize("rank", [-1, MAX_RANK + 1])

@@ -119,6 +119,19 @@ def test_shape_errors():
             build()
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: intersect(full_space(2), full_space(3)), "ambient dimension mismatch in intersection"),
+        (lambda: preimage(zeros(2, 3), full_space(3)), "ambient dimension mismatch in preimage"),
+    ],
+    ids=["intersect", "preimage"],
+)
+def test_subspaces_of_different_ambient_spaces_are_refused(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
+
+
 def test_zeros_and_identity_equal_the_checked_constructor():
     for r in range(5):
         checked = Mat(r, r, tuple(tuple(int(i == j) for j in range(r)) for i in range(r)))

@@ -245,7 +245,7 @@ def test_close_asserts_an_integral_split_point():
     start, denominator = paths._from_fractions(highest_path(A2, (30, 2)))
     assert denominator == 1
     with pytest.raises(AssertionError, match="split point .* over denominator 1$"):
-        paths._close(A2, (30, 2), start, 1, 10_000)
+        paths._close(A2, (30, 2), start, 1)
 
 
 def test_build_takes_weights_from_the_parent_and_keeps_integer_paths():

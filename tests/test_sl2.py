@@ -84,6 +84,43 @@ def test_range_agrees_with_decomposition():
                     assert got == expected
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: sl2_crystal(-1, 0), "invalid sl2 label (d, v0) = (-1, 0): negative entry"),
+        (lambda: sl2_crystal(2, -1), "invalid sl2 label (d, v0) = (2, -1): negative entry"),
+        (lambda: sl2_mult_range(2, 0, 2, -1), "invalid sl2 label (d, v0) = (2, -1): negative entry"),
+        (
+            lambda: sl2_tensor_component((2, -1, 0), (2, 0, 0)),
+            "invalid sl2 label (d, v0) = (2, -1): negative entry",
+        ),
+        (lambda: sl2_multiplicity_nonempty(2, 0, 2, 0, -1), "sl2 labels must be non-negative"),
+    ],
+    ids=["crystal-d", "crystal-v0", "range", "component", "nonempty"],
+)
+def test_negative_labels_are_refused(call, message):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message
+
+
+def test_mult_range_vertex_cap():
+    # the range has min(d1 - 2*v1, d2 - 2*v2) + 1 labels: at the cap it is
+    # built, one above it is refused before the list is built
+    assert len(sl2_mult_range(DEFAULT_VERTEX_CAP - 1, 0, DEFAULT_VERTEX_CAP + 5, 0)) == (
+        DEFAULT_VERTEX_CAP
+    )
+    with pytest.raises(VertexCapError) as err:
+        sl2_mult_range(DEFAULT_VERTEX_CAP, 0, DEFAULT_VERTEX_CAP + 5, 0)
+    assert str(err.value) == (
+        f"sl2 v0 range of {DEFAULT_VERTEX_CAP + 1} labels "
+        f"exceeded the vertex cap of {DEFAULT_VERTEX_CAP}"
+    )
+    # labels of 21 digits used to end in an OverflowError from `list`
+    with pytest.raises(VertexCapError, match=f"^sl2 v0 range of {10**20 + 1} labels"):
+        sl2_mult_range(10**20, 0, 10**20, 0)
+
+
 def test_sl2_crystal_vertex_cap():
     # d - 2*v0 + 1 vertices: at the cap the chain is built, one above it is
     # refused before anything is built
