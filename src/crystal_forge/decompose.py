@@ -32,11 +32,13 @@ are the u_lam x b with eps_i(b) <= lam_i for every color i.  Each factor
 B(mu) is read through its weight index, which lists for each weight of
 B(mu) the distinct eps of its vertices with their counts; it is kept on
 the cached reference of B(mu), so each B(mu) is cached once.
-`tensor_summands` carries the highest weights of the partial products as
-a multiset through every later factor; `multiplicity` does so through
-all but the last, and reads the last factor only at the weights
-target - lam.  Both check their factors in one order, the cap first,
-then each factor's length and sign in turn, then the product size;
+`tensor_summands` carries the highest weights of the partial products,
+with their multiplicities, in a plain dict through every later factor,
+and makes a Counter of them only where it returns; `multiplicity` does
+so through all but the last, and reads the last factor only at the
+weights target - lam.  Both check their factors in one order, the cap
+first, then each factor's length and sign in turn, then the product
+size, read from Weyl dimensions that the diagram keeps once computed;
 `multiplicity` checks its target before them.
 """
 
@@ -158,24 +160,30 @@ def _signature_index(diagram: DynkinDiagram, hw: Weight) -> dict[Weight, tuple[t
     return index
 
 
-def _fold(diagram: DynkinDiagram, tops: Counter, factors: list[Weight]) -> Counter:
-    """The highest weights of a product, as a multiset, carried through
-    `factors` tensored on its right.
+def _fold(diagram: DynkinDiagram, tops: dict[Weight, int], factors: list[Weight]) -> dict[Weight, int]:
+    """The highest weights of a product, with their multiplicities, carried
+    through `factors` tensored on its right, in a plain dict.
 
     Under the signature rule a vertex of B(lam) x B(mu) is a source iff
     it is u_lam x b with eps_i(b) <= lam_i for every color i, so each
     source weight lam of the product gives lam + wt once per weight wt of
     B(mu), with the number of vertices of that weight whose eps is below
-    lam.
+    lam.  That number is summed in a loop over the weight's signatures and
+    added to its key in place: no list per weight, no Counter per factor.
     """
     for mu in factors:
         index = _signature_index(diagram, mu)
-        nxt: Counter = Counter()
+        nxt: dict[Weight, int] = {}
+        get = nxt.get
         for lam, m in tops.items():
             for wt, signatures in index.items():
-                k = sum([count for eps, count in signatures if all(map(le, eps, lam))])
+                k = 0
+                for eps, count in signatures:
+                    if all(map(le, eps, lam)):
+                        k += count
                 if k:
-                    nxt[tuple(map(add, lam, wt))] += m * k
+                    key = tuple(map(add, lam, wt))
+                    nxt[key] = get(key, 0) + m * k
         tops = nxt
     return tops
 
@@ -447,13 +455,17 @@ def multiplicity(
         raise ValueError("multiplicity needs at least one tensor factor")
     if len(factors) == 1:
         return int(factors[0] == target)
-    tops = _fold(diagram, Counter({factors[0]: 1}), factors[1:-1])
+    tops = _fold(diagram, {factors[0]: 1}, factors[1:-1])
     index = _signature_index(diagram, factors[-1])
     total = 0
     for lam, m in tops.items():
         signatures = index.get(tuple(map(sub, target, lam)))
         if signatures:
-            total += m * sum([count for eps, count in signatures if all(map(le, eps, lam))])
+            k = 0
+            for eps, count in signatures:
+                if all(map(le, eps, lam)):
+                    k += count
+            total += m * k
     return total
 
 
@@ -465,7 +477,7 @@ def tensor_summands(
     """The summands of the left-nested tensor product of the highest-weight
     crystals of `factors`: each highest weight with its multiplicity, as
     `decompose` of the built product counts them, read off the factors by
-    `_fold` without building the product.
+    `_fold` without building the product, and made a Counter here.
 
     The factors are checked as a product of their crystals is: ValueError
     for a cap below 1, then for each factor in turn for a wrong length or
@@ -475,7 +487,7 @@ def tensor_summands(
     factors = _check_product(diagram, factors, max_vertices)
     if not factors:
         raise ValueError("tensor_summands needs at least one tensor factor")
-    return _fold(diagram, Counter({factors[0]: 1}), factors[1:])
+    return Counter(_fold(diagram, {factors[0]: 1}, factors[1:]))
 
 
 def levi_maps(diagram: DynkinDiagram, d, v, keep) -> tuple[Weight, Weight]:

@@ -245,7 +245,12 @@ def v_from_weight(diagram: DynkinDiagram, d, mu) -> Weight | None:
 
     Returns None when the solution is not a non-negative integer vector.
     """
-    rhs = vsub(diagram.check_weight(d), diagram.check_weight(mu))
+    return _v_from_weight(diagram, diagram.check_weight(d), diagram.check_weight(mu))
+
+
+def _v_from_weight(diagram: DynkinDiagram, d: Weight, mu: Weight) -> Weight | None:
+    """`v_from_weight` of checked weights d and mu."""
+    rhs = vsub(d, mu)
     inv = diagram.inverse_cartan()
     v = []
     for row in inv.num:
@@ -258,8 +263,11 @@ def v_from_weight(diagram: DynkinDiagram, d, mu) -> Weight | None:
 
 def gprime_weight(diagram: DynkinDiagram, d, v) -> tuple[Weight, Weight]:
     """Weight (d - v + Xv, v) for the extended (reductive) weight lattice."""
-    d = diagram.check_weight(d)
-    v = diagram.check_weight(v)
+    return _gprime_weight(diagram, diagram.check_weight(d), diagram.check_weight(v))
+
+
+def _gprime_weight(diagram: DynkinDiagram, d: Weight, v: Weight) -> tuple[Weight, Weight]:
+    """`gprime_weight` of checked weights d and v."""
     return (vadd(vsub(d, v), diagram.apply_x(v)), v)
 
 

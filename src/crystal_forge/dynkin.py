@@ -22,7 +22,7 @@ sign of an edge and of its reversal always cancel.
 from __future__ import annotations
 
 import re
-from math import prod
+from math import log10, prod
 from operator import add, index
 
 from .linalg import Mat, hstack, identity, int_mat, mat, rref
@@ -35,6 +35,24 @@ _INT = {int}  # the one entry type `check_weight` passes through as it is
 
 # Diagrams carry rank x rank tables, so the rank is bounded before any is built.
 MAX_RANK = 100
+
+
+def as_text(x) -> str:
+    """An int or a weight as `str` writes it, except that an int with more
+    digits than the interpreter writes as text (4,300 by default) reads
+    "a k-digit number" or "a negative k-digit number"; refusals write
+    every weight and cap through this, so no refusal fails on its text."""
+    try:
+        return f"{x}"
+    except ValueError:
+        pass
+    if isinstance(x, tuple):
+        entries = [as_text(c) if isinstance(c, int) else repr(c) for c in x]
+        return f"({', '.join(entries)}{',' if len(entries) == 1 else ''})"
+    n = abs(x)
+    k = int(log10(n))  # floor(log10 n) up to rounding, which the powers correct
+    k += (10 ** (k + 1) <= n) - (10**k > n)
+    return f"a {'negative ' if x < 0 else ''}{k + 1}-digit number"
 
 
 def vadd(u: Weight, w: Weight) -> Weight:
@@ -164,6 +182,7 @@ class DynkinDiagram:
         self._inv_cartan: Mat | None = None
         self._positive_roots: tuple[Weight, ...] | None = None
         self._weyl_data: tuple[list[int], list[Weight], int] | None = None
+        self._weyl_dims: dict[Weight, int] = {}  # per checked dominant weight asked for
 
     # -- identity ---------------------------------------------------------
 
@@ -200,9 +219,9 @@ class DynkinDiagram:
         try:
             w = tuple(map(index, w))
         except TypeError:
-            raise ValueError(f"weight {w} has a non-integer entry") from None
+            raise ValueError(f"weight {as_text(w)} has a non-integer entry") from None
         if len(w) != self.rank:
-            raise ValueError(f"weight {w} has length {len(w)}, diagram rank is {self.rank}")
+            raise ValueError(f"weight {as_text(w)} has length {len(w)}, diagram rank is {self.rank}")
         return w
 
     def check_dominant(self, w, what: str = "weight") -> Weight:
@@ -210,7 +229,7 @@ class DynkinDiagram:
         `what` names w in that refusal."""
         w = self.check_weight(w)
         if min(w, default=0) < 0:
-            raise ValueError(f"{what} {w} is not dominant")
+            raise ValueError(f"{what} {as_text(w)} is not dominant")
         return w
 
     def _check_color(self, i: int) -> None:
@@ -279,18 +298,22 @@ class DynkinDiagram:
         """Weyl's product over positive roots r of <hw + rho, r> / <rho, r> for
         a checked dominant hw.  <rho, r> is the height of r, and the
         numerators are the heights plus hw_j times column j of the roots'
-        coordinates, summed over the nonzero hw_j."""
-        if self._weyl_data is None:
-            roots = self.positive_roots()
-            heights = list(map(sum, roots))
-            self._weyl_data = (heights, list(zip(*roots)), prod(heights))
-        nums, columns, den = self._weyl_data
-        for c, column in zip(hw, columns):
-            if c:
-                nums = list(map(add, nums, map(c.__mul__, column)))
-        q, r = divmod(prod(nums), den)
-        if r:
-            raise AssertionError("Weyl dimension did not come out integral")
+        coordinates, summed over the nonzero hw_j.  Each dimension computed is
+        kept on the diagram, so a weight asked for again costs one lookup."""
+        q = self._weyl_dims.get(hw)
+        if q is None:
+            if self._weyl_data is None:
+                roots = self.positive_roots()
+                heights = list(map(sum, roots))
+                self._weyl_data = (heights, list(zip(*roots)), prod(heights))
+            nums, columns, den = self._weyl_data
+            for c, column in zip(hw, columns):
+                if c:
+                    nums = list(map(add, nums, map(c.__mul__, column)))
+            q, r = divmod(prod(nums), den)
+            if r:
+                raise AssertionError("Weyl dimension did not come out integral")
+            self._weyl_dims[hw] = q
         return q
 
 

@@ -37,10 +37,10 @@ closure itself then counts nothing.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm, log10
+from math import gcd, lcm
 
 from .crystal import CrystalGraph, _graph
-from .dynkin import DynkinDiagram, Weight
+from .dynkin import DynkinDiagram, Weight, as_text
 
 Segment = tuple[Fraction, ...]
 Path = tuple[Segment, ...]
@@ -55,26 +55,21 @@ class VertexCapError(RuntimeError):
     """A crystal build, or a tensor product, exceeded its vertex cap."""
 
     def __init__(self, what: str, cap: int):
-        super().__init__(f"{what} exceeded the vertex cap of {cap}")
+        super().__init__(f"{what} exceeded the vertex cap of {as_text(cap)}")
         self.cap = cap
 
 
 def counted(n: int, noun: str) -> str:
     """A count n > 0 of noun as text: "n noun", or "a k-digit number of
-    noun" when n has more digits than the interpreter writes as text
-    (4,300 by default)."""
-    try:
-        return f"{n} {noun}"
-    except ValueError:
-        k = int(log10(n))  # floor(log10 n) up to rounding, which the powers correct
-        k += (10 ** (k + 1) <= n) - (10**k > n)
-        return f"a {k + 1}-digit number of {noun}"
+    noun" when `as_text` writes n by its digits."""
+    text = as_text(n)
+    return f"{text} {noun}" if text.isdigit() else f"{text} of {noun}"
 
 
 def check_vertex_cap(max_vertices: int) -> None:
     """Raise ValueError for a vertex cap below 1."""
     if max_vertices < 1:
-        raise ValueError(f"max_vertices must be at least 1, got {max_vertices}")
+        raise ValueError(f"max_vertices must be at least 1, got {as_text(max_vertices)}")
 
 
 class _Reflection(dict):
@@ -229,7 +224,9 @@ def build_crystal(
     check_vertex_cap(max_vertices)
     hw = diagram.check_dominant(hw, "highest weight")
     if diagram._weyl_dimension(hw) > max_vertices:
-        raise VertexCapError(f"crystal for highest weight {hw} on {diagram.label}", max_vertices)
+        raise VertexCapError(
+            f"crystal for highest weight {as_text(hw)} on {diagram.label}", max_vertices
+        )
     pairings = (sum(x * g for x, g in zip(hw, r)) for r in diagram.positive_roots())
     denominator = lcm(*filter(None, pairings))
     g = gcd(*hw)

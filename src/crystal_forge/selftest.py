@@ -33,13 +33,14 @@ from .crystal import CrystalGraph, tensor, tensor_many, verify_axioms
 from .decompose import branch, decompose, highest_vertices, levi_maps, multiplicity
 from .dimensions import (
     StratumParams,
+    _gprime_weight,
+    _v_from_weight,
     basic_dims,
     core_split_fiber_dim,
     gprime_integrable,
     gprime_weight,
     hw_weight,
     strat_dims,
-    v_from_weight,
 )
 from .dynkin import DynkinDiagram, dynkin, induced_subdiagram, pairing, vadd, vsub
 from .linalg import _Record, full_space, mat, span
@@ -412,17 +413,19 @@ def criterion_gprime_positivity(ctx: dict):
         if all(c >= 0 for c in d_try):
             choices.append(v0)
         for v0 in choices:
-            d = vadd(lam, diagram.apply_cartan(v0))
+            d = diagram.check_weight(vadd(lam, diagram.apply_cartan(v0)))
             if hw_weight(diagram, d, v0) != lam:
                 return False, f"{diagram.label} {lam}: framing dictionary broken"
             top = gprime_weight(diagram, d, v0)
             if not gprime_integrable((top[0], top[1])):
                 return False, f"{diagram.label} {lam}: highest extended weight not integrable"
+            # d is checked; each vertex weight is checked once here, and the
+            # v solved from it is a tuple of ints of the diagram's rank
             for w in crystal.weights:
-                vv = v_from_weight(diagram, d, w)
+                vv = _v_from_weight(diagram, d, diagram.check_weight(w))
                 if vv is None:
                     return False, f"{diagram.label} {lam}: no v for weight {w}"
-                first, second = gprime_weight(diagram, d, vv)
+                first, second = _gprime_weight(diagram, d, vv)
                 if any(c < 0 for c in first) or any(c < 0 for c in second):
                     return False, (
                         f"{diagram.label} {lam} vertex weight {w}: extended weight "

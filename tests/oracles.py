@@ -1,8 +1,10 @@
 """Independent oracles for the crystal engine.
 
 Weight multiplicities come from Freudenthal's recursion and tensor
-decompositions from character peeling; neither touches the path operators
-or the graph machinery, so agreement is a genuine cross-check.  Both solve
+decompositions from character peeling, or from Brauer's formula over
+Freudenthal characters, which never forms the product's character;
+none of them touches the path operators or the graph machinery, so
+agreement is a genuine cross-check.  Both solve
 the Cartan matrix with their own `Fraction` inverse read off
 `rref_fractions`, not with the integer inverse in `dynkin`.  The
 positive roots have a reference that reflects every root, negative ones
@@ -182,6 +184,42 @@ def peel_character(diagram: DynkinDiagram, char: Counter) -> Counter:
         for w, c in freudenthal_character(diagram, mu).items():
             remaining[w] -= m * c
             assert remaining[w] >= 0, f"negative multiplicity at {w}"
+
+
+def brauer_klimyk(diagram: DynkinDiagram, factors) -> Counter:
+    """Highest weights of V(lam_1) x ... x V(lam_n) with their multiplicities,
+    by Brauer's (Klimyk's, Racah-Speiser's) formula folded left to right:
+    V(lam) x V(mu) = sum over weights nu of V(mu), m_mu(nu) times, of
+    sign(w) V(w(lam + nu + rho) - rho), where w(lam + nu + rho) is dominant.
+
+    Reads only `freudenthal_character` and the Cartan matrix.  rho is
+    (1, ..., 1) in fundamental coordinates; a weight with a negative
+    coordinate x_i is reflected to x - x_i alpha_i, alpha_i being column i
+    of the Cartan matrix, each reflection flipping the sign, until it is
+    dominant.  A term whose dominant conjugate has a zero coordinate lies
+    on a wall and adds nothing.
+    """
+    alphas = [tuple(row[i] for row in diagram.cartan) for i in range(diagram.rank)]
+    factors = [tuple(f) for f in factors]
+    chars = {mu: freudenthal_character(diagram, mu) for mu in set(factors[1:])}
+    tops = Counter({factors[0]: 1})
+    for mu in factors[1:]:
+        nxt: Counter = Counter()
+        for lam, m in tops.items():
+            for nu, c in chars[mu].items():
+                x = [a + b + 1 for a, b in zip(lam, nu)]
+                sign = m * c
+                while 0 not in x:  # a wall is kept by every reflection
+                    low = min(x)
+                    if low > 0:
+                        nxt[tuple(a - 1 for a in x)] += sign
+                        break
+                    alpha = alphas[x.index(low)]
+                    x = [a - low * r for a, r in zip(x, alpha)]
+                    sign = -sign
+        assert min(nxt.values(), default=0) >= 0, "Brauer's formula left a negative multiplicity"
+        tops = +nxt  # drop the weights whose terms cancelled
+    return tops
 
 
 def exported_paths(crystal: CrystalGraph) -> list[tuple]:

@@ -1,6 +1,7 @@
 import importlib
 from collections import Counter
 from itertools import permutations, product as cartesian
+from math import prod
 from random import Random
 
 import pytest
@@ -19,12 +20,13 @@ from crystal_forge.decompose import (
 from crystal_forge.dynkin import DynkinDiagram, dynkin, vadd, vsub
 from crystal_forge.paths import VertexCapError, build_crystal
 
-from oracles import character_product, freudenthal_character, peel_character
+from oracles import brauer_klimyk, character_product, freudenthal_character, peel_character
 
 A1 = dynkin("A", 1)
 A2 = dynkin("A", 2)
 A3 = dynkin("A", 3)
 D4 = dynkin("D", 4)
+E6 = dynkin("E", 6)
 
 
 def test_highest_vertices():
@@ -336,7 +338,7 @@ def test_multiplicity_matches_the_product_and_character_peeling(case):
 # most 30, per diagram
 _SUMMAND_POOLS = {
     diagram: [w for w in cartesian(range(3), repeat=diagram.rank) if diagram.weyl_dimension(w) <= 30]
-    for diagram in (A1, A2, A3, dynkin("A", 4), D4, dynkin("D", 5), dynkin("E", 6))
+    for diagram in (A1, A2, A3, dynkin("A", 4), D4, dynkin("D", 5), E6)
 }
 
 
@@ -375,3 +377,59 @@ def test_tensor_summands_of_one_factor_and_of_a_product_above_the_cap():
     assert sum(m * A2.weyl_dimension(w) for w, m in summands.items()) == 512
     with pytest.raises(ValueError, match="at least one tensor factor"):
         tensor_summands(A2, [])
+
+
+@st.composite
+def _unbuilt_products(draw):
+    """(diagram, factors) with 2-4 factors and at most 10**6 product
+    vertices, which no test builds."""
+    diagram = draw(st.sampled_from(list(_SUMMAND_POOLS)))
+    factors, budget = [], 10**6
+    for _ in range(draw(st.integers(2, 4))):
+        fits = [w for w in _SUMMAND_POOLS[diagram] if diagram.weyl_dimension(w) <= budget]
+        mu = draw(st.sampled_from(fits))
+        factors.append(mu)
+        budget //= diagram.weyl_dimension(mu)
+    return diagram, factors
+
+
+def _check_against_brauer_klimyk(diagram, factors):
+    """tensor_summands, and multiplicity at each summand weight, at 0 and at
+    the first factor, equal Brauer's formula with the cap at the product's
+    size; one vertex less is refused."""
+    size = prod(map(diagram.weyl_dimension, factors))
+    expected = brauer_klimyk(diagram, factors)
+    assert sum(m * diagram.weyl_dimension(w) for w, m in expected.items()) == size
+    assert tensor_summands(diagram, factors, max_vertices=size) == expected
+    for target in {*expected, (0,) * diagram.rank, factors[0]}:
+        assert multiplicity(diagram, target, factors, max_vertices=size) == expected[target]
+    if size > 1:
+        with pytest.raises(VertexCapError):
+            tensor_summands(diagram, factors, max_vertices=size - 1)
+    return expected
+
+
+# each example disagrees with a fold that drops the eps <= lam test and with
+# one that compares with <
+@settings(max_examples=40, deadline=None)
+@given(_unbuilt_products())
+@example((A2, [(1, 1), (1, 1), (1, 0)]))
+@example((D4, [(0, 1, 0, 0), (1, 0, 0, 1), (0, 0, 1, 0)]))
+@example((E6, [(1, 0, 0, 0, 0, 0), (0, 0, 0, 0, 1, 0), (1, 0, 0, 0, 0, 0)]))
+def test_tensor_counts_match_brauer_klimyk(case):
+    _check_against_brauer_klimyk(*case)
+
+
+@pytest.mark.parametrize(
+    "diagram, factor, trivial",
+    [
+        # 912**4, about 6.9 * 10**11 vertices; the README's E7 `mult` prints 10
+        (dynkin("E", 7), (0, 0, 0, 0, 0, 0, 1), 10),
+        # the adjoint crystal: 248**4, about 3.8 * 10**9 vertices
+        (dynkin("E", 8), (0, 0, 0, 0, 0, 0, 1, 0), 5),
+    ],
+    ids=["E7", "E8"],
+)
+def test_fourth_tensor_powers_at_e7_and_e8_scale_match_brauer_klimyk(diagram, factor, trivial):
+    expected = _check_against_brauer_klimyk(diagram, [factor] * 4)
+    assert expected[(0,) * diagram.rank] == trivial

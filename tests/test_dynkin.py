@@ -1,5 +1,6 @@
 import hashlib
 import re
+import sys
 from fractions import Fraction
 from itertools import combinations, product as cartesian
 
@@ -9,6 +10,7 @@ from hypothesis import example, given, strategies as st
 from crystal_forge.dynkin import (
     MAX_RANK,
     DynkinDiagram,
+    as_text,
     dynkin,
     induced_subdiagram,
     pairing,
@@ -344,6 +346,27 @@ def test_check_dominant_names_the_weight_it_refuses(what):
     # the length is checked before the sign
     with pytest.raises(ValueError, match=re.escape("weight (-1,) has length 1, diagram rank is 2")):
         a2.check_dominant((-1,), what)
+
+
+@pytest.mark.parametrize("x", [0, 7, -12, True, (), (1,), (1, -1), (0, 2, 3), (1, 1.5)])
+def test_as_text_writes_what_str_writes(x):
+    assert as_text(x) == str(x)
+
+
+# Python's limit on the digits of an int written as text, or 0 for none
+DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+@pytest.mark.skipif(not DIGIT_LIMIT, reason="this Python writes every int as text")
+def test_as_text_writes_an_int_above_the_digit_limit_by_its_digit_count():
+    big = 10**DIGIT_LIMIT  # one digit more than the limit
+    assert as_text(big - 1) == str(big - 1)
+    digits = f"{DIGIT_LIMIT + 1}-digit number"
+    assert as_text(big) == f"a {digits}"
+    assert as_text(-big) == f"a negative {digits}"
+    assert as_text(big**2) == f"a {2 * DIGIT_LIMIT + 1}-digit number"
+    assert as_text((big,)) == f"(a {digits},)"
+    assert as_text((-1, big, 1.5)) == f"(-1, a {digits}, 1.5)"
 
 
 @pytest.mark.parametrize("rank", [-1, MAX_RANK + 1])

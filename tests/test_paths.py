@@ -1,4 +1,5 @@
 import re
+import sys
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from random import Random
@@ -32,6 +33,34 @@ from oracles import (
 A1 = dynkin("A", 1)
 A2 = dynkin("A", 2)
 D4 = dynkin("D", 4)
+
+
+# more digits than Python writes as text by default (4,300)
+_BIG = 10**5000
+# Python's limit on the digits of an int written as text, or 0 for none
+_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+@pytest.mark.parametrize(
+    "hw, cap, error, message",
+    [
+        (
+            (_BIG,),
+            200_000,
+            VertexCapError,
+            "crystal for highest weight (a 5001-digit number,) on A1 exceeded the vertex cap of 200000",
+        ),
+        ((-_BIG,), 200_000, ValueError, "highest weight (a negative 5001-digit number,) is not dominant"),
+        ((1,), -_BIG, ValueError, "max_vertices must be at least 1, got a negative 5001-digit number"),
+    ],
+    ids=["above-the-cap", "not-dominant", "cap-below-1"],
+)
+def test_refusals_of_an_integer_above_the_digit_limit_are_the_refusals(hw, cap, error, message):
+    with pytest.raises((ValueError, VertexCapError)) as caught:
+        build_crystal(A1, hw, max_vertices=cap)
+    assert caught.type is error
+    if _DIGIT_LIMIT:  # a Python without the limit writes the number out
+        assert str(caught.value) == message
 
 
 def _endpoint(path, rank):
