@@ -9,7 +9,8 @@ Run as:  python3 demos/04_levi_branching.py
 """
 
 from crystal_forge import branch, build_crystal, dynkin, levi_maps
-from crystal_forge.dynkin import induced_subdiagram, vadd, vsub
+from crystal_forge.dimensions import dominance_vector
+from crystal_forge.dynkin import induced_subdiagram
 
 a2 = dynkin("A", 2)
 d4 = dynkin("D", 4)
@@ -34,8 +35,8 @@ print("\n== The dimension dictionaries match the weight function ==")
 d, v, keep = (2, 0, 1, 0), (1, 1, 0, 2), [0, 2, 3]
 framing, rho_v = levi_maps(d4, d, v, keep)
 sub, kept = induced_subdiagram(d4, keep)
-wt = vadd(vsub(d, tuple(2 * c for c in v)), d4.apply_x(v))
+wt = dominance_vector(d4, d, v)
 lhs = tuple(wt[i] for i in kept)
-rhs = vadd(vsub(framing, tuple(2 * c for c in rho_v)), sub.apply_x(rho_v))
+rhs = dominance_vector(sub, framing, rho_v)
 print("  restricted weight:", lhs)
 print("  via dictionaries: ", rhs)

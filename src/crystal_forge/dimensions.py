@@ -4,6 +4,9 @@ Every function here is pure integer arithmetic in the pairing <.,.>, the
 matrices A and X = 2*Id - A, and A^{-1} = num / den; halved quantities
 are computed on the doubled integer with a parity assertion, and
 `v_from_weight` keeps a solution only when `den` divides it.
+The weight of a label (d, v) is d - Av = d - 2v + Xv.  It is computed in
+one place, `dominance_vector`, and every formula has one entry point,
+which checks its weights.
 The formulas are evaluated wherever the input vectors make sense, whether
 or not the stratum they describe is non-empty, so records carry the
 relevant non-emptiness flags separately.
@@ -33,10 +36,9 @@ def _locus(diagram: DynkinDiagram, d: Weight, v: Weight) -> int:
 
 
 def dominance_vector(diagram: DynkinDiagram, d, v) -> Weight:
-    """d - 2v + Xv; coordinatewise non-negativity controls emptiness."""
-    d = diagram.check_weight(d)
-    v = diagram.check_weight(v)
-    return vadd(vsub(d, (2 * c for c in v)), diagram.apply_x(v))
+    """The label weight d - Av = d - 2v + Xv, the one place it is computed;
+    coordinatewise non-negativity controls emptiness."""
+    return vsub(diagram.check_weight(d), diagram.apply_cartan(diagram.check_weight(v)))
 
 
 def basic_dims(diagram: DynkinDiagram, d, v, v0=None) -> dict:
@@ -192,14 +194,8 @@ def flag_split_fiber_dim(params: StratumParams, k: int) -> int:
     if not 0 < k < params.n:
         raise ValueError(f"cut position k must satisfy 0 < k < {params.n}")
     diagram = params.diagram
-    rank = diagram.rank
-    u = [0] * rank
-    c = [0] * rank
-    for s in range(k, params.n):
-        for j in range(rank):
-            u[j] += params.v_tuple[s][j] + params.vt_tuple[s][j]
-            c[j] += params.d_tuple[s][j]
-    u, c = tuple(u), tuple(c)
+    u = tuple(map(sum, zip(*params.v_tuple[k:], *params.vt_tuple[k:])))
+    c = tuple(map(sum, zip(*params.d_tuple[k:])))
     vu = vsub(params.v, u)
     return (
         pairing(diagram.apply_x(u), vu)
@@ -218,10 +214,8 @@ def bistable_split_fiber_dim(diagram: DynkinDiagram, d1, v1, u, d2, v2) -> int:
     equations they satisfy.  It is half the stable-locus dimension of
     (d1 + d2, v1 + u + v2) minus those of (d1, v1), (0, u) and (d2, v2).
     """
-    for w in (d1, v1, u, d2, v2):
-        diagram.check_weight(w)
-    d1, v1, u, d2, v2 = (tuple(w) for w in (d1, v1, u, d2, v2))
-    v = tuple(a + b + c for a, b, c in zip(v1, u, v2))
+    d1, v1, u, d2, v2 = map(diagram.check_weight, (d1, v1, u, d2, v2))
+    v = tuple(map(sum, zip(v1, u, v2)))
     zero = (0,) * diagram.rank
     doubled = (
         _locus(diagram, vadd(d1, d2), v)
@@ -236,21 +230,17 @@ def bistable_split_fiber_dim(diagram: DynkinDiagram, d1, v1, u, d2, v2) -> int:
 
 
 def hw_weight(diagram: DynkinDiagram, d, v0) -> Weight:
-    """Highest weight d - 2*v0 + X*v0 of the crystal labelled (d, v0)."""
+    """Highest weight d - Av0 of the crystal labelled (d, v0): the public
+    name of `dominance_vector` for the weight dictionaries."""
     return dominance_vector(diagram, d, v0)
 
 
 def v_from_weight(diagram: DynkinDiagram, d, mu) -> Weight | None:
-    """Solve d - 2v + Xv = mu, i.e. Av = d - mu.
+    """Solve d - Av = mu, i.e. Av = d - mu.
 
     Returns None when the solution is not a non-negative integer vector.
     """
-    return _v_from_weight(diagram, diagram.check_weight(d), diagram.check_weight(mu))
-
-
-def _v_from_weight(diagram: DynkinDiagram, d: Weight, mu: Weight) -> Weight | None:
-    """`v_from_weight` of checked weights d and mu."""
-    rhs = vsub(d, mu)
+    rhs = vsub(diagram.check_weight(d), diagram.check_weight(mu))
     inv = diagram.inverse_cartan()
     v = []
     for row in inv.num:
@@ -262,13 +252,10 @@ def _v_from_weight(diagram: DynkinDiagram, d: Weight, mu: Weight) -> Weight | No
 
 
 def gprime_weight(diagram: DynkinDiagram, d, v) -> tuple[Weight, Weight]:
-    """Weight (d - v + Xv, v) for the extended (reductive) weight lattice."""
-    return _gprime_weight(diagram, diagram.check_weight(d), diagram.check_weight(v))
-
-
-def _gprime_weight(diagram: DynkinDiagram, d: Weight, v: Weight) -> tuple[Weight, Weight]:
-    """`gprime_weight` of checked weights d and v."""
-    return (vadd(vsub(d, v), diagram.apply_x(v)), v)
+    """Weight (d - Av + v, v) = (d - v + Xv, v) for the extended (reductive)
+    weight lattice, read off the label weight `dominance_vector`."""
+    d, v = diagram.check_weight(d), diagram.check_weight(v)
+    return (vadd(dominance_vector(diagram, d, v), v), v)
 
 
 def gprime_integrable(pair) -> bool:

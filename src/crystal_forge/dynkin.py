@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import re
 from math import log10, prod
-from operator import add, index
+from operator import add, index, mul, sub
 
 from .linalg import Mat, hstack, identity, int_mat, mat, rref
 
@@ -56,18 +56,22 @@ def as_text(x) -> str:
 
 
 def vadd(u: Weight, w: Weight) -> Weight:
-    return tuple(a + b for a, b in zip(u, w, strict=True))
+    if len(u) != len(w):
+        raise ValueError(f"sum of vectors of lengths {len(u)} and {len(w)}")
+    return tuple(map(add, u, w))
 
 
 def vsub(u: Weight, w: Weight) -> Weight:
-    return tuple(a - b for a, b in zip(u, w, strict=True))
+    if len(u) != len(w):
+        raise ValueError(f"difference of vectors of lengths {len(u)} and {len(w)}")
+    return tuple(map(sub, u, w))
 
 
 def pairing(v, u) -> int:
     """Coordinatewise pairing sum(v_i * u_i) of two weight vectors."""
     if len(v) != len(u):
         raise ValueError(f"pairing of vectors of lengths {len(v)} and {len(u)}")
-    return sum(a * b for a, b in zip(v, u))
+    return sum(map(mul, v, u))
 
 
 def _family_edges(family: str, rank: int) -> tuple[tuple[int, int], ...]:
@@ -238,26 +242,31 @@ class DynkinDiagram:
             raise ValueError(f"color {i} out of range for {self.label}")
 
     def simple_root(self, i: int) -> Weight:
-        """Column i of the Cartan matrix: the simple root in weight coordinates."""
+        """Column i of the Cartan matrix, the simple root in weight coordinates;
+        it is row i, as an ADE Cartan matrix is symmetric."""
         self._check_color(i)
-        return tuple(self.cartan[j][i] for j in range(self.rank))
+        return self.cartan[i]
 
     def weyl_reflect(self, i: int, w) -> Weight:
         self._check_color(i)
         w = self.check_weight(w)
         c = w[i]
-        return tuple(w[j] - c * self.cartan[j][i] for j in range(self.rank))
+        return tuple(a - c * b for a, b in zip(w, self.cartan[i]))
 
     def is_dominant(self, w) -> bool:
         return all(c >= 0 for c in self.check_weight(w))
 
-    def apply_cartan(self, v) -> Weight:
+    def _apply(self, rows: tuple[Weight, ...], v) -> Weight:
         v = tuple(v)
-        return tuple(sum(self.cartan[i][j] * v[j] for j in range(self.rank)) for i in range(self.rank))
+        if len(v) != self.rank:
+            raise ValueError(f"a rank-{self.rank} matrix applied to a vector of length {len(v)}")
+        return tuple([sum(map(mul, row, v)) for row in rows])
+
+    def apply_cartan(self, v) -> Weight:
+        return self._apply(self.cartan, v)
 
     def apply_x(self, v) -> Weight:
-        v = tuple(v)
-        return tuple(sum(self.x_matrix[i][j] * v[j] for j in range(self.rank)) for i in range(self.rank))
+        return self._apply(self.x_matrix, v)
 
     def inverse_cartan(self) -> Mat:
         """A^{-1} as integer rows `num` over one denominator `den`, which divides

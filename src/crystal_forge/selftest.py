@@ -15,6 +15,7 @@ from __future__ import annotations
 import time
 from collections import Counter, deque
 from functools import cache
+from math import prod
 from random import Random
 
 from .adhm import (
@@ -33,14 +34,14 @@ from .crystal import CrystalGraph, tensor, tensor_many, verify_axioms
 from .decompose import branch, decompose, highest_vertices, levi_maps, multiplicity
 from .dimensions import (
     StratumParams,
-    _gprime_weight,
-    _v_from_weight,
     basic_dims,
     core_split_fiber_dim,
+    dominance_vector,
     gprime_integrable,
     gprime_weight,
     hw_weight,
     strat_dims,
+    v_from_weight,
 )
 from .dynkin import DynkinDiagram, dynkin, induced_subdiagram, pairing, vadd, vsub
 from .linalg import _Record, full_space, mat, span
@@ -229,14 +230,9 @@ def criterion_cartan_component(ctx: dict):
         n = 2 if k % 5 else 3
         while True:
             factors = [_sample_dominant(rng, diagram, 100) for _ in range(n)]
-            size = 1
-            for f in factors:
-                size *= diagram.weyl_dimension(f)
-            if size <= 20000:
+            if prod(map(diagram.weyl_dimension, factors)) <= 20000:
                 break
-        target = factors[0]
-        for f in factors[1:]:
-            target = vadd(target, f)
+        target = tuple(map(sum, zip(*factors)))
         product = _record_tensor(
             ctx, tensor_many(build_crystal(diagram, f) for f in factors)
         )
@@ -304,9 +300,9 @@ def criterion_levi_identities(ctx: dict):
         keep = [i for i in range(diagram.rank) if rng.random() < 0.6]
         sub, kept = induced_subdiagram(diagram, keep)
         framing, rho_v = levi_maps(diagram, d, v, keep)
-        wt = vadd(vsub(d, tuple(2 * c for c in v)), diagram.apply_x(v))
+        wt = dominance_vector(diagram, d, v)
         lhs = tuple(wt[i] for i in kept)
-        rhs = vadd(vsub(framing, tuple(2 * c for c in rho_v)), sub.apply_x(rho_v))
+        rhs = dominance_vector(sub, framing, rho_v)
         if lhs != rhs:
             return False, f"{diagram.label} keep={kept}: {lhs} != {rhs}"
 
@@ -419,13 +415,11 @@ def criterion_gprime_positivity(ctx: dict):
             top = gprime_weight(diagram, d, v0)
             if not gprime_integrable((top[0], top[1])):
                 return False, f"{diagram.label} {lam}: highest extended weight not integrable"
-            # d is checked; each vertex weight is checked once here, and the
-            # v solved from it is a tuple of ints of the diagram's rank
             for w in crystal.weights:
-                vv = _v_from_weight(diagram, d, diagram.check_weight(w))
+                vv = v_from_weight(diagram, d, w)
                 if vv is None:
                     return False, f"{diagram.label} {lam}: no v for weight {w}"
-                first, second = _gprime_weight(diagram, d, vv)
+                first, second = gprime_weight(diagram, d, vv)
                 if any(c < 0 for c in first) or any(c < 0 for c in second):
                     return False, (
                         f"{diagram.label} {lam} vertex weight {w}: extended weight "

@@ -231,6 +231,69 @@ def test_mult_sweep_is_byte_identical_to_golden(capsys):
     assert digest.hexdigest() == "dc979fa6d26351c9ad2625944ca7f6ed38d1dfcd33169f5b4aa075907aedfbc5"
 
 
+def _dims_sweep() -> list[tuple[str, ...]]:
+    """84 `dims` requests, 12 on each of A1-A4, D4, D5 and E6, drawn with
+    seed 28.  Eight have entries at most 3 and alternate without and with
+    `--v0`; the last four of them add `--d-tuple`/`--v-tuple` of 1-3 steps,
+    and the last two of those also `--vt-tuple`.  The other four are
+    refused: d-tuple entries that do not sum to d, `--d-tuple` without
+    `--v-tuple`, a weight of the wrong length and a negative entry."""
+    rng = Random(28)
+    sweep = []
+
+    def vec(rank):
+        return tuple(rng.randint(0, 3) for _ in range(rank))
+
+    def text(w):
+        return ",".join(map(str, w))
+
+    def split(w, n):
+        # n non-negative parts summing to w coordinatewise
+        parts = [[0] * len(w) for _ in range(n)]
+        for j, c in enumerate(w):
+            for _ in range(c):
+                parts[rng.randrange(n)][j] += 1
+        return [tuple(p) for p in parts]
+
+    for label in ("A1", "A2", "A3", "A4", "D4", "D5", "E6"):
+        rank = parse_diagram(label).rank
+        for k in range(8):
+            d, v = vec(rank), vec(rank)
+            argv = ("dims", "--diagram", label, "--d", text(d), "--v", text(v))
+            if k % 2:
+                argv += ("--v0", text(vec(rank)))
+            if k >= 4:
+                n = rng.randint(1, 3)
+                if k >= 6:
+                    pieces = split(v, 2 * n)
+                    v_tuple, vt_tuple = pieces[:n], pieces[n:]
+                    tail = ("--vt-tuple", *map(text, vt_tuple))
+                else:
+                    v_tuple, tail = [vec(rank) for _ in range(n)], ()
+                argv += ("--d-tuple", *map(text, split(d, n)), "--v-tuple", *map(text, v_tuple))
+                argv += tail
+            sweep.append(argv)
+        d, v = vec(rank), vec(rank)
+        base = ("dims", "--diagram", label, "--d", text(d), "--v", text(v))
+        sweep += [
+            base + ("--d-tuple", text(d), text((1,) + (0,) * (rank - 1)), "--v-tuple", text(v), text(v)),
+            base + ("--d-tuple", text(d)),
+            ("dims", "--diagram", label, "--d", text(d + (1,)), "--v", text(v)),
+            ("dims", "--diagram", label, "--d", text(d), "--v", text((-1,) + v[1:])),
+        ]
+    return sweep
+
+
+def test_dims_sweep_is_byte_identical_to_golden(capsys):
+    # this sha256 of the exit codes, stdout and stderr was taken when the
+    # label weight d - 2v + Xv was written out in several places
+    digest = hashlib.sha256()
+    for argv in _dims_sweep():
+        code, out, err = run_cli(capsys, *argv)
+        digest.update(f"{code}\t{out}\t{err}\n".encode())
+    assert digest.hexdigest() == "541dc05b609d3ae26596c72c9a498febc1d4dcb0b783587468c9d4d70ac56e0c"
+
+
 @pytest.mark.parametrize(
     "command", [("decompose",), ("mult", "--target", "0,0")], ids=["decompose", "mult"]
 )

@@ -1,7 +1,9 @@
+from functools import cache
+from itertools import product as cartesian
 from random import Random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from crystal_forge.dimensions import (
     StratumParams,
@@ -18,6 +20,7 @@ from crystal_forge.dimensions import (
     v_from_weight,
 )
 from crystal_forge.dynkin import dynkin, pairing, vadd, vsub
+from crystal_forge.paths import build_crystal
 
 A1 = dynkin("A", 1)
 A2 = dynkin("A", 2)
@@ -249,3 +252,56 @@ def test_refusal_texts(call, message):
 
 def test_dominance_vector():
     assert dominance_vector(A2, (2, 0), (1, 0)) == (0, 1)
+
+
+# -- the weight formulas against index loops over the matrices ---------------
+
+_ALL_ADE = tuple(
+    dynkin(family, rank)
+    for family, ranks in (("A", range(1, 9)), ("D", range(4, 9)), ("E", range(6, 9)))
+    for rank in ranks
+)
+
+
+def _loop_matvec(rows, v):
+    n = len(v)
+    return tuple(sum(rows[i][j] * v[j] for j in range(n)) for i in range(n))
+
+
+@given(st.data())
+def test_weight_formulas_match_index_loops(data):
+    diagram = data.draw(st.sampled_from(_ALL_ADE))
+    n = diagram.rank
+    vector = st.tuples(*(st.integers(-3, 5) for _ in range(n)))
+    d, v = data.draw(vector), data.draw(vector)
+    cartan, x = diagram.cartan, diagram.x_matrix
+    xv = _loop_matvec(x, v)
+    assert diagram.apply_x(v) == xv
+    assert diagram.apply_cartan(v) == _loop_matvec(cartan, v)
+    assert dominance_vector(diagram, d, v) == tuple(d[i] - 2 * v[i] + xv[i] for i in range(n))
+    assert gprime_weight(diagram, d, v) == (tuple(d[i] - v[i] + xv[i] for i in range(n)), v)
+    for i in range(n):
+        assert diagram.simple_root(i) == tuple(cartan[j][i] for j in range(n))
+
+
+@cache
+def _small_dominant(diagram):
+    """Dominant weights with entries at most 2 and dimension at most 300."""
+    return [
+        w for w in cartesian(range(3), repeat=diagram.rank) if diagram.weyl_dimension(w) <= 300
+    ]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_extended_weight_is_the_weight_plus_v(data):
+    # with d = lambda + Av0 and Av = d - mu, the extended weight
+    # (d - v + Xv, v) has first entry d - Av + v = mu + v
+    diagram = data.draw(st.sampled_from(_ALL_ADE))
+    lam = data.draw(st.sampled_from(_small_dominant(diagram)))
+    v0 = data.draw(st.tuples(*(st.integers(0, 2) for _ in range(diagram.rank))))
+    d = vadd(lam, diagram.apply_cartan(v0))
+    for mu in set(build_crystal(diagram, lam).weights):
+        v = v_from_weight(diagram, d, mu)
+        assert v is not None
+        assert gprime_weight(diagram, d, v) == (vadd(mu, v), v)

@@ -15,9 +15,10 @@ from crystal_forge.dynkin import (
     induced_subdiagram,
     pairing,
     parse_diagram,
+    vadd,
     vsub,
 )
-from crystal_forge.dimensions import v_from_weight
+from crystal_forge.dimensions import graded_grassmannian_dim, v_from_weight
 from crystal_forge.decompose import branch
 from crystal_forge.paths import build_crystal
 from oracles import (
@@ -79,6 +80,32 @@ def test_pairing_examples():
     assert pairing(a2.apply_x((1, 1)), (1, 1)) == 2
     with pytest.raises(ValueError):
         pairing((1,), (1, 0))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: dynkin("A", 2).apply_x((1, 2, 3)), "a rank-2 matrix applied to a vector of length 3"),
+        (lambda: dynkin("A", 2).apply_x((1,)), "a rank-2 matrix applied to a vector of length 1"),
+        (lambda: dynkin("A", 3).apply_cartan((1, 2)), "a rank-3 matrix applied to a vector of length 2"),
+        (lambda: dynkin("A", 1).apply_cartan([]), "a rank-1 matrix applied to a vector of length 0"),
+        (lambda: vadd((1, 2), (1,)), "sum of vectors of lengths 2 and 1"),
+        (lambda: vadd((1,), (1, 2)), "sum of vectors of lengths 1 and 2"),
+        (lambda: vsub((1, 2), (1,)), "difference of vectors of lengths 2 and 1"),
+        (lambda: vsub((), (1,)), "difference of vectors of lengths 0 and 1"),
+        (lambda: pairing((1,), (1, 0)), "pairing of vectors of lengths 1 and 2"),
+        (lambda: graded_grassmannian_dim((1,), (1, 2)), "difference of vectors of lengths 2 and 1"),
+    ],
+    ids=[
+        "apply_x-long", "apply_x-short", "apply_cartan-short", "apply_cartan-empty",
+        "vadd-short", "vadd-long", "vsub-short", "vsub-empty", "pairing", "grassmannian",
+    ],
+)
+def test_vectors_of_unequal_length_are_refused(call, message):
+    # no vector is silently cut to the length of the shorter one
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message
 
 
 def test_weyl_reflect_example():
