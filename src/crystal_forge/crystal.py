@@ -249,10 +249,7 @@ def tensor(left: CrystalGraph, right: CrystalGraph) -> CrystalGraph:
     Vertex (a, b) gets the dense id a*|right| + b; the payload records the
     factor pair.  The product is built row by row, a row being the |right|
     vertices (a, b) of one left vertex a.  Rows of equal left weight share
-    one list of weight tuples.  In a row with phi_i(a) = 0, f_i acts on the
-    right factor throughout, so that row's f_i edges are the right
-    factor's f_i map shifted by a*|right|; other rows take the signature
-    rule vertex by vertex.  Each f map lists its edges by increasing
+    one list of weight tuples.  Each f map lists its edges by increasing
     source id.
     """
     if left.diagram != right.diagram:
@@ -272,16 +269,11 @@ def tensor(left: CrystalGraph, right: CrystalGraph) -> CrystalGraph:
     for i in range(diagram.rank):
         fm = f_maps[i]
         f_left = left.f_maps[i]
-        right_keys = sorted(right.f_maps[i])
-        right_values = list(map(right.f_maps[i].__getitem__, right_keys))
         f_right = [right.f_maps[i].get(b) for b in range(nr)]
         eps_i = eps_right[i]
         for a, phi_a in enumerate(phi_left[i]):
             base = a * nr
-            if not phi_a:  # phi_a > eps never holds: the whole row acts on the right
-                fm.update(zip(map(base.__add__, right_keys), map(base.__add__, right_values)))
-                continue
-            fa_base = f_left[a] * nr
+            fa_base = f_left[a] * nr if phi_a else 0  # f_i(a) exists iff phi_i(a) > 0
             for b, eps_b in enumerate(eps_i):
                 if phi_a > eps_b:
                     fm[base + b] = fa_base + b

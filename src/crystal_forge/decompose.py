@@ -11,15 +11,11 @@ reached.  An isomorphism of closures fixes the source and commutes with
 every f_i, so it maps BFS order to BFS order: the k-th vertex of a
 closure can only go to vertex k of its reference.  The walk lists the
 closure in that order, and the certificate only checks that this one
-candidate map keeps every weight and every f_i edge.  A product from
-`crystal.tensor` arrives built row by row: the vertices (a, b) of one
-left vertex a are consecutive ids, rows of equal left weight share their
-weight tuples, and a row on which f_i acts on the right factor alone
-copies that factor's f_i edges.  The certificate reads no rows; per call
-it looks each highest weight's reference up once, takes a one-vertex
-reference B(0) as its source alone with no walk, and checks the edge
-count of each color once, against the sum over highest weights of
-multiplicity times the reference's edge counts.  Two direct sums of
+candidate map keeps every weight and every f_i edge.  Every summand,
+a one-vertex B(0) too, goes through that one walk.  Per call the
+certificate looks each highest weight's reference up once, and checks
+the edge count of each color once, against the sum over highest weights
+of multiplicity times the reference's edge counts.  Two direct sums of
 highest-weight crystals are isomorphic exactly when their summands have
 the same highest weights, so `is_isomorphic` decomposes both and pairs
 summands of equal weight.
@@ -69,10 +65,9 @@ class _Reference(NamedTuple):
     the steps can be walked in order.  `edges` holds, per color with f_i
     edges that are no tree step, getters of their sources and of their
     targets; each repeats its first item at the end, so that it returns a
-    tuple for a lone edge too.  `counts` is the number of f_i edges per
-    color.  `size` is the number of vertices.  The crystal keeps no
-    payloads: no caller reads them.  `index`, the weight index of B(hw),
-    starts empty; `_signature_index` fills it on first use.
+    tuple for a lone edge too.  `size` is the number of vertices.  The
+    crystal keeps no payloads: no caller reads them.  `index`, the weight
+    index of B(hw), starts empty; `_signature_index` fills it on first use.
     """
 
     crystal: CrystalGraph
@@ -80,7 +75,6 @@ class _Reference(NamedTuple):
     parents: list[int]
     colors: list[int]
     edges: list[tuple[int, itemgetter, itemgetter]]
-    counts: list[int]
     index: dict[Weight, tuple[tuple[Weight, int], ...]]
 
 
@@ -137,7 +131,6 @@ def _reference(diagram: DynkinDiagram, hw: Weight) -> _Reference:
             list(map(parent.__getitem__, vertices)),
             list(map(color.__getitem__, vertices)),
             edges,
-            list(map(len, ref.f_maps)),
             {},
         )
     return entry
@@ -294,18 +287,15 @@ def _certified(crystal: CrystalGraph) -> Decomposition | None:
         unassigned -= ref.size
         if unassigned < 0:
             return None
-        if ref.size == 1:  # B(hw) is its source alone, which `_walk` would return
-            comp = [src]
-        else:
-            comp = _walk(crystal, src, ref)
-            if comp is None:
-                return None
+        comp = _walk(crystal, src, ref)
+        if comp is None:
+            return None
         assignment.update(dict.fromkeys(comp, len(instances)))
         instances.append(SummandInstance(hw, src, comp))
         summands[hw] += 1
     certified = [0] * diagram.rank  # f_i edges per color
     for hw, m in summands.items():
-        certified = [c + m * k for c, k in zip(certified, refs[hw].counts)]
+        certified = [c + m * k for c, k in zip(certified, map(len, refs[hw].crystal.f_maps))]
     # The closures list at most n vertices, so n distinct ones are a
     # disjoint cover.  With no edge beyond the certified ones, distinct
     # entries counted in `certified`, no f or e edge leaves a closure.
@@ -359,7 +349,8 @@ def _refuse_decomposition(crystal: CrystalGraph) -> NoReturn:
             raise DecompositionError(f"component source {src} has non-dominant weight {hw}")
         ref = _reference(diagram, hw) if len(comp) == diagram.weyl_dimension(hw) else None
         if ref is None or _walk(crystal, src, ref) != comp or any(
-            sum(map(fm.__contains__, comp)) > count for fm, count in zip(crystal.f_maps, ref.counts)
+            sum(map(fm.__contains__, comp)) > count
+            for fm, count in zip(crystal.f_maps, map(len, ref.crystal.f_maps))
         ):
             raise DecompositionError(
                 f"component containing vertex {min(comp)} is not isomorphic to the "
@@ -513,7 +504,8 @@ def branch(crystal: CrystalGraph, keep) -> tuple[Decomposition, DynkinDiagram]:
     """Restrict a crystal to a subdiagram and decompose it there.
 
     Edges with colors outside `keep` are forgotten and weights are read
-    through coordinate restriction.
+    through coordinate restriction.  The restricted graph is decomposed
+    and dropped, so it carries no payloads.
     """
     sub, kept = induced_subdiagram(crystal.diagram, keep)
     if len(kept) > 1:  # itemgetter of two or more indices returns a tuple
@@ -522,5 +514,5 @@ def branch(crystal: CrystalGraph, keep) -> tuple[Decomposition, DynkinDiagram]:
         cut = slice(kept[0], kept[0] + 1) if kept else slice(0)
         weights = [w[cut] for w in crystal.weights]
     f_maps = [crystal.f_maps[j] for j in kept]
-    restricted = _graph(sub, weights, f_maps, crystal.payloads)
+    restricted = _graph(sub, weights, f_maps)
     return decompose(restricted), sub

@@ -253,9 +253,11 @@ def v_from_weight(diagram: DynkinDiagram, d, mu) -> Weight | None:
 
 def gprime_weight(diagram: DynkinDiagram, d, v) -> tuple[Weight, Weight]:
     """Weight (d - Av + v, v) = (d - v + Xv, v) for the extended (reductive)
-    weight lattice, read off the label weight `dominance_vector`."""
-    d, v = diagram.check_weight(d), diagram.check_weight(v)
-    return (vadd(dominance_vector(diagram, d, v), v), v)
+    weight lattice, read off the label weight `dominance_vector`, which
+    checks d and then v."""
+    delta = dominance_vector(diagram, d, v)
+    v = diagram.check_weight(v)
+    return (vadd(delta, v), v)
 
 
 def gprime_integrable(pair) -> bool:

@@ -37,6 +37,7 @@ closure itself then counts nothing.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 from math import gcd, lcm
 
 from .crystal import CrystalGraph, _graph
@@ -73,16 +74,15 @@ def check_vertex_cap(max_vertices: int) -> None:
 
 
 class _Reflection(dict):
-    """s_i on integer directions, memoised: d -> d - d[i] * alpha_i."""
+    """`DynkinDiagram.weyl_reflect` for color i on integer directions, memoised."""
 
     def __init__(self, diagram: DynkinDiagram, i: int):
         super().__init__()
-        self.i = i
         self.alpha = diagram.simple_root(i)
+        self.reflect = partial(diagram.weyl_reflect, i)
 
     def __missing__(self, d):
-        c = d[self.i]
-        image = self[d] = tuple(x - c * a for x, a in zip(d, self.alpha))
+        image = self[d] = self.reflect(d)
         return image
 
 

@@ -72,3 +72,12 @@ def test_injected_tensor_fault_is_detected(monkeypatch):
     c5 = results["c5"]
     assert not c5.passed
     assert c5.details.startswith("tensor #0:")
+
+
+def test_a_passing_criterion_over_its_budget_fails(monkeypatch):
+    # any measured time is above a budget of 0 s, so no sleep is needed
+    monkeypatch.setattr(selftest, "CRITERIA", (("c0", "instant", 0, lambda ctx: (True, "done")),))
+    [result] = run_criteria()
+    assert (result.cid, result.passed) == ("c0", False)
+    assert result.seconds > 0
+    assert result.details == f"exceeded budget of 0s ({result.seconds:.2f}s); done"

@@ -17,6 +17,7 @@ import crystal_forge
 from crystal_forge import paths
 from crystal_forge.adhm import random_preprojective
 from crystal_forge.cli import build_parser, main
+from crystal_forge.decompose import tensor_summands
 from crystal_forge.dynkin import parse_diagram
 
 
@@ -194,6 +195,19 @@ def test_decompose_table_sweep_is_byte_identical_to_golden(capsys):
         code, out, err = run_cli(capsys, *argv)
         digest.update(f"{code}\t{out}\t{err}\n".encode())
     assert digest.hexdigest() == "37b01119ef1f90188442df994d2fa183a7859c3bce2d5963b6f9ece6659b4643"
+
+
+def test_decompose_table_at_e7_scale_prints_tensor_summands(capsys):
+    # 912**4, about 6.9 * 10**11 vertices: counted from the factors, never built
+    e7, factor, size = parse_diagram("E7"), (0, 0, 0, 0, 0, 0, 1), 912**4
+    code, out, err = run_cli(
+        capsys, "decompose", "--diagram", "E7", "--factors", *["0,0,0,0,0,0,1"] * 4,
+        "--format", "table", "--max-vertices", str(size),
+    )
+    summands = tensor_summands(e7, [factor] * 4, max_vertices=size)
+    table = [f"{w}\tx{m}" for w, m in sorted(summands.items(), reverse=True)]
+    assert (code, out, err) == (0, "\n".join(["# decomposition over E7", *table]) + "\n", "")
+    assert summands[(0,) * 7] == 10
 
 
 def _mult_sweep() -> list[tuple[str, ...]]:
@@ -774,6 +788,17 @@ def test_adhm_cli_output_is_pinned(tmp_path, capsys):
         ("stratum", 1, False, None),
     } <= seen
     assert digest.hexdigest() == ADHM_CLI_SHA256
+
+
+def test_adhm_x_that_is_no_object_is_refused(tmp_path, capsys):
+    datum = {"diagram": "A1", "d": [2], "v": [1], "x": [], "p": [[]], "q": [[]]}
+    path = tmp_path / "datum.json"
+    path.write_text(json.dumps(datum))
+    assert run_cli(capsys, "adhm", "check", str(path)) == (
+        1,
+        "",
+        'error: x must be an object keyed "src->dst"\n',
+    )
 
 
 def test_adhm_missing_file(capsys):

@@ -421,15 +421,19 @@ def test_tensor_counts_match_brauer_klimyk(case):
 
 
 @pytest.mark.parametrize(
-    "diagram, factor, trivial",
+    "diagram, factor, power, trivial",
     [
+        # 27**6, about 3.9 * 10**8 vertices
+        (E6, (1, 0, 0, 0, 0, 0), 6, 15),
         # 912**4, about 6.9 * 10**11 vertices; the README's E7 `mult` prints 10
-        (dynkin("E", 7), (0, 0, 0, 0, 0, 0, 1), 10),
+        (dynkin("E", 7), (0, 0, 0, 0, 0, 0, 1), 4, 10),
         # the adjoint crystal: 248**4, about 3.8 * 10**9 vertices
-        (dynkin("E", 8), (0, 0, 0, 0, 0, 0, 1, 0), 5),
+        (dynkin("E", 8), (0, 0, 0, 0, 0, 0, 1, 0), 4, 5),
+        # a half-spin crystal: 128**4, about 2.7 * 10**8 vertices
+        (dynkin("D", 8), (0, 0, 0, 0, 0, 0, 0, 1), 4, 5),
     ],
-    ids=["E7", "E8"],
+    ids=["E6", "E7", "E8", "D8"],
 )
-def test_fourth_tensor_powers_at_e7_and_e8_scale_match_brauer_klimyk(diagram, factor, trivial):
-    expected = _check_against_brauer_klimyk(diagram, [factor] * 4)
+def test_tensor_powers_at_scale_match_brauer_klimyk(diagram, factor, power, trivial):
+    expected = _check_against_brauer_klimyk(diagram, [factor] * power)
     assert expected[(0,) * diagram.rank] == trivial

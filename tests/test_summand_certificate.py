@@ -139,7 +139,7 @@ def test_levi_closures_in_bfs_order_are_the_built_crystals(certified_only, diagr
         (A2, [(1, 1)], ()),  # rank 0: every vertex is its own summand
     ],
 )
-def test_one_vertex_summands_of_a_levi_branch_skip_the_walk(monkeypatch, diagram, factors, keep):
+def test_every_summand_of_a_levi_branch_is_walked(monkeypatch, diagram, factors, keep):
     crystal = tensor_many(_built(diagram, hw) for hw in factors)
     restricted = _restricted(crystal, keep)
     walked = []
@@ -154,8 +154,10 @@ def test_one_vertex_summands_of_a_levi_branch_skip_the_walk(monkeypatch, diagram
     got = [(inst.hw, inst.source, inst.iso) for inst in dec.instances]
     assert _items(got) == _items(decompose_lockstep(restricted))
     lone = sum(len(inst.closure) == 1 for inst in dec.instances)
-    assert lone > 0 and 1 not in walked
-    assert len(walked) == len(dec.instances) - lone
+    assert lone > 0
+    # one-vertex summands take the same walk as every other
+    assert len(walked) == len(dec.instances)
+    assert 1 in walked
 
 
 # dominant weights per diagram with entries below 3 and dimension at most 20
