@@ -16,9 +16,10 @@ standard convention.
 from __future__ import annotations
 
 from collections import Counter
+from functools import partial
 from itertools import product
 from math import gcd
-from operator import add, itemgetter, sub
+from operator import itemgetter, sub
 
 from .dynkin import DynkinDiagram, Weight
 
@@ -47,6 +48,9 @@ class CrystalGraph:
     payloads, if given, number one per vertex.  The graphs the package
     builds (`build_crystal`, `tensor`, `direct_sum`, `trivial_crystal`,
     `sl2_crystal`, `decompose`'s references, `branch`) come from `_graph`.
+
+    `payloads` is a tuple or None.  A product from `tensor` stores a recipe
+    for its pair payloads instead, which runs once, on the first read.
     """
 
     def __init__(self, diagram: DynkinDiagram, weights, f_maps, payloads=None):
@@ -71,12 +75,19 @@ class CrystalGraph:
         self.diagram = diagram
         self.weights: tuple[Weight, ...] = tuple(weights)
         self.f_maps: tuple[dict[int, int], ...] = tuple(f_maps)
-        self.payloads = tuple(payloads) if payloads is not None else None
+        self._payloads = payloads if payloads is None or callable(payloads) else tuple(payloads)
         # set with the others, not added on first use: an attribute added
         # later gives the instance a slower attribute layout (CPython 3.11)
         self._e_maps: tuple[dict[int, int], ...] | None = None
         self._eps: list[list[int]] | None = None
         self._phi: list[list[int]] | None = None
+
+    @property
+    def payloads(self) -> tuple | None:
+        """One payload per vertex, or None; a recipe is run on the first read."""
+        if callable(self._payloads):
+            self._payloads = tuple(self._payloads())
+        return self._payloads
 
     @property
     def e_maps(self) -> tuple[dict[int, int], ...]:
@@ -143,9 +154,10 @@ class CrystalGraph:
         """The JSON export; vertices whose paths share a segment share its list."""
         segments: dict = {}  # (D, direction, length) -> the segment's export
         vertices = []
+        payloads = self.payloads
         for v, w in enumerate(self.weights):
             entry: dict = {"id": v, "wt": list(w)}
-            payload = self.payloads[v] if self.payloads is not None else None
+            payload = payloads[v] if payloads is not None else None
             if payload is not None:
                 entry["payload"] = _payload_json(payload, segments)
             vertices.append(entry)
@@ -246,22 +258,25 @@ def direct_sum(crystals, diagram: DynkinDiagram | None = None) -> CrystalGraph:
 def tensor(left: CrystalGraph, right: CrystalGraph) -> CrystalGraph:
     """Tensor product on the product vertex set, signature rule per color.
 
-    Vertex (a, b) gets the dense id a*|right| + b; the payload records the
-    factor pair.  The product is built row by row, a row being the |right|
-    vertices (a, b) of one left vertex a.  Rows of equal left weight share
-    one list of weight tuples.  Each f map lists its edges by increasing
-    source id.
+    Vertex (a, b) gets the dense id a*|right| + b; its payload ("pair", a, b)
+    is made only when `payloads` is first read.  The product is built row by
+    row, a row being the |right| vertices (a, b) of one left vertex a.  A row
+    of weights is zipped from the right factor's weight columns, each shifted
+    by one entry of a's weight, and rows of equal left weight share one
+    list.  Each f map lists its edges by increasing source id.
     """
     if left.diagram != right.diagram:
         raise ValueError("tensor product of crystals over different diagrams")
     diagram = left.diagram
     nl, nr = len(left), len(right)
+    columns = list(zip(*right.weights))
     weights: list[Weight] = []
     rows: dict[Weight, list[Weight]] = {}  # left weight -> its row of weights
     for wa in left.weights:
         row = rows.get(wa)
         if row is None:
-            row = rows[wa] = [tuple(map(add, wa, wb)) for wb in right.weights]
+            shifted = [map(c.__add__, col) for c, col in zip(wa, columns)]
+            row = rows[wa] = list(zip(*shifted)) if diagram.rank else [()] * nr
         weights.extend(row)
     f_maps: list[dict[int, int]] = [{} for _ in range(diagram.rank)]
     phi_left = left._string_data()[1]
@@ -269,20 +284,18 @@ def tensor(left: CrystalGraph, right: CrystalGraph) -> CrystalGraph:
     for i in range(diagram.rank):
         fm = f_maps[i]
         f_left = left.f_maps[i]
-        f_right = [right.f_maps[i].get(b) for b in range(nr)]
-        eps_i = eps_right[i]
+        # (b, eps_i(b), f_i(b)) for every right vertex b
+        column = list(zip(range(nr), eps_right[i], map(right.f_maps[i].get, range(nr))))
         for a, phi_a in enumerate(phi_left[i]):
             base = a * nr
             fa_base = f_left[a] * nr if phi_a else 0  # f_i(a) exists iff phi_i(a) > 0
-            for b, eps_b in enumerate(eps_i):
+            for b, eps_b, fb in column:
                 if phi_a > eps_b:
                     fm[base + b] = fa_base + b
-                else:
-                    fb = f_right[b]
-                    if fb is not None:
-                        fm[base + b] = base + fb
-    payloads = list(product(("pair",), range(nl), range(nr)))
-    return _graph(diagram, weights, f_maps, payloads)
+                elif fb is not None:
+                    fm[base + b] = base + fb
+    pairs = partial(product, ("pair",), range(nl), range(nr))
+    return _graph(diagram, weights, f_maps, pairs)
 
 
 def tensor_many(crystals) -> CrystalGraph:

@@ -32,6 +32,9 @@ Built crystals have minuscule crystals as their edge-level reference:
 B(omega_k) for a minuscule node k is the Weyl group orbit of omega_k,
 read off the Cartan matrix without paths, and `bfs_listing` writes any
 component in canonical BFS order, so two crystals compare edge for edge.
+Adjoint crystals B(theta), theta the highest root, are a second such
+reference, and E8's only one, as E8 has no minuscule node: the roots and
+one zero-weight vertex per simple root, again read off the Cartan matrix.
 """
 
 from collections import Counter, deque
@@ -558,6 +561,39 @@ def minuscule_crystal(diagram: DynkinDiagram, node: int) -> CrystalGraph:
                     weights.append(nu)
                 f_maps[i][k] = ids[nu]
     return CrystalGraph(diagram, weights, f_maps)
+
+
+def quasi_minuscule_crystal(diagram: DynkinDiagram, node: int) -> CrystalGraph:
+    """B(theta) for the highest root theta = omega_node: the roots and 0_0, ..., 0_(n-1).
+
+    Every pairing <beta, alpha_i^v> = beta_i on a root beta is -2, ..., 2,
+    with 2 only at beta = alpha_i.  f_i beta = beta - alpha_i when beta_i
+    is 1; f_i alpha_i is the zero-weight vertex 0_i, and f_i 0_i = -alpha_i.
+    Vertices are numbered as they are reached, colours in order.
+    """
+    rank = diagram.rank
+    alphas = [diagram.simple_root(i) for i in range(rank)]
+    top = tuple(int(j == node) for j in range(rank))
+    ids = {top: 0}
+    keys = [top]  # a root's weight, or ("zero", i) for 0_i
+    f_maps: list[dict[int, int]] = [{} for _ in range(rank)]
+    for k, key in enumerate(keys):  # keys grows as vertices are reached
+        for i in range(rank):
+            if key == ("zero", i):
+                nxt = tuple(-a for a in alphas[i])
+            elif key == alphas[i]:
+                nxt = ("zero", i)
+            elif key[0] != "zero" and key[i] == 1:
+                nxt = vsub(key, alphas[i])
+            else:
+                assert key[0] == "zero" or key[i] < 1, f"{key} is not a root below omega_{node}"
+                continue
+            if nxt not in ids:
+                ids[nxt] = len(keys)
+                keys.append(nxt)
+            f_maps[i][k] = ids[nxt]
+    zero = (0,) * rank
+    return CrystalGraph(diagram, [zero if key[0] == "zero" else key for key in keys], f_maps)
 
 
 def bfs_listing(crystal: CrystalGraph, source: int) -> tuple:

@@ -921,6 +921,19 @@ def test_importing_the_cli_adds_neither_dataclasses_nor_inspect():
     assert added.isdisjoint({"dataclasses", "inspect"})
 
 
+def test_importing_the_package_loads_the_submodules_the_benchmark_reads():
+    # perfbench/workloads.py::module() and perfbench/cli_child.py look these
+    # up in sys.modules after `import crystal_forge`, so none may load lazily
+    src = Path(crystal_forge.__file__).resolve().parent.parent
+    names = [f"crystal_forge.{name}" for name in ("adhm", "linalg", "decompose")]
+    code = f"import sys, crystal_forge; print(*[name in sys.modules for name in {names!r}])"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(src)), timeout=60,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "True True True\n", "")
+
+
 @pytest.mark.parametrize("options,expected", [((), None), (("--seed", "5"), 5)])
 def test_selftest_seed_reaches_the_criteria(monkeypatch, capsys, options, expected):
     from crystal_forge import selftest

@@ -1,7 +1,7 @@
 import importlib
 import sys
 from collections import Counter
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 
@@ -15,7 +15,7 @@ from crystal_forge.crystal import (
     verify_axioms,
 )
 from crystal_forge.decompose import DecompositionError, branch, decompose, is_isomorphic
-from crystal_forge.dynkin import dynkin, vadd
+from crystal_forge.dynkin import dynkin, induced_subdiagram, vadd
 from crystal_forge.paths import build_crystal
 from crystal_forge.selftest import crystal_family
 from crystal_forge.sl2 import sl2_crystal
@@ -149,6 +149,36 @@ def test_tensor_matches_the_per_pair_rule_on_other_graphs():
             _same_product(left, right)
     _same_product(trivial_crystal(A2, 2), build_crystal(A2, (1, 1)))
     _same_product(build_crystal(A2, (2, 0)), direct_sum([build_crystal(A2, (0, 1))] * 2))
+
+
+def test_tensor_matches_the_per_pair_rule_on_edge_cases_and_at_scale():
+    # rank 0: every weight is (), and there is no colour to act with
+    rank0 = induced_subdiagram(A2, ())[0]
+    for nl, nr in [(3, 2), (0, 2), (2, 0)]:
+        got = _same_product(trivial_crystal(rank0, nl), trivial_crystal(rank0, nr))
+        assert got.weights == ((),) * (nl * nr)
+    # an empty factor on either side
+    empty, b11 = direct_sum([], A2), build_crystal(A2, (1, 1))
+    assert len(_same_product(empty, b11)) == len(_same_product(b11, empty)) == 0
+    # no two rows share their weights
+    left = build_crystal(A2, (0, 9))
+    assert len(set(left.weights)) == len(left) == 55
+    _same_product(left, build_crystal(A2, (0, 5)))
+    # the adjoint crystal of E8 squared
+    theta = build_crystal(dynkin("E", 8), [int(j == 6) for j in range(8)])
+    assert len(_same_product(theta, theta)) == 248**2 == 61_504
+
+
+def test_a_products_pair_payloads_are_made_once_on_first_read():
+    left, right = build_crystal(A2, (1, 1)), build_crystal(A2, (0, 1))
+    eager = tensor_per_pair(left, right)  # payloads made as the product is built
+    got = tensor(left, right)
+    assert callable(got._payloads)  # nothing made yet
+    first = got.payloads
+    assert first == tuple(product(("pair",), range(len(left)), range(len(right))))
+    assert got.payloads is first
+    assert direct_sum([tensor(left, right), right]).payloads == direct_sum([eager, right]).payloads
+    assert tensor(left, right).to_json_dict() == eager.to_json_dict()
 
 
 def test_tensor_with_trivial_is_direct_sum():
@@ -364,8 +394,12 @@ def test_every_graph_the_package_builds_passes_the_checked_constructor(monkeypat
     built = []
 
     def checked(diagram, weights, f_maps, payloads=None):
-        graph = CrystalGraph(diagram, weights, f_maps, payloads)
+        # `tensor` passes a recipe for its pair payloads: the checked
+        # constructor gets what it makes, and reading them runs it
+        made = payloads() if callable(payloads) else payloads
+        graph = CrystalGraph(diagram, weights, f_maps, made)
         trusted = _graph(diagram, weights, f_maps, payloads)
+        assert trusted.payloads == graph.payloads
         assert vars(graph) == vars(trusted)
         built.append(trusted)
         return trusted

@@ -25,6 +25,7 @@ from oracles import (
     freudenthal_character,
     minuscule_crystal,
     minuscule_nodes,
+    quasi_minuscule_crystal,
     root_e,
     root_f,
     tensor_per_pair,
@@ -211,6 +212,19 @@ def test_minuscule_crystals_are_their_weyl_orbits():
             listing = bfs_listing(built, 0)
             assert len(listing) == len(built)
             assert listing == bfs_listing(minuscule_crystal(diagram, node), 0), (diagram, node)
+
+
+@pytest.mark.parametrize("label, node", [("D4", 1), ("D5", 1), ("E6", 5), ("E7", 0), ("E8", 6)])
+def test_adjoint_crystals_are_their_quasi_minuscule_models(label, node):
+    # theta = omega_node is the highest root; E8 has no minuscule node, so
+    # this is its only edge-level check
+    diagram = parse_diagram(label)
+    theta = [int(j == node) for j in range(diagram.rank)]
+    size = len(diagram.positive_roots()) * 2 + diagram.rank
+    assert diagram.weyl_dimension(theta) == size
+    listing = bfs_listing(build_crystal(diagram, theta), 0)
+    assert len(listing) == size
+    assert listing == bfs_listing(quasi_minuscule_crystal(diagram, node), 0)
 
 
 @pytest.mark.parametrize("label, top", [("A3", 3), ("D4", 3), ("D5", 3), ("E6", 2)])
