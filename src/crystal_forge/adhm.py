@@ -1,9 +1,9 @@
 """Exact checks on explicit ADHM data.
 
 An ADHM datum on graded spaces (D, V) is a triple (x, p, q): one rational
-matrix per oriented edge, and framing maps p: D -> V, q: V -> D per
-vertex.  The moment-map equation, with the orientation sign fixed by the
-diagram, reads per vertex i:
+matrix per oriented edge (zero where the input gives none), and framing
+maps p: D -> V, q: V -> D per vertex.  The moment-map equation, with the
+orientation sign fixed by the diagram, reads per vertex i:
 
     sum over edges h into i of  sign(h) * x_h * x_hbar  =  p_i * q_i.
 
@@ -71,8 +71,10 @@ def full_graded(dims) -> GradedSubspace:
 class ADHMDatum(_Frozen):
     """Explicit rational ADHM datum on graded spaces of dimensions d and v.
 
-    Frozen: data with equal fields compare equal, but `x` is a dict, so
-    hashing one raises TypeError.
+    `x` is the datum's own dict, one map per oriented edge: those given,
+    in their order, then zero maps for the rest in `oriented_edges` order.
+    `p` and `q` are tuples.  Frozen: data with equal fields compare equal,
+    but `x` is a dict, so hashing one raises TypeError.
     """
 
     diagram: DynkinDiagram
@@ -100,23 +102,20 @@ class ADHMDatum(_Frozen):
                 raise ValueError(f"p[{i}] has the wrong shape")
             if (q[i].rows, q[i].cols) != (d[i], v[i]):
                 raise ValueError(f"q[{i}] has the wrong shape")
-        self.__dict__.update(diagram=diagram, d=d, v=v, x=x, p=p, q=q)
-
-    def x_map(self, h: tuple[int, int]) -> Mat:
-        m = self.x.get(h)
-        if m is None:
-            src, dst = h
-            m = zeros(self.v[dst], self.v[src])
-        return m
+        x = dict(x)  # the datum's own copy, completed by zero maps on the edges left out
+        for s, t in diagram.oriented_edges:
+            if (s, t) not in x:
+                x[s, t] = zeros(v[t], v[s])
+        self.__dict__.update(diagram=diagram, d=d, v=v, x=x, p=tuple(p), q=tuple(q))
 
 
 def preprojective_residual(datum: ADHMDatum) -> tuple[Mat, ...]:
     """Per-vertex value of the moment-map expression; zero means satisfied."""
-    diagram, x = datum.diagram, datum.x_map
+    diagram, x = datum.diagram, datum.x
     out = []
     for i in range(diagram.rank):
         terms = [(-1, matmul(datum.p[i], datum.q[i]))] + [
-            (diagram.orientation_sign((j, i)), matmul(x((j, i)), x((i, j))))
+            (diagram.orientation_sign((j, i)), matmul(x[j, i], x[i, j]))
             for j in diagram.neighbors(i)
         ]
         # one signed integer sum of the products over their common denominator
@@ -162,12 +161,12 @@ def _push(datum: ADHMDatum, cur: GradedSubspace, base: GradedSubspace) -> Graded
     a zero cur[j] contributes nothing, and with no nonzero image left
     base[i] is returned without an elimination.
     """
-    x, diagram = datum.x_map, datum.diagram
+    x, diagram = datum.x, datum.diagram
     out = []
     for i in range(diagram.rank):
         b = base[i]
         if not _full(b):
-            images = [_apply(x((j, i)), cur[j]) for j in diagram.neighbors(i) if cur[j].cols]
+            images = [_apply(x[j, i], cur[j]) for j in diagram.neighbors(i) if cur[j].cols]
             images = [m for m in images if not m.is_zero()]
             if images:
                 b = column_space(hstack(b, *images))
@@ -191,7 +190,7 @@ def core(datum: ADHMDatum, spaces: GradedSubspace) -> GradedSubspace:
     against a full target, since S meet m^{-1}(V) is S, and stops
     refining S_i once it is zero.
     """
-    x, diagram = datum.x_map, datum.diagram
+    x, diagram = datum.x, datum.diagram
 
     def step(cur):
         out = []
@@ -203,7 +202,7 @@ def core(datum: ADHMDatum, spaces: GradedSubspace) -> GradedSubspace:
                 if _full(cur[dst]):
                     continue
                 # S meet m^{-1}(T) is S (m S)^{-1}(T) for spanning matrices S, T
-                piece = image_of(piece, preimage(_apply(x((src, dst)), piece), cur[dst]))
+                piece = image_of(piece, preimage(_apply(x[src, dst], piece), cur[dst]))
             out.append(piece)
         return tuple(out)
 

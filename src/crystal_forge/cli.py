@@ -1,10 +1,10 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 domain error (the message on stderr names the
-violated precondition), 2 resource-cap abort.  Output is assembled in
-full before anything is printed: each command returns its whole text,
-and stdout is written once, after it returns, so no partial JSON is ever
-emitted and an error writes nothing to stdout.  Identical requests
+violated precondition) or an exhausted heap, 2 resource-cap abort.
+Output is assembled in full before anything is printed: each command
+returns its whole text, and stdout is written once, after it returns, so
+no partial JSON is ever emitted and an error writes nothing to stdout.  Identical requests
 produce byte-identical output (selftest wall-clock fields excepted).
 
 Weights are comma-separated integers in fundamental-weight coordinates
@@ -409,6 +409,7 @@ def build_parser() -> _Parser:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    text = None
     try:
         args = parser.parse_args(sys.argv[1:] if argv is None else list(argv))
         text, code = args.run(args)
@@ -420,6 +421,11 @@ def main(argv=None) -> int:
         return 2
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError:
+        pass  # reported below, once the traceback and all the request built are freed
+    if text is None:
+        print("error: the request ran out of memory", file=sys.stderr)
         return 1
     sys.stdout.write(text if text.endswith("\n") else text + "\n")
     return code

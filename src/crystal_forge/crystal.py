@@ -49,8 +49,9 @@ class CrystalGraph:
     builds (`build_crystal`, `tensor`, `direct_sum`, `trivial_crystal`,
     `sl2_crystal`, `decompose`'s references, `branch`) come from `_graph`.
 
-    `payloads` is a tuple or None.  A product from `tensor` stores a recipe
-    for its pair payloads instead, which runs once, on the first read.
+    `payloads` is a tuple or None.  A crystal from `build_crystal` or
+    `tensor` stores a recipe for its path or pair payloads instead, which
+    runs once, on the first read.
     """
 
     def __init__(self, diagram: DynkinDiagram, weights, f_maps, payloads=None):

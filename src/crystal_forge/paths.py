@@ -24,9 +24,10 @@ Littelmann's a-chain condition every breakpoint a of a path in B(lambda)
 has a * <lambda, gamma> integral for some gamma, so split points are too.
 
 A built crystal keeps its integer paths: vertex v carries ("path", D, p),
-and its weight is its BFS parent's minus alpha_i, as wt(f_i p) = wt(p) -
-alpha_i.  Public path operators take and return tuples of Fraction tuples.
-Floats never appear; integral height minima and end heights are asserted.
+made on the first read of `payloads`, and its weight is its BFS parent's
+minus alpha_i, as wt(f_i p) = wt(p) - alpha_i.  Public path operators
+take and return tuples of Fraction tuples.  Floats never appear;
+integral height minima and end heights are asserted.
 
 `build_crystal` refuses lambda before it builds anything: through
 `DynkinDiagram.check_dominant` when it is not dominant, and by its Weyl
@@ -38,6 +39,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import partial
+from itertools import repeat
 from math import gcd, lcm
 
 from .crystal import CrystalGraph, _graph
@@ -232,5 +234,5 @@ def build_crystal(
     g = gcd(*hw)
     start = ((tuple([x // g for x in hw]), g * denominator),) if g else ()
     order, weights, f_maps = _close(diagram, hw, start, denominator)
-    payloads = [("path", denominator, p) for p in order]
+    payloads = partial(zip, repeat("path"), repeat(denominator), order)
     return _graph(diagram, weights, f_maps, payloads)

@@ -353,9 +353,9 @@ def _fixpoint(step, start):
 
 def _push_plain(datum, cur, base):
     """base plus the image of cur under every edge map, one elimination per vertex."""
-    x, diagram = datum.x_map, datum.diagram
+    x, diagram = datum.x, datum.diagram
     return tuple(
-        column_space(hstack(base[i], *(matmul(x((j, i)), cur[j]) for j in diagram.neighbors(i))))
+        column_space(hstack(base[i], *(matmul(x[j, i], cur[j]) for j in diagram.neighbors(i))))
         for i in range(diagram.rank)
     )
 
@@ -367,14 +367,14 @@ def closure_plain(datum, spaces):
 
 def core_plain(datum, spaces):
     """Largest x-invariant graded subspace inside the spans, cut by every edge on every step."""
-    x, diagram = datum.x_map, datum.diagram
+    x, diagram = datum.x, datum.diagram
 
     def step(cur):
         out = []
         for src in range(diagram.rank):
             piece = cur[src]
             for dst in diagram.neighbors(src):
-                piece = image_of(piece, preimage(matmul(x((src, dst)), piece), cur[dst]))
+                piece = image_of(piece, preimage(matmul(x[src, dst], piece), cur[dst]))
             out.append(piece)
         return tuple(out)
 
@@ -500,7 +500,7 @@ def preprojective_residual_fractions(datum) -> tuple[Mat, ...]:
         acc = _fraction_neg(matmul_fractions(datum.p[i], datum.q[i]))
         for j in diagram.neighbors(i):
             h = (j, i)
-            term = matmul_fractions(datum.x_map(h), datum.x_map((i, j)))
+            term = matmul_fractions(datum.x[h], datum.x[i, j])
             if diagram.orientation_sign(h) < 0:
                 term = _fraction_neg(term)
             acc = _fraction_sum(acc, term)

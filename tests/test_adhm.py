@@ -132,7 +132,7 @@ def test_closure_core_properties():
                 assert contains(cl[i], spaces[i])
                 assert contains(spaces[i], co[i])
             for src, dst in diagram.oriented_edges:
-                x = datum.x_map((src, dst))
+                x = datum.x[src, dst]
                 assert contains(cl[dst], matmul(x, cl[src]))
                 assert contains(co[dst], matmul(x, co[src]))
             assert closure(datum, cl) == cl
@@ -606,13 +606,13 @@ def test_malformed_json_names_the_key(payload, key):
         datum_from_json(payload)
 
 
-def _adhm_check(payload):
+def _adhm_check(payload, command="check"):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "datum.json"
         path.write_text(json.dumps(payload))
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(["adhm", "check", str(path)])
+            code = main(["adhm", command, str(path)])
     return code, out.getvalue(), err.getvalue()
 
 
@@ -637,6 +637,41 @@ def test_cli_malformed_json_exits_1_with_one_line(payload):
 def test_cli_wrong_size_matrix_exits_1_naming_the_key(key, value, message):
     code, out, err = _adhm_check(_with(EDGE_PAYLOAD, key, value))
     assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+def test_an_omitted_edge_is_the_stored_zero_map():
+    flag = [[[], []], [[[[1, 1]]], []]]  # (0, D) with D one line at vertex 0
+    explicit = _with(EDGE_PAYLOAD, "flag", flag)
+    omitted = _with(explicit, "x", {"0->1": EDGE_PAYLOAD["x"]["0->1"]})
+    assert datum_from_json(omitted) == datum_from_json(explicit)
+    for command in ("check", "stratum"):
+        code, out, err = _adhm_check(omitted, command)
+        assert (code, out, err) == _adhm_check(explicit, command)
+        assert (code, err) == (0, "")
+
+
+def test_the_datum_lists_every_oriented_edge_given_ones_first():
+    given = {(2, 1): mat([[2]]), (0, 1): mat([[1]])}
+    empty = mat([[]], rows=1, cols=0)
+    datum = ADHMDatum(D4, (0,) * 4, (1,) * 4, given, (empty,) * 4, (mat([], rows=0, cols=1),) * 4)
+    rest = [h for h in D4.oriented_edges if h not in given]
+    assert list(datum.x) == [(2, 1), (0, 1), *rest]
+    assert all(datum.x[h] == mat([[0]]) for h in rest)
+
+
+def test_the_datum_owns_its_maps():
+    # A2 with d = (1, 0): p spans V_0 and the edge 0 -> 1 carries it onto V_1
+    x = {(0, 1): mat([[1]])}
+    p = [mat([[1]]), mat([[]], rows=1, cols=0)]
+    q = [mat([[0]]), mat([], rows=0, cols=1)]
+    datum = ADHMDatum(A2, (1, 0), (1, 1), x, p, q)
+    before = ADHMDatum(A2, (1, 0), (1, 1), dict(x), list(p), list(q))
+    assert is_stable(datum)
+    del x[0, 1]
+    p[0] = mat([[0]])
+    assert datum == before
+    assert is_stable(datum)
+    assert type(datum.p) is tuple and type(datum.q) is tuple
 
 
 def test_cli_refuses_a_diagram_rank_above_the_bound():

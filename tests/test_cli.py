@@ -14,7 +14,7 @@ from random import Random
 import pytest
 
 import crystal_forge
-from crystal_forge import paths
+from crystal_forge import cli, paths
 from crystal_forge.adhm import random_preprojective
 from crystal_forge.cli import build_parser, main
 from crystal_forge.decompose import tensor_summands
@@ -657,6 +657,47 @@ def test_crystal_above_the_cap_is_refused_before_it_is_built(capsys, monkeypatch
         f"error: crystal for highest weight {hw} exceeded the vertex cap of {cap}"
         "; pass a larger --max-vertices to override\n",
     )
+
+
+OUT_OF_MEMORY = "error: the request ran out of memory\n"
+
+
+def test_an_exhausted_heap_gives_one_error_line(capsys, monkeypatch):
+    def exhausted(args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "_crystal", exhausted)
+    assert run_cli(capsys, "crystal", "--diagram", "A2", "--hw", "1,1") == (1, "", OUT_OF_MEMORY)
+
+
+@pytest.mark.skipif(
+    not Path("/proc/self/status").exists(), reason="reads the child's VmSize from /proc"
+)
+def test_a_request_above_the_address_space_limit_gives_one_error_line():
+    import resource
+
+    src = Path(crystal_forge.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    vm_size = (
+        "import crystal_forge.cli\n"
+        "for line in open('/proc/self/status'):\n"
+        "    if line.startswith('VmSize:'): print(line.split()[1])"
+    )
+    baseline = subprocess.run(
+        [sys.executable, "-c", vm_size], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert baseline.returncode == 0, baseline.stderr
+    limit = int(baseline.stdout) * 1024 + 20 * 2**20  # post-import size plus 20 MB
+    # 4,200,768 vertices, admitted by the cap: the build exhausts the limit
+    argv = ["crystal", "--diagram", "E6", "--hw", "1,1,0,0,1,1", "--format", "table",
+            "--max-vertices", "10000000"]
+    script = "from crystal_forge.cli import console_main; console_main()"
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", OUT_OF_MEMORY)
 
 
 def test_adhm_check_and_stratum(tmp_path, capsys):

@@ -437,3 +437,18 @@ def test_tensor_counts_match_brauer_klimyk(case):
 def test_tensor_powers_at_scale_match_brauer_klimyk(diagram, factor, power, trivial):
     expected = _check_against_brauer_klimyk(diagram, [factor] * power)
     assert expected[(0,) * diagram.rank] == trivial
+
+
+def test_e7_912_to_the_sixth_matches_brauer_klimyk():
+    # 912**6, about 5.8 * 10**17 vertices.  `multiplicity` runs at 0 and at
+    # the factor only: at each of the 311 summands it would take ~14 s.
+    E7, factor = dynkin("E", 7), (0, 0, 0, 0, 0, 0, 1)
+    factors, size, zero = [factor] * 6, 912**6, (0,) * 7
+    expected = brauer_klimyk(E7, factors)
+    assert len(expected) == 311
+    assert sum(m * E7.weyl_dimension(w) for w, m in expected.items()) == size
+    assert tensor_summands(E7, factors, max_vertices=size) == expected
+    assert multiplicity(E7, zero, factors, max_vertices=size) == expected[zero] == 1056
+    assert multiplicity(E7, factor, factors, max_vertices=size) == expected[factor]
+    with pytest.raises(VertexCapError):
+        tensor_summands(E7, factors, max_vertices=size - 1)

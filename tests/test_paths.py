@@ -302,6 +302,24 @@ def test_build_takes_weights_from_the_parent_and_keeps_integer_paths():
             assert len(direction) == e6.rank and all(type(x) is int for x in direction)
 
 
+def test_path_payloads_are_made_once_on_first_read(monkeypatch):
+    closures = []
+    close = paths._close
+
+    def recorded(diagram, hw, start, denominator):
+        out = close(diagram, hw, start, denominator)
+        closures.append((denominator, out[0]))
+        return out
+
+    monkeypatch.setattr(paths, "_close", recorded)
+    crystal = build_crystal(A2, (2, 1))
+    assert callable(crystal._payloads)  # nothing made yet
+    [(denominator, order)] = closures
+    first = crystal.payloads
+    assert first == tuple(("path", denominator, p) for p in order)
+    assert crystal.payloads is first
+
+
 def test_direct_sum_exports_each_summand_over_its_own_denominator():
     # denominators 1 and 6: each payload carries its own
     small, large = build_crystal(A2, (1, 0)), build_crystal(A2, (2, 1))
