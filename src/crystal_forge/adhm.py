@@ -9,7 +9,9 @@ orientation sign fixed by the diagram, reads per vertex i:
 
 Everything is rational and exact: stability, nilpotency and stratum
 membership are discrete questions and are answered by ranks of exact
-matrices, never by thresholds.
+matrices, never by thresholds.  The equation is checked on integer rows:
+per vertex, one signed sum of the products' integer dot products over a
+common denominator, with no matrix built per product.
 
 They are decided by invariant-subspace fixpoints (`closure`, `core`,
 `is_nilpotent`) that skip every elimination whose answer is already
@@ -18,7 +20,8 @@ returns canonical spaces; a canonical space with as many columns as
 rows is the identity, and one with no column is zero.  So a full space
 is pushed as the edge map itself, a zero space or a map that kills it
 pushes nothing, a vertex that is already full takes no image, a full
-target keeps S meet m^{-1}(V) = S, and a zero S is cut no further.
+target or a map that kills S keeps S meet m^{-1}(T) = S, a full S is
+cut to the preimage itself, and a zero S is cut no further.
 """
 
 from __future__ import annotations
@@ -28,7 +31,9 @@ import sys
 from fractions import Fraction
 from itertools import product
 from math import lcm
+from operator import mul
 from random import Random
+from types import MappingProxyType
 
 from .dynkin import DynkinDiagram, Weight, parse_diagram
 from .linalg import (
@@ -71,16 +76,17 @@ def full_graded(dims) -> GradedSubspace:
 class ADHMDatum(_Frozen):
     """Explicit rational ADHM datum on graded spaces of dimensions d and v.
 
-    `x` is the datum's own dict, one map per oriented edge: those given,
-    in their order, then zero maps for the rest in `oriented_edges` order.
-    `p` and `q` are tuples.  Frozen: data with equal fields compare equal,
-    but `x` is a dict, so hashing one raises TypeError.
+    `x` is a read-only view of the datum's own dict, one map per oriented
+    edge: those given, in their order, then zero maps for the rest in
+    `oriented_edges` order.  `p` and `q` are tuples.  Frozen: data with
+    equal fields compare equal, but `x` views a dict, so hashing one
+    raises TypeError.
     """
 
     diagram: DynkinDiagram
     d: Weight
     v: Weight
-    x: dict[tuple[int, int], Mat]
+    x: MappingProxyType[tuple[int, int], Mat]
     p: tuple[Mat, ...]
     q: tuple[Mat, ...]
 
@@ -106,31 +112,39 @@ class ADHMDatum(_Frozen):
         for s, t in diagram.oriented_edges:
             if (s, t) not in x:
                 x[s, t] = zeros(v[t], v[s])
+        x = MappingProxyType(x)  # read-only, so the frozen datum stays as built
         self.__dict__.update(diagram=diagram, d=d, v=v, x=x, p=tuple(p), q=tuple(q))
 
 
+def _moment_rows(datum: ADHMDatum, i: int) -> tuple[list[list[int]], int]:
+    """Integer rows over one denominator of the moment map at vertex i,
+    skipping zero-size products and zero rows; no `Mat` is built."""
+    diagram, x, n = datum.diagram, datum.x, datum.v[i]
+    terms = [(-1, datum.p[i], datum.q[i])] + [
+        (diagram.orientation_sign((j, i)), x[j, i], x[i, j]) for j in diagram.neighbors(i)
+    ]
+    terms = [(s, a, b) for s, a, b in terms if a.cols]
+    den = lcm(*(a.den * b.den for _, a, b in terms))
+    acc = [[0] * n for _ in range(n)]
+    for s, a, b in terms:
+        f, cols = s * (den // (a.den * b.den)), tuple(zip(*b.num))
+        for out, row in zip(acc, a.num):
+            if any(row):
+                for c, col in enumerate(cols):
+                    out[c] += f * sum(map(mul, row, col))
+    return acc, den
+
+
 def preprojective_residual(datum: ADHMDatum) -> tuple[Mat, ...]:
-    """Per-vertex value of the moment-map expression; zero means satisfied."""
-    diagram, x = datum.diagram, datum.x
-    out = []
-    for i in range(diagram.rank):
-        terms = [(-1, matmul(datum.p[i], datum.q[i]))] + [
-            (diagram.orientation_sign((j, i)), matmul(x[j, i], x[i, j]))
-            for j in diagram.neighbors(i)
-        ]
-        # one signed integer sum of the products over their common denominator
-        n, den = datum.v[i], lcm(*(m.den for _, m in terms))
-        num = [
-            [sum(s * den // m.den * m.num[r][c] for s, m in terms) for c in range(n)]
-            for r in range(n)
-        ]
-        out.append(int_mat(n, n, num, den))
-    return tuple(out)
+    """Per-vertex value of the moment-map expression, `_moment_rows` as one
+    `Mat` in normal form; zero means satisfied."""
+    return tuple(int_mat(n, n, *_moment_rows(datum, i)) for i, n in enumerate(datum.v))
 
 
 def check_preprojective(datum: ADHMDatum) -> bool:
-    """Whether the moment-map equation holds exactly at every vertex."""
-    return all(m.is_zero() for m in preprojective_residual(datum))
+    """Whether the moment-map equation holds exactly at every vertex: the
+    integer rows of `_moment_rows`, read up to the first nonzero vertex."""
+    return not any(any(map(any, _moment_rows(datum, i)[0])) for i in range(len(datum.v)))
 
 
 def _fixpoint(step, start):
@@ -187,7 +201,8 @@ def core(datum: ADHMDatum, spaces: GradedSubspace) -> GradedSubspace:
     """Largest x-invariant graded subspace contained in the given spans.
 
     The spans are canonicalised once on entry.  A step then keeps S_i
-    against a full target, since S meet m^{-1}(V) is S, and stops
+    against a full target, since S meet m^{-1}(V) is S, and against a map
+    that kills it; it takes the preimage itself for a full S_i, and stops
     refining S_i once it is zero.
     """
     x, diagram = datum.x, datum.diagram
@@ -199,10 +214,12 @@ def core(datum: ADHMDatum, spaces: GradedSubspace) -> GradedSubspace:
             for dst in diagram.neighbors(src):
                 if not piece.cols:
                     break
-                if _full(cur[dst]):
+                if _full(cur[dst]) or (m := _apply(x[src, dst], piece)).is_zero():
                     continue
-                # S meet m^{-1}(T) is S (m S)^{-1}(T) for spanning matrices S, T
-                piece = image_of(piece, preimage(_apply(x[src, dst], piece), cur[dst]))
+                # S meet m^{-1}(T) is S (m S)^{-1}(T) for spanning matrices S, T,
+                # and the canonical preimage itself when S is the identity
+                pre = preimage(m, cur[dst])
+                piece = pre if _full(piece) else image_of(piece, pre)
             out.append(piece)
         return tuple(out)
 

@@ -271,8 +271,9 @@ def _certified(crystal: CrystalGraph) -> Decomposition | None:
     weights, f_maps = crystal.weights, crystal.f_maps
     n = len(weights)
     result = Decomposition(diagram)
-    instances, assignment, summands = result.instances, result.assignment, result.summands
+    instances, assignment = result.instances, result.assignment
     refs: dict[Weight, _Reference] = {}  # per highest weight met in this call
+    counts: dict[Weight, int] = {}  # summand multiplicities, in first-appearance order
     unassigned = n
     for src in highest_vertices(crystal):
         hw = weights[src]
@@ -290,11 +291,12 @@ def _certified(crystal: CrystalGraph) -> Decomposition | None:
         comp = _walk(crystal, src, ref)
         if comp is None:
             return None
-        assignment.update(dict.fromkeys(comp, len(instances)))
+        assignment.update(zip(comp, repeat(len(instances))))
         instances.append(SummandInstance(hw, src, comp))
-        summands[hw] += 1
+        counts[hw] = counts.get(hw, 0) + 1
+    result.summands.update(counts)
     certified = [0] * diagram.rank  # f_i edges per color
-    for hw, m in summands.items():
+    for hw, m in counts.items():
         certified = [c + m * k for c, k in zip(certified, map(len, refs[hw].crystal.f_maps))]
     # The closures list at most n vertices, so n distinct ones are a
     # disjoint cover.  With no edge beyond the certified ones, distinct

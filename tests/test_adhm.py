@@ -41,6 +41,7 @@ from crystal_forge.linalg import (
     rank,
     span,
     zero_space,
+    zeros,
 )
 from crystal_forge.sl2 import sl2_tensor_component
 from oracles import (
@@ -139,6 +140,25 @@ def test_closure_core_properties():
             assert core(datum, co) == co
 
 
+def test_core_keeps_a_killed_space_and_cuts_a_full_one_by_the_preimage(monkeypatch):
+    # A2 with v = (2, 1): x(0 -> 1) = (1 0) kills the line e_2 of V_0
+    datum = ADHMDatum(
+        A2, (0, 0), (2, 1), {(0, 1): mat([[1, 0]])},
+        (mat([[], []], rows=2, cols=0), mat([[]], rows=1, cols=0)),
+        (mat([], rows=0, cols=2), mat([], rows=0, cols=1)),
+    )
+    killed = (span([(0, 1)], 2), zero_space(1))
+    full = (full_space(2), zero_space(1))
+    expected = (core_plain(datum, killed), core_plain(datum, full))
+    preimages, images = _counting(monkeypatch, "preimage"), _counting(monkeypatch, "image_of")
+    # x S = 0: S meet x^{-1}(0) is S, so S is kept with no elimination
+    assert core(datum, killed) == killed == expected[0]
+    assert (len(preimages), len(images)) == (0, 0)
+    # S = V_0: the cut is x^{-1}(0) itself, with no image of it under the identity
+    assert core(datum, full) == killed == expected[1]
+    assert (len(preimages), len(images)) == (1, 0)
+
+
 _ENTRIES = st.integers(-2, 2)
 
 
@@ -160,11 +180,17 @@ def spanning_matrices(draw, n):
 
 
 @st.composite
-def data_and_spaces(draw):
+def sampled_data(draw):
+    """Sampled preprojective data on A1, A2, A3 or D4; some blocks have size zero."""
     diagram = draw(st.sampled_from((A1, A2, A3, D4)))
     v, d = (tuple(draw(st.integers(0, 2)) for _ in range(diagram.rank)) for _ in "vd")
-    datum = random_preprojective(diagram, v, d, draw(st.integers(0, 2**32 - 1)))
-    return datum, tuple(draw(spanning_matrices(n)) for n in v)
+    return random_preprojective(diagram, v, d, draw(st.integers(0, 2**32 - 1)))
+
+
+@st.composite
+def data_and_spaces(draw):
+    datum = draw(sampled_data())
+    return datum, tuple(draw(spanning_matrices(n)) for n in datum.v)
 
 
 @settings(max_examples=200, deadline=None)
@@ -244,22 +270,27 @@ _SHIFTS = st.one_of(st.just(0), st.builds(Fraction, st.integers(-6, 6), st.integ
 @st.composite
 def perturbed_data(draw):
     """Sampled preprojective data with entries shifted by small rationals."""
-    diagram = draw(st.sampled_from((A1, A2, A3, D4)))
-    v, d = (tuple(draw(st.integers(0, 2)) for _ in range(diagram.rank)) for _ in "vd")
-    datum = random_preprojective(diagram, v, d, draw(st.integers(0, 2**32 - 1)))
+    datum = draw(sampled_data())
 
     def shifted(m):
         return Mat(m.rows, m.cols, [[e + draw(_SHIFTS) for e in row] for row in m.data])
 
     x = {h: shifted(m) for h, m in datum.x.items()}
     p, q = (tuple(shifted(m) for m in ms) for ms in (datum.p, datum.q))
-    return ADHMDatum(diagram, d, v, x, p, q)
+    return ADHMDatum(datum.diagram, datum.d, datum.v, x, p, q)
 
 
 @settings(max_examples=150, deadline=None)
 @given(perturbed_data())
 def test_residual_matches_the_fraction_reference(datum):
     assert preprojective_residual(datum) == preprojective_residual_fractions(datum)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(sampled_data(), perturbed_data()))
+def test_check_matches_the_fraction_reference(datum):
+    expected = all(m.is_zero() for m in preprojective_residual_fractions(datum))
+    assert check_preprojective(datum) == expected
 
 
 def _counted_sampler(monkeypatch):
@@ -672,6 +703,24 @@ def test_the_datum_owns_its_maps():
     assert datum == before
     assert is_stable(datum)
     assert type(datum.p) is tuple and type(datum.q) is tuple
+
+
+def test_the_datum_maps_are_read_only():
+    # the A2 datum of test_the_datum_owns_its_maps: stable through its one edge
+    x = {(0, 1): mat([[1]])}
+    p = (mat([[1]]), mat([[]], rows=1, cols=0))
+    q = (mat([[0]]), mat([], rows=0, cols=1))
+    datum = ADHMDatum(A2, (1, 0), (1, 1), x, p, q)
+    with pytest.raises(TypeError):
+        datum.x[0, 1] = zeros(1, 1)
+    with pytest.raises(TypeError):
+        del datum.x[0, 1]
+    assert is_stable(datum)
+    assert datum == ADHMDatum(A2, (1, 0), (1, 1), dict(x), p, q)
+    assert datum.x == {(0, 1): mat([[1]]), (1, 0): zeros(1, 1)}
+    assert list(datum.x) == [(0, 1), (1, 0)]
+    with pytest.raises(TypeError):
+        hash(datum)
 
 
 def test_cli_refuses_a_diagram_rank_above_the_bound():
