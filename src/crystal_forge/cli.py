@@ -145,10 +145,9 @@ def _decomposition_text(dec: Decomposition, fmt: str) -> str:
 def _product(args) -> CrystalGraph:
     """Tensor product of the --factors crystals, refused above --max-vertices
     before anything is built."""
-    diagram = parse_diagram(args.diagram)
     return tensor_many(
-        build_crystal(diagram, f, max_vertices=args.max_vertices)
-        for f in _check_product(diagram, args.factors, args.max_vertices)
+        build_crystal(args.diagram, f, max_vertices=args.max_vertices)
+        for f in _check_product(args.diagram, args.factors, args.max_vertices)
     )
 
 
@@ -157,7 +156,7 @@ def _product(args) -> CrystalGraph:
 
 
 def _roots(args) -> tuple[str, int]:
-    diagram = parse_diagram(args.diagram)
+    diagram = args.diagram
     if args.format == "table":
         lines = [f"# {diagram.label} (rank {diagram.rank})"]
         lines.append("edges: " + ", ".join(map(str, diagram.edges)))
@@ -177,8 +176,7 @@ def _roots(args) -> tuple[str, int]:
 
 
 def _crystal(args) -> tuple[str, int]:
-    diagram = parse_diagram(args.diagram)
-    crystal = build_crystal(diagram, args.hw, max_vertices=args.max_vertices)
+    crystal = build_crystal(args.diagram, args.hw, max_vertices=args.max_vertices)
     return _crystal_text(crystal, args.format), 0
 
 
@@ -188,20 +186,19 @@ def _tensor(args) -> tuple[str, int]:
 
 def _decompose(args) -> tuple[str, int]:
     if args.format == "table":  # the summands alone, counted from the factors
-        diagram = parse_diagram(args.diagram)
-        dec = Decomposition(diagram, tensor_summands(diagram, args.factors, args.max_vertices))
+        summands = tensor_summands(args.diagram, args.factors, args.max_vertices)
+        dec = Decomposition(args.diagram, summands)
     else:  # the vertex assignment needs the built product
         dec = decompose(_product(args))
     return _decomposition_text(dec, args.format), 0
 
 
 def _mult(args) -> tuple[str, int]:
-    diagram = parse_diagram(args.diagram)
-    count = multiplicity(diagram, args.target, args.factors, max_vertices=args.max_vertices)
+    count = multiplicity(args.diagram, args.target, args.factors, max_vertices=args.max_vertices)
     if args.format == "table":
         return str(count), 0
     payload = {
-        "diagram": diagram.label,
+        "diagram": args.diagram.label,
         "target": list(args.target),
         "factors": [list(f) for f in args.factors],
         "multiplicity": count,
@@ -210,8 +207,7 @@ def _mult(args) -> tuple[str, int]:
 
 
 def _branch(args) -> tuple[str, int]:
-    diagram = parse_diagram(args.diagram)
-    crystal = build_crystal(diagram, args.hw, max_vertices=args.max_vertices)
+    crystal = build_crystal(args.diagram, args.hw, max_vertices=args.max_vertices)
     dec, sub_diagram = branch(crystal, args.keep)
     if args.format == "table":
         return _decomposition_text(dec, "table"), 0
@@ -227,7 +223,7 @@ def _dims(args) -> tuple[str, int]:
         raise ValueError(f"{given} needs {missing}")
     if args.vt_tuple and not args.d_tuple:
         raise ValueError("--vt-tuple needs --d-tuple and --v-tuple")
-    diagram = parse_diagram(args.diagram)
+    diagram = args.diagram
     payload = {
         "diagram": diagram.label,
         "basic": basic_dims(diagram, args.d, args.v, args.v0),
@@ -412,6 +408,8 @@ def main(argv=None) -> int:
     text = None
     try:
         args = parser.parse_args(sys.argv[1:] if argv is None else list(argv))
+        if "diagram" in args:
+            args.diagram = parse_diagram(args.diagram)
         text, code = args.run(args)
     except _Help as exc:
         text, code = exc.args[0], 0

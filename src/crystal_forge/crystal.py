@@ -4,7 +4,8 @@ A crystal is stored as a vertex list with integer weights plus, for every
 color i, the partial lowering map f_i as a dict.  String lengths eps/phi
 are not given: they are read off the f maps alone, by walking each f_i
 string from its start (a vertex that no f_i edge reaches), which is what
-normality means.  The raising map e_i is the inverse dict, built on first
+normality means; a vertex on no such string lies on an f_i cycle, which
+is refused.  The raising map e_i is the inverse dict, built on first
 use and only for `e` and `is_source`.
 
 The tensor product follows Kashiwara's signature rule: operators act on
@@ -121,7 +122,7 @@ class CrystalGraph:
     def _string_data(self) -> tuple[list[list[int]], list[list[int]]]:
         if self._eps is None:
             n = len(self.weights)
-            eps = [[0] * n for _ in range(self.diagram.rank)]
+            eps = [[-1] * n for _ in range(self.diagram.rank)]  # -1: on no string yet
             phi = [[0] * n for _ in range(self.diagram.rank)]
             for i in range(self.diagram.rank):
                 fm = self.f_maps[i]
@@ -138,6 +139,8 @@ class CrystalGraph:
                     for k, w in enumerate(chain):
                         eps[i][w] = k
                         phi[i][w] = top - k
+                if -1 in eps[i]:  # no string starts below a pure f_i cycle
+                    raise ValueError(f"color {i}: f-cycle through vertex {eps[i].index(-1)}")
             self._eps, self._phi = eps, phi
         return self._eps, self._phi
 

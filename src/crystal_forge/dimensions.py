@@ -115,7 +115,7 @@ class StratumParams(_Frozen):
         return len(self.d_tuple)
 
 
-def flag_variety_dim(diagram: DynkinDiagram, v, pieces) -> int:
+def flag_variety_dim(v, pieces) -> int:
     """Dimension of the graded partial flag variety with the given subfactors."""
     doubled = pairing(v, v) - sum(pairing(w, w) for w in pieces)
     return _half(doubled)
@@ -164,7 +164,7 @@ def strat_dims(params: StratumParams) -> dict:
             _locus(diagram, ds, vs) + pairing(vts, vts)
             for ds, vs, vts in zip(params.d_tuple, params.v_tuple, params.vt_tuple)
         )
-        fl = flag_variety_dim(diagram, v, params.v_tuple + params.vt_tuple)
+        fl = flag_variety_dim(v, params.v_tuple + params.vt_tuple)
         out["dim_stratum_flag"] = _half(doubled_flag)
         out["dim_stratum_vvt"] = out["dim_stratum_flag"] + fl
         out["flag_variety_dim"] = fl

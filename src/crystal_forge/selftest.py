@@ -415,7 +415,8 @@ def criterion_gprime_positivity(ctx: dict):
             top = gprime_weight(diagram, d, v0)
             if not gprime_integrable((top[0], top[1])):
                 return False, f"{diagram.label} {lam}: highest extended weight not integrable"
-            for w in crystal.weights:
+            # each distinct weight once, in the order of its first vertex
+            for w, count in crystal.character().items():
                 vv = v_from_weight(diagram, d, w)
                 if vv is None:
                     return False, f"{diagram.label} {lam}: no v for weight {w}"
@@ -425,7 +426,7 @@ def criterion_gprime_positivity(ctx: dict):
                         f"{diagram.label} {lam} vertex weight {w}: extended weight "
                         f"({first}, {second}) has a negative coordinate"
                     )
-                checked += 1
+                checked += count
     return True, f"{checked} vertex weights checked"
 
 

@@ -35,10 +35,16 @@ component in canonical BFS order, so two crystals compare edge for edge.
 Adjoint crystals B(theta), theta the highest root, are a second such
 reference, and E8's only one, as E8 has no minuscule node: the roots and
 one zero-weight vertex per simple root, again read off the Cartan matrix.
+The paper's strata have point counts over F_ell as their geometric
+reference: for A1 with v = 1 every subspace of V is 0 or V, so a label is
+read off which entries of p and q vanish, and the stable data are walked
+one per GL_1 orbit.
 """
 
 from collections import Counter, deque
 from fractions import Fraction
+from itertools import product
+from operator import mul
 
 from crystal_forge.adhm import kernel_of_q
 from crystal_forge.crystal import CrystalGraph, _graph
@@ -419,6 +425,44 @@ def stratum_label_per_step(datum, flag):
         vt_tuple.append(tuple(a - b for a, b in zip(meet_dims, prev_closure_dims)))
         prev_closure_dims = cl_dims
     return tuple(v_tuple), tuple(vt_tuple)
+
+
+def a1_v1_label(p, q, d1: int):
+    """`stratum_membership`'s label of an A1 datum with v = 1 and the flag
+    0 < F^(d1) < D, read off the row p: D -> V and the column q: V -> D.
+
+    Entries may be integers (the field Q) or residues mod a prime.  Every
+    subspace of V = F^1 is 0 or V, so each is kept as its dimension, and
+    A1 has no edges, so a closure is an image and a core a preimage:
+    C_1 = p(F^(d1)), K_0 = ker q, K_1 = q^-1(F^(d1)), C_0 = 0 and C_2 = V.
+    """
+    c1 = int(any(p[:d1]))
+    k0 = int(not any(q))
+    k1 = int(not any(q[d1:]))
+    if c1 > k1:  # C_1 is not inside K_1
+        return None
+    meet = min(c1, k0)  # dim (C_1 meet K_0); C_2 meet K_1 is K_1
+    return ((c1 - meet,), (1 - k1,)), ((meet,), (k1 - c1,))
+
+
+def a1_v1_label_counts(d1: int, d2: int, ell: int) -> Counter:
+    """Points over F_ell of each A1 stratum with v = 1 and d = d1 + d2.
+
+    Stable data have p onto V, i.e. p != 0; scaling p's first nonzero entry
+    to 1 picks one datum per GL_1 orbit.  A1 has no edges, so the moment
+    map is p q = 0.  Data on no stratum are not counted.
+    """
+    vectors = list(product(range(ell), repeat=d1 + d2))
+    counts = Counter()
+    for p in vectors:
+        if next(filter(None, p), 0) != 1:
+            continue
+        for q in vectors:
+            if sum(map(mul, p, q)) % ell == 0:
+                label = a1_v1_label(p, q, d1)
+                if label is not None:
+                    counts[label] += 1
+    return counts
 
 
 def rref_fractions(a: Mat) -> tuple[Mat, tuple[int, ...]]:

@@ -514,6 +514,16 @@ def test_dims_tuple_options_come_together(capsys, options, missing):
     assert (code, out, err) == (1, "", f"error: {missing}\n")
 
 
+@pytest.mark.parametrize("option", ["--d-tuple", "--v-tuple", "--vt-tuple"])
+def test_dims_names_an_unknown_diagram_before_a_lone_tuple(capsys, option):
+    # the diagram is parsed before any handler runs, as on the other commands
+    code, out, err = run_cli(
+        capsys, "dims", "--diagram", "F4", "--d", "1,0", "--v", "0,0", option, "0,0"
+    )
+    message = "cannot parse diagram name 'F4' (expected e.g. A2, D4, E6)"
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
 def test_sl2_subcommands(capsys):
     code, out, _ = run_cli(capsys, "sl2", "crystal", "--d", "3", "--v0", "1")
     assert code == 0

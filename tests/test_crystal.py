@@ -365,6 +365,27 @@ def test_a_string_that_runs_into_a_cycle_is_refused():
     ]
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda x: x.epsilon(0, 0),
+        lambda x: x.phi(0, 0),
+        lambda x: x.epsilon(1, 0),
+        lambda x: tensor(x, build_crystal(A1, (1,))),
+        lambda x: tensor(build_crystal(A1, (1,)), x),
+    ],
+    ids=["epsilon", "phi", "epsilon-on-the-cycle", "tensor-left", "tensor-right"],
+)
+def test_a_pure_f_cycle_has_no_string_lengths(call):
+    # no string starts below the cycle 1 -> 2 -> 1 (vertex 0 alone is one), so
+    # its vertices have no string lengths, and vertex 0's are refused with them
+    x = CrystalGraph(A1, [(0,), (0,), (0,)], [{1: 2, 2: 1}])
+    with pytest.raises(ValueError) as err:
+        call(x)
+    assert str(err.value) == "color 0: f-cycle through vertex 1"
+    assert str(err.value) in verify_axioms(x)
+
+
 def test_json_and_dot_export():
     c = build_crystal(A2, (1, 0))
     payload = c.to_json_dict()

@@ -1,3 +1,4 @@
+from fractions import Fraction
 from functools import cache
 from itertools import product as cartesian
 from random import Random
@@ -5,6 +6,8 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from crystal_forge.adhm import ADHMDatum, GradedFlag, stratum_membership
+from crystal_forge.crystal import tensor
 from crystal_forge.dimensions import (
     StratumParams,
     basic_dims,
@@ -20,7 +23,10 @@ from crystal_forge.dimensions import (
     v_from_weight,
 )
 from crystal_forge.dynkin import dynkin, pairing, vadd, vsub
+from crystal_forge.linalg import full_space, mat, span
 from crystal_forge.paths import build_crystal
+
+from oracles import a1_v1_label, a1_v1_label_counts
 
 A1 = dynkin("A", 1)
 A2 = dynkin("A", 2)
@@ -305,3 +311,52 @@ def test_extended_weight_is_the_weight_plus_v(data):
         v = v_from_weight(diagram, d, mu)
         assert v is not None
         assert gprime_weight(diagram, d, v) == (vadd(mu, v), v)
+
+
+def _interpolate(points) -> list[Fraction]:
+    """Coefficients, constant first, of the polynomial of degree below
+    len(points) through the points (Lagrange)."""
+    coeffs = [Fraction(0)] * len(points)
+    for j, (xj, yj) in enumerate(points):
+        basis = [Fraction(yj)]
+        for m, (xm, _) in enumerate(points):
+            if m != j:  # times (x - xm) / (xj - xm)
+                basis = [(a - xm * b) / (xj - xm) for a, b in zip([0, *basis], [*basis, 0])]
+        coeffs = [c + b for c, b in zip(coeffs, basis)]
+    return coeffs
+
+
+@pytest.mark.parametrize("d1, d2", [(1, 1), (2, 1), (1, 2)])
+def test_a1_strata_have_monic_point_counts_of_their_dimension(d1, d2):
+    # the paper's component theorem over F_ell, A1 with v = 1: each stratum
+    # of stable data modulo GL_1 has ell^dim + lower terms points, and the
+    # strata of v_tuple = 0 number the vertices of weight d - 2v
+    d, v, primes = (d1 + d2,), (1,), (2, 3, 5, 7)
+    counts = {ell: a1_v1_label_counts(d1, d2, ell) for ell in primes}
+    labels = set().union(*counts.values())
+    for v_tuple, vt_tuple in labels:
+        params = StratumParams(A1, d, v, ((d1,), (d2,)), v_tuple, vt_tuple)
+        degree = strat_dims(params)["dim_tensor_variety"]
+        assert 0 <= degree < len(primes)  # so four points over-determine the fit
+        fit = _interpolate([(ell, counts[ell][v_tuple, vt_tuple]) for ell in primes])
+        assert fit[degree:] == [1] + [0] * (len(primes) - 1 - degree), (v_tuple, vt_tuple)
+    product = tensor(build_crystal(A1, (d1,)), build_crystal(A1, (d2,)))
+    tops = [label for label in labels if label[0] == ((0,), (0,))]
+    assert len(tops) == product.weights.count(dominance_vector(A1, d, v)) == 2
+
+
+@pytest.mark.parametrize("d1, d2", [(1, 1), (2, 1), (1, 2)])
+def test_the_a1_point_count_label_is_stratum_membership(d1, d2):
+    # the counter's label rule against the library on integer data, p q = 0
+    d = d1 + d2
+    first = span([[int(r == c) for r in range(d)] for c in range(d1)], d)  # F^(d1)
+    flag = GradedFlag(A1, (d,), ((first,), (full_space(d),)))
+    seen = set()
+    for p in cartesian((-1, 0, 1), repeat=d):
+        for q in cartesian((-1, 0, 2), repeat=d):
+            if any(p) and pairing(p, q) == 0:
+                datum = ADHMDatum(A1, (d,), (1,), {}, (mat([p]),), (mat([[c] for c in q]),))
+                label = a1_v1_label(p, q, d1)
+                assert stratum_membership(datum, flag) == label, (p, q)
+                seen.add(label)
+    assert seen == {None, *a1_v1_label_counts(d1, d2, 3)}
