@@ -4,8 +4,8 @@ A crystal is stored as a vertex list with integer weights plus, for every
 color i, the partial lowering map f_i as a dict.  String lengths eps/phi
 are not given: they are read off the f maps alone, by walking each f_i
 string from its start (a vertex that no f_i edge reaches), which is what
-normality means; a vertex on no such string lies on an f_i cycle, which
-is refused.  The raising map e_i is the inverse dict, built on first
+normality means.  An f_i that is not injective is refused, and so is one
+with a cycle, whose vertices lie on no such string.  The raising map e_i is the inverse dict, built on first
 use and only for `e` and `is_source`.
 
 The tensor product follows Kashiwara's signature rule: operators act on
@@ -121,27 +121,15 @@ class CrystalGraph:
 
     def _string_data(self) -> tuple[list[list[int]], list[list[int]]]:
         if self._eps is None:
-            n = len(self.weights)
-            eps = [[-1] * n for _ in range(self.diagram.rank)]  # -1: on no string yet
-            phi = [[0] * n for _ in range(self.diagram.rank)]
-            for i in range(self.diagram.rank):
-                fm = self.f_maps[i]
-                targets = set(fm.values())
-                for v in range(n):
-                    if v in targets:
-                        continue  # not a chain start
-                    chain = [v]
-                    while chain[-1] in fm:
-                        if len(chain) == n:  # a repeat: f_i is not injective
-                            raise ValueError(f"color {i}: the f string from {v} runs into a cycle")
-                        chain.append(fm[chain[-1]])
-                    top = len(chain) - 1
-                    for k, w in enumerate(chain):
-                        eps[i][w] = k
-                        phi[i][w] = top - k
-                if -1 in eps[i]:  # no string starts below a pure f_i cycle
-                    raise ValueError(f"color {i}: f-cycle through vertex {eps[i].index(-1)}")
-            self._eps, self._phi = eps, phi
+            walked = []  # (eps row, phi row) per color
+            for i, fm in enumerate(self.f_maps):
+                rows = _strings(fm, len(self.weights))
+                if rows is None:
+                    raise ValueError(_merges(i, fm)[0])
+                if -1 in rows[0]:  # no string starts below a pure f_i cycle
+                    raise ValueError(f"color {i}: f-cycle through vertex {rows[0].index(-1)}")
+                walked.append(rows)
+            self._eps, self._phi = [r[0] for r in walked], [r[1] for r in walked]
         return self._eps, self._phi
 
     def epsilon(self, v: int, i: int) -> int:
@@ -196,6 +184,34 @@ def _graph(diagram: DynkinDiagram, weights, f_maps, payloads=None) -> CrystalGra
     graph = object.__new__(CrystalGraph)
     graph._fill(diagram, weights, f_maps, payloads)
     return graph
+
+
+def _strings(fm: dict[int, int], n: int) -> tuple[list[int], list[int]] | None:
+    """The eps and phi rows of an f map on n vertices, each string walked
+    from its start (a vertex no edge reaches), or None when fm is not
+    injective.  An injective map has no tail into a cycle, so every walk
+    ends, and eps = -1 is left exactly on the vertices of its cycles."""
+    targets = set(fm.values())
+    if len(targets) < len(fm):
+        return None
+    eps, phi = [-1] * n, [0] * n
+    for v in range(n):
+        if v in targets:
+            continue  # not a string start
+        chain = [v]
+        while chain[-1] in fm:
+            chain.append(fm[chain[-1]])
+        top = len(chain) - 1
+        for k, w in enumerate(chain):
+            eps[w] = k
+            phi[w] = top - k
+    return eps, phi
+
+
+def _merges(i: int, fm: dict[int, int]) -> list[str]:
+    """One line per vertex that two edges of fm reach, in first-reach order."""
+    merged = [t for t, k in Counter(fm.values()).items() if k > 1]
+    return [f"color {i}: f is not injective at target vertex {t}" for t in merged]
 
 
 def _payload_json(payload, segments: dict):
@@ -317,17 +333,18 @@ def verify_axioms(crystal: CrystalGraph) -> list[str]:
     """Check every crystal axiom on every vertex and color.
 
     Returns a list of human-readable violations; an empty list means the
-    graph is a normal crystal.
+    graph is a normal crystal.  A color lists its merges (f not injective),
+    its weight drops, and, when injective, its cycles; normality is checked
+    only when nothing else is wrong.
     """
     diagram = crystal.diagram
     columns = [list(map(itemgetter(i), crystal.weights)) for i in range(diagram.rank)]
     violations: list[str] = []
-    for i in range(diagram.rank):
-        fm = crystal.f_maps[i]
-        targets = Counter(fm.values())
-        for tgt, cnt in targets.items():
-            if cnt > 1:
-                violations.append(f"color {i}: f is not injective at target vertex {tgt}")
+    walked = []  # (eps row, phi row) of each injective color
+    for i, fm in enumerate(crystal.f_maps):
+        rows = _strings(fm, len(crystal))
+        if rows is None:  # its merges name the color's fault: no cycle lines
+            violations += _merges(i, fm)
         alpha = diagram.simple_root(i)
         # wt(a) - wt(f a) for every edge, one column at a time
         drops = zip(*(map(sub, map(col.__getitem__, fm), map(col.__getitem__, fm.values()))
@@ -337,37 +354,14 @@ def verify_axioms(crystal: CrystalGraph) -> list[str]:
                 violations.append(
                     f"vertex {a}, color {i}: wt(f a) != wt(a) - simple_root({i})"
                 )
-        # finite chains: walking f from any vertex must terminate.  Each
-        # vertex is walked once; cyclic[v] is None while v is on the walk,
-        # so a walk that ends on None has come back to itself and closed
-        # a cycle, whose vertices go into on_cycle
-        cyclic: dict[int, bool | None] = {}
-        on_cycle: set[int] = set()
-        for a in fm:
-            walk = []
-            cur = a
-            while cur in fm and cur not in cyclic:
-                cyclic[cur] = None
-                walk.append(cur)
-                cur = fm[cur]
-            end = cyclic.get(cur, False)
-            if end is None:
-                on_cycle.update(walk[walk.index(cur):])
-            for v in walk:
-                cyclic[v] = end is not False
-            if a in on_cycle:
-                violations.append(f"color {i}: f-cycle through vertex {a}")
-            elif cyclic[a]:
-                violations.append(f"color {i}: the f string from {a} runs into a cycle")
-    if violations:
-        return violations
-
-    eps, phi = crystal._string_data()
-    if all(col == list(map(sub, p, e)) for col, p, e in zip(columns, phi, eps)):
+        if rows is not None:
+            violations += [f"color {i}: f-cycle through vertex {a}" for a in fm if rows[0][a] < 0]
+            walked.append(rows)
+    if violations or all(col == list(map(sub, p, e)) for col, (e, p) in zip(columns, walked)):
         return violations
     for v in range(len(crystal)):
-        for i in range(diagram.rank):
-            if columns[i][v] != phi[i][v] - eps[i][v]:
+        for i, (eps, phi) in enumerate(walked):
+            if columns[i][v] != phi[v] - eps[v]:
                 violations.append(
                     f"vertex {v}, color {i}: wt_i != phi - epsilon (normality)"
                 )

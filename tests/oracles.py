@@ -38,13 +38,17 @@ one zero-weight vertex per simple root, again read off the Cartan matrix.
 The paper's strata have point counts over F_ell as their geometric
 reference: for A1 with v = 1 every subspace of V is 0 or V, so a label is
 read off which entries of p and q vanish, and the stable data are walked
-one per GL_1 orbit.
+one per GL_1 orbit; for A2 with v = d = (1, 1) every graded subspace of V
+is a set of vertices, and all data are walked, (ell - 1)^2 per orbit of
+GL_1 x GL_1, so the edge maps and <Xv, v> take part.  String lengths
+have iteration as their reference: f_i and its inverse applied up to n
+times from each vertex, with no walk from string starts.
 """
 
 from collections import Counter, deque
 from fractions import Fraction
 from itertools import product
-from operator import mul
+from operator import mul, sub
 
 from crystal_forge.adhm import kernel_of_q
 from crystal_forge.crystal import CrystalGraph, _graph
@@ -465,6 +469,69 @@ def a1_v1_label_counts(d1: int, d2: int, ell: int) -> Counter:
     return counts
 
 
+def _a2_dims(s) -> tuple[int, int]:
+    return tuple(int(i in s) for i in (0, 1))
+
+
+def a2_v11_label(x01, x10, p, q, first: int):
+    """`stratum_membership`'s label of a stable A2 datum with v = d = (1, 1)
+    and the flag 0 < D_first < D, read off its six scalars: x01: V_0 -> V_1,
+    x10: V_1 -> V_0, p = (p_0, p_1) and q = (q_0, q_1).
+
+    Entries may be integers (the field Q) or residues mod a prime.  Every
+    graded subspace of V is the set of vertices i where it is all of V_i,
+    and so is each flag step of D.  A closure adds the head of a nonzero
+    edge map whose tail it holds; a core drops the tail of a nonzero edge
+    map whose head it lacks.
+    """
+    edges = [h for h, m in (((0, 1), x01), ((1, 0), x10)) if m]
+
+    def closure(s):
+        while (grown := s | {t for a, t in edges if a in s}) != s:
+            s = grown
+        return s
+
+    def core(s):
+        while (cut := s - {a for a, t in edges if t not in s}) != s:
+            s = cut
+        return s
+
+    steps = [set(), {first}, {0, 1}]  # F_0 = 0, F_1 = D_first, F_2 = D
+    closures = [closure({i for i in step if p[i]}) for step in steps]
+    cores = [core({i for i in (0, 1) if i in step or not q[i]}) for step in steps]
+    if not all(c <= k for c, k in zip(closures, cores)):
+        return None
+    meets = [_a2_dims(c & k) for c, k in zip(closures[1:], cores)]  # C_k meet K_(k-1)
+    dims = list(map(_a2_dims, closures))
+    return (
+        tuple(tuple(map(sub, c, m)) for c, m in zip(dims[1:], meets)),
+        tuple(tuple(map(sub, m, c)) for m, c in zip(meets, dims)),
+    )
+
+
+def a2_v11_stable(x01, x10, p) -> bool:
+    """Whether the closure of p(D) is all of V, for v = d = (1, 1) on A2."""
+    return all(p) or bool(p[0] and x01) or bool(p[1] and x10)
+
+
+def a2_v11_label_counts(first: int, ell: int) -> Counter:
+    """Points over F_ell of each A2 stratum with v = d = (1, 1) and the flag
+    0 < D_first < D, counted on all stable data, not modulo GL_v.
+
+    The moment map reads -x10 x01 - p_0 q_0 = 0 at vertex 0 and
+    x01 x10 - p_1 q_1 = 0 at vertex 1.  Data on no stratum are not counted.
+    """
+    counts = Counter()
+    for x01, x10, p0, p1, q0, q1 in product(range(ell), repeat=6):
+        if (x10 * x01 + p0 * q0) % ell or (x01 * x10 - p1 * q1) % ell:
+            continue
+        if a2_v11_stable(x01, x10, (p0, p1)):
+            label = a2_v11_label(x01, x10, (p0, p1), (q0, q1), first)
+            if label is not None:
+                counts[label] += 1
+    return counts
+
+
 def rref_fractions(a: Mat) -> tuple[Mat, tuple[int, ...]]:
     """Reduced row echelon form by Gauss-Jordan elimination on Fractions."""
     m = [list(row) for row in a.data]
@@ -550,6 +617,31 @@ def preprojective_residual_fractions(datum) -> tuple[Mat, ...]:
             acc = _fraction_sum(acc, term)
         out.append(acc)
     return tuple(out)
+
+
+def strings_by_iteration(fm: dict, n: int):
+    """(eps row, phi row) of one f map on n vertices, or None when two
+    vertices share an image.
+
+    eps(v) and phi(v) count how often the inverse of f and f apply to v,
+    each applied up to n times; a vertex to which f applies n times lies
+    on a cycle, and its entries are None.
+    """
+    if len(set(fm.values())) < len(fm):
+        return None
+    inverse = {b: a for a, b in fm.items()}
+    rows = ([], [])
+    for v in range(n):
+        counts = []
+        for step in (inverse, fm):
+            k, cur = 0, v
+            while cur in step and k < n:
+                k, cur = k + 1, step[cur]
+            counts.append(k)
+        on_cycle = counts[1] == n
+        for row, k in zip(rows, counts):
+            row.append(None if on_cycle else k)
+    return rows
 
 
 def tensor_per_pair(left: CrystalGraph, right: CrystalGraph) -> CrystalGraph:

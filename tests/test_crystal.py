@@ -4,6 +4,7 @@ from collections import Counter
 from itertools import permutations, product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from crystal_forge.crystal import (
     CrystalGraph,
@@ -20,7 +21,7 @@ from crystal_forge.paths import build_crystal
 from crystal_forge.selftest import crystal_family
 from crystal_forge.sl2 import sl2_crystal
 
-from oracles import tensor_per_pair
+from oracles import strings_by_iteration, tensor_per_pair
 
 A1 = dynkin("A", 1)
 A2 = dynkin("A", 2)
@@ -55,18 +56,14 @@ def _cycle(i, a):
     return f"color {i}: f-cycle through vertex {a}"
 
 
-def _into_cycle(i, a):
-    return f"color {i}: the f string from {a} runs into a cycle"
-
-
 @pytest.mark.parametrize(
     "graph,expected",
     [
-        # 1 <-> 2 is a cycle, 3 -> 0 -> 1 a tail into it; 0 and 2 both map to 1
+        # 1 <-> 2 is a cycle, 3 -> 0 -> 1 a tail into it; 0 and 2 both map
+        # to 1, and that merge is the color's only structural line
         (
             CrystalGraph(A1, [(2,), (0,), (-2,), (4,)], [{0: 1, 1: 2, 2: 1, 3: 0}]),
-            ["color 0: f is not injective at target vertex 1", _wt(0, 2)]
-            + [_into_cycle(0, 0), _cycle(0, 1), _cycle(0, 2), _into_cycle(0, 3)],
+            ["color 0: f is not injective at target vertex 1", _wt(0, 2)],
         ),
         # a pure 3-cycle
         (
@@ -79,11 +76,16 @@ def _into_cycle(i, a):
             [_wt(0, 0), _wt(0, 1), _cycle(0, 0), _cycle(0, 1)]
             + [_wt(1, 1), _wt(1, 2), _wt(1, 3), _cycle(1, 1), _cycle(1, 2), _cycle(1, 3)],
         ),
-        # the cycle is listed first, so the walk from 0 runs into labelled vertices
+        # the cycle is listed first, and the merge is still the only line
         (
             CrystalGraph(A1, [(2,), (0,), (-2,)], [{1: 2, 2: 1, 0: 1}]),
-            ["color 0: f is not injective at target vertex 1", _wt(0, 2)]
-            + [_cycle(0, 1), _cycle(0, 2), _into_cycle(0, 0)],
+            ["color 0: f is not injective at target vertex 1", _wt(0, 2)],
+        ),
+        # a merge in color 0 hides no cycle of the injective color 1
+        (
+            CrystalGraph(A2, [(0, 0)] * 3, [{0: 2, 1: 2}, {2: 1, 1: 2}]),
+            ["color 0: f is not injective at target vertex 2", _wt(0, 0), _wt(0, 1)]
+            + [_wt(1, 2), _wt(1, 1), _cycle(1, 2), _cycle(1, 1)],
         ),
     ],
 )
@@ -351,18 +353,98 @@ def test_refusal_texts(call, message):
 def test_a_string_that_runs_into_a_cycle_is_refused():
     # f_0 is not injective: the string from 0 runs into the cycle 1 -> 2 -> 1
     x = CrystalGraph(A1, [(2,), (0,), (-2,)], [{0: 1, 1: 2, 2: 1}])
-    message = "color 0: the f string from 0 runs into a cycle"
+    message = "color 0: f is not injective at target vertex 1"
     for fn in (lambda: x.epsilon(0, 0), lambda: x.phi(2, 0), lambda: tensor(x, a1_chain([0]))):
         with pytest.raises(ValueError) as err:
             fn()
         assert str(err.value) == message
-    assert verify_axioms(x) == [
-        "color 0: f is not injective at target vertex 1",
-        "vertex 2, color 0: wt(f a) != wt(a) - simple_root(0)",
-        message,
-        "color 0: f-cycle through vertex 1",
-        "color 0: f-cycle through vertex 2",
-    ]
+    assert verify_axioms(x) == [message, "vertex 2, color 0: wt(f a) != wt(a) - simple_root(0)"]
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda x: x.epsilon(2, 0),
+        lambda x: x.phi(0, 0),
+        lambda x: tensor(x, build_crystal(A1, (1,))),
+        lambda x: tensor(build_crystal(A1, (1,)), x),
+    ],
+    ids=["epsilon", "phi", "tensor-left", "tensor-right"],
+)
+def test_two_strings_that_merge_have_no_string_lengths(call):
+    # f_0 sends 0 and 1 to 2 with no cycle: no reading of string lengths
+    # fits, and each one is refused with the line verify_axioms reports
+    x = CrystalGraph(A1, [(1,), (1,), (-1,)], [{0: 2, 1: 2}])
+    with pytest.raises(ValueError) as err:
+        call(x)
+    assert str(err.value) == "color 0: f is not injective at target vertex 2"
+    assert verify_axioms(x) == [str(err.value)]
+
+
+@st.composite
+def small_graphs(draw):
+    """A graph on A1 or A2 with at most 6 vertices: each f map injective or
+    not, and weights random or, for A1, phi - eps where that is defined."""
+    diagram = draw(st.sampled_from([A1, A2]))
+    n = draw(st.integers(0, 6))
+    f_maps = []
+    for _ in range(diagram.rank):
+        keys = draw(st.lists(st.integers(0, n - 1), unique=True)) if n else []
+        if draw(st.booleans()):
+            values = draw(st.permutations(range(n)))[: len(keys)]
+        else:
+            values = [draw(st.integers(0, n - 1)) for _ in keys]
+        f_maps.append(dict(zip(keys, values)))
+    weights = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * diagram.rank), min_size=n, max_size=n))
+    rows = strings_by_iteration(f_maps[0], n)
+    if diagram is A1 and rows is not None and None not in rows[0] and draw(st.booleans()):
+        weights = [(p - e,) for e, p in zip(*rows)]
+    return diagram, weights, f_maps
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_graphs())
+def test_string_lengths_and_verify_axioms_match_iteration(graph):
+    diagram, weights, f_maps = graph
+    n = len(weights)
+    x = CrystalGraph(diagram, weights, f_maps)
+    report = verify_axioms(x)
+    want = [strings_by_iteration(fm, n) for fm in f_maps]
+    # per color: merges, or the vertices on a cycle in f-map key order
+    for i, (fm, rows) in enumerate(zip(f_maps, want)):
+        merged = [line for line in report if line.startswith(f"color {i}: f is not injective")]
+        cycles = [line for line in report if line.startswith(f"color {i}: f-cycle")]
+        if rows is None:
+            assert sorted(merged) == sorted(
+                f"color {i}: f is not injective at target vertex {t}"
+                for t in set(fm.values()) if list(fm.values()).count(t) > 1
+            )
+            assert cycles == []
+        else:
+            assert merged == []
+            assert cycles == [f"color {i}: f-cycle through vertex {a}" for a in fm if rows[0][a] is None]
+    # string lengths, or the first color's fault
+    fault = next((i for i, rows in enumerate(want) if rows is None or None in rows[0]), None)
+    if fault is None:
+        assert x._string_data() == ([r[0] for r in want], [r[1] for r in want])
+        drops_fit = all(
+            vadd(weights[b], diagram.simple_root(i)) == weights[a]
+            for i, fm in enumerate(f_maps) for a, b in fm.items()
+        )
+        normal = all(
+            weights[v][i] == p - e
+            for i, (eps, phi) in enumerate(want) for v, (e, p) in enumerate(zip(eps, phi))
+        )
+        assert (report == []) == (drops_fit and normal)
+        return
+    with pytest.raises(ValueError) as err:
+        x._string_data()
+    if want[fault] is None:
+        assert str(err.value).startswith(f"color {fault}: f is not injective at target vertex ")
+    else:
+        v = want[fault][0].index(None)
+        assert str(err.value) == f"color {fault}: f-cycle through vertex {v}"
+    assert str(err.value) in report
 
 
 @pytest.mark.parametrize(

@@ -6,7 +6,7 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from crystal_forge.adhm import ADHMDatum, GradedFlag, stratum_membership
+from crystal_forge.adhm import ADHMDatum, GradedFlag, check_preprojective, stratum_membership
 from crystal_forge.crystal import tensor
 from crystal_forge.dimensions import (
     StratumParams,
@@ -26,7 +26,13 @@ from crystal_forge.dynkin import dynkin, pairing, vadd, vsub
 from crystal_forge.linalg import full_space, mat, span
 from crystal_forge.paths import build_crystal
 
-from oracles import a1_v1_label, a1_v1_label_counts
+from oracles import (
+    a1_v1_label,
+    a1_v1_label_counts,
+    a2_v11_label,
+    a2_v11_label_counts,
+    a2_v11_stable,
+)
 
 A1 = dynkin("A", 1)
 A2 = dynkin("A", 2)
@@ -360,3 +366,57 @@ def test_the_a1_point_count_label_is_stratum_membership(d1, d2):
                 assert stratum_membership(datum, flag) == label, (p, q)
                 seen.add(label)
     assert seen == {None, *a1_v1_label_counts(d1, d2, 3)}
+
+
+def _a2_flag(first):
+    """0 < D_first < D on A2 with d = (1, 1)."""
+    step = tuple(full_space(1) if i == first else span([], 1) for i in (0, 1))
+    return GradedFlag(A2, (1, 1), (step, (full_space(1), full_space(1))))
+
+
+@pytest.mark.parametrize("first", [0, 1])
+def test_a2_strata_have_monic_point_counts_of_their_dimension(first):
+    # A2 with v = d = (1, 1), where the <Xv, v> term of the dimension is not
+    # zero: every stratum's count of stable data is (ell - 1)^2 times its
+    # count modulo GL_v, which is ell^dim + lower terms, and its labels
+    # number the vertices of weight d - Av in B(D_first) x B(D / D_first)
+    d, v, primes = (1, 1), (1, 1), (2, 3, 5, 7)
+    bottom = tuple(int(i == first) for i in (0, 1))
+    pieces = (bottom, vsub(d, bottom))
+    counts = {ell: a2_v11_label_counts(first, ell) for ell in primes}
+    labels = set().union(*counts.values())
+    for v_tuple, vt_tuple in labels:
+        params = StratumParams(A2, d, v, pieces, v_tuple, vt_tuple)
+        degree = strat_dims(params)["dim_tensor_variety"]
+        assert 0 <= degree < len(primes)  # so four points over-determine the fit
+        points = []
+        for ell in primes:
+            quotient, rest = divmod(counts[ell][v_tuple, vt_tuple], (ell - 1) ** 2)
+            assert rest == 0, (ell, v_tuple, vt_tuple)
+            points.append((ell, quotient))
+        fit = _interpolate(points)
+        assert fit[degree:] == [1] + [0] * (len(primes) - 1 - degree), (v_tuple, vt_tuple)
+    product = tensor(build_crystal(A2, pieces[0]), build_crystal(A2, pieces[1]))
+    assert all(v_tuple == ((0, 0), (0, 0)) for v_tuple, _ in labels)
+    assert len(labels) == product.weights.count(dominance_vector(A2, d, v)) == 3
+
+
+@pytest.mark.parametrize("first", [0, 1])
+def test_the_a2_point_count_label_is_stratum_membership(first):
+    # the counter's moment map and label rule against the library on
+    # integer data
+    flag, seen, stable = _a2_flag(first), set(), 0
+    for x01, x10, p0, p1, q0, q1 in cartesian((-1, 0, 2), repeat=6):
+        datum = ADHMDatum(
+            A2, (1, 1), (1, 1), {(0, 1): mat([[x01]]), (1, 0): mat([[x10]])},
+            (mat([[p0]]), mat([[p1]])), (mat([[q0]]), mat([[q1]])),
+        )
+        preprojective = x10 * x01 + p0 * q0 == 0 == x01 * x10 - p1 * q1
+        assert check_preprojective(datum) == preprojective
+        if preprojective and a2_v11_stable(x01, x10, (p0, p1)):
+            label = a2_v11_label(x01, x10, (p0, p1), (q0, q1), first)
+            assert stratum_membership(datum, flag) == label, (x01, x10, p0, p1, q0, q1)
+            seen.add(label)
+            stable += 1
+    assert stable == 44
+    assert seen == {None, *a2_v11_label_counts(first, 3)}

@@ -2,12 +2,13 @@
 
 The Python quick start runs as written and its commented results hold.
 Every `crystal-forge` line of the Command line block runs through
-`cli.main` in this process and exits 0, except the two `adhm` lines,
-which need a `datum.json` of the reader's own, and `selftest`, which the
-acceptance tests run.
+`cli.main` in this process and exits 0, except `selftest`, which the
+acceptance tests run; the two `adhm` lines read the README's ADHM input
+example as their `datum.json`.
 """
 
 import ast
+import json
 import shlex
 from collections import Counter
 from pathlib import Path
@@ -36,15 +37,36 @@ def test_quick_start_runs_and_its_comments_hold():
     assert int(mult_note) == 2 == eval(mult_code, ns)
 
 
-def test_command_line_examples_exit_0(capsys):
+def _command_lines() -> list[list[str]]:
+    """The Command line block's argument lists, continuation lines joined."""
     lines = _block("Command line", "sh").replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines]
+
+
+def test_command_line_examples_exit_0(capsys):
     ran = []
-    for line in lines:
-        args = shlex.split(line)[1:]
+    for args in _command_lines():
         if "datum.json" in args or args[0] == "selftest":
             continue
-        assert main(args) == 0, line
+        assert main(args) == 0, args
         out, err = capsys.readouterr()
-        assert out and not err, line
+        assert out and not err, args
         ran.append(args[0])
     assert set(ran) == {"roots", "crystal", "tensor", "decompose", "mult", "branch", "dims", "sl2"}
+
+
+def test_adhm_lines_run_on_the_readme_datum(tmp_path, capsys):
+    datum = tmp_path / "datum.json"
+    datum.write_text(_block("Command line", "json"))
+    lines = [args for args in _command_lines() if "datum.json" in args]
+    assert [args[:2] for args in lines] == [["adhm", "check"], ["adhm", "stratum"]]
+    printed = []
+    for args in lines:
+        assert main([str(datum) if a == "datum.json" else a for a in args]) == 0, args
+        out, err = capsys.readouterr()
+        assert not err, args
+        printed.append(json.loads(out))
+    check, stratum = printed
+    assert [check[k] for k in ("preprojective", "stable", "ast_stable", "nilpotent")] == [True] * 4
+    assert stratum["member"] is True
+    assert (stratum["v_tuple"], stratum["vt_tuple"]) == ([[0], [0]], [[0], [1]])
