@@ -35,7 +35,7 @@ from operator import mul
 from random import Random
 from types import MappingProxyType
 
-from .dynkin import DynkinDiagram, Weight, parse_diagram
+from .dynkin import DynkinDiagram, Weight, as_text, parse_diagram
 from .linalg import (
     Mat,
     _Frozen,
@@ -65,6 +65,14 @@ def _space_dims(spaces: GradedSubspace) -> Weight:
     return tuple(s.cols for s in spaces)
 
 
+def _dimension_vector(diagram: DynkinDiagram, w, name: str) -> Weight:
+    """`check_weight(w)`, refused when an entry is negative; `name` names w."""
+    w = diagram.check_weight(w)
+    if min(w, default=0) < 0:
+        raise ValueError(f"dimension vector {name} = {as_text(w)} has a negative entry")
+    return w
+
+
 def zero_graded(dims) -> GradedSubspace:
     return tuple(zero_space(n) for n in dims)
 
@@ -91,7 +99,7 @@ class ADHMDatum(_Frozen):
     q: tuple[Mat, ...]
 
     def __init__(self, diagram, d, v, x, p, q):
-        d, v = diagram.check_weight(d), diagram.check_weight(v)
+        d, v = _dimension_vector(diagram, d, "d"), _dimension_vector(diagram, v, "v")
         oriented = set(diagram.oriented_edges)
         for h, m in x.items():
             if h not in oriented:
@@ -164,8 +172,14 @@ def _apply(m: Mat, s: Mat) -> Mat:
     return m if _full(s) else matmul(m, s)
 
 
-def _canonical(spaces) -> GradedSubspace:
-    return tuple(column_space(s) for s in spaces)
+def _canonical(datum: ADHMDatum, spaces) -> GradedSubspace:
+    """The spans in canonical form, refused unless they live in V."""
+    spaces = tuple(column_space(s) for s in spaces)
+    if (dims := tuple(s.rows for s in spaces)) != datum.v:
+        raise ValueError(
+            f"graded subspace in dimensions {as_text(dims)}, but the datum has v = {as_text(datum.v)}"
+        )
+    return spaces
 
 
 def _push(datum: ADHMDatum, cur: GradedSubspace, base: GradedSubspace) -> GradedSubspace:
@@ -191,19 +205,21 @@ def _push(datum: ADHMDatum, cur: GradedSubspace, base: GradedSubspace) -> Graded
 def closure(datum: ADHMDatum, spaces: GradedSubspace) -> GradedSubspace:
     """Smallest x-invariant graded subspace containing the given spans.
 
-    The spans are canonicalised once on entry, so every step can read a
-    full space as the identity and a zero space as nothing to push.
+    The spans are checked to live in V (ValueError otherwise) and
+    canonicalised once on entry, so every step can read a full space as
+    the identity and a zero space as nothing to push.
     """
-    return _fixpoint(lambda cur: _push(datum, cur, cur), _canonical(spaces))
+    return _fixpoint(lambda cur: _push(datum, cur, cur), _canonical(datum, spaces))
 
 
 def core(datum: ADHMDatum, spaces: GradedSubspace) -> GradedSubspace:
     """Largest x-invariant graded subspace contained in the given spans.
 
-    The spans are canonicalised once on entry.  A step then keeps S_i
-    against a full target, since S meet m^{-1}(V) is S, and against a map
-    that kills it; it takes the preimage itself for a full S_i, and stops
-    refining S_i once it is zero.
+    The spans are checked to live in V (ValueError otherwise) and
+    canonicalised once on entry.  A step then keeps S_i against a full
+    target, since S meet m^{-1}(V) is S, and against a map that kills it;
+    it takes the preimage itself for a full S_i, and stops refining S_i
+    once it is zero.
     """
     x, diagram = datum.x, datum.diagram
 
@@ -223,7 +239,7 @@ def core(datum: ADHMDatum, spaces: GradedSubspace) -> GradedSubspace:
             out.append(piece)
         return tuple(out)
 
-    return _fixpoint(step, _canonical(spaces))
+    return _fixpoint(step, _canonical(datum, spaces))
 
 
 def kernel_of_q(datum: ADHMDatum) -> GradedSubspace:
@@ -356,8 +372,8 @@ def random_preprojective(
     """
     if rng is None or isinstance(rng, int):
         rng = Random(rng)
-    v = diagram.check_weight(v)
-    d = diagram.check_weight(d)
+    v = _dimension_vector(diagram, v, "v")
+    d = _dimension_vector(diagram, d, "d")
     vertices = range(diagram.rank)
     canonical = [(a, b) for a, b in diagram.oriented_edges if a < b]
     # (rows, cols) of the drawn blocks and of the unknown blocks, in draw

@@ -133,15 +133,13 @@ def _classify(neighbors: tuple[tuple[int, ...], ...]) -> str:
     for v in range(len(neighbors)):
         if v in seen:
             continue
-        comp, stack = [], [v]
+        comp = [v]
         seen.add(v)
-        while stack:
-            w = stack.pop()
-            comp.append(w)
+        for w in comp:  # grows while it is walked
             for nb in neighbors[w]:
                 if nb not in seen:
                     seen.add(nb)
-                    stack.append(nb)
+                    comp.append(nb)
         labels.append(_classify_component(neighbors, comp))
     return "+".join(labels)
 

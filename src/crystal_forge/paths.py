@@ -196,9 +196,7 @@ def _close(diagram: DynkinDiagram, hw: Weight, start: _IntPath, denominator: int
     weights: list[Weight] = [hw]
     reflections = [_Reflection(diagram, i) for i in range(diagram.rank)]
     f_maps: list[dict[int, int]] = [{} for _ in reflections]
-    vid = 0
-    while vid < len(order):
-        path = order[vid]
+    for vid, path in enumerate(order):  # grows while it is walked: breadth-first
         for i, reflect in enumerate(reflections):
             child = _lower(path, i, denominator, reflect)
             if child is None:
@@ -209,7 +207,6 @@ def _close(diagram: DynkinDiagram, hw: Weight, start: _IntPath, denominator: int
                 order.append(child)
                 weights.append(tuple([w - a for w, a in zip(weights[vid], reflect.alpha)]))
             f_maps[i][vid] = cid
-        vid += 1
     return order, weights, f_maps
 
 

@@ -13,7 +13,7 @@ runs exactly these functions.
 from __future__ import annotations
 
 import time
-from collections import Counter, deque
+from collections import Counter
 from functools import cache
 from math import prod
 from random import Random
@@ -99,12 +99,10 @@ def _sl2_labels(max_d: int = 8):
 
 def _dominant_weights_upto(diagram: DynkinDiagram, bound: int):
     """All dominant weights whose module dimension is at most the bound."""
-    start = (0,) * diagram.rank
-    seen = {start}
-    queue = deque([start])
+    queue = [(0,) * diagram.rank]
+    seen = set(queue)
     out = []
-    while queue:
-        lam = queue.popleft()
+    for lam in queue:  # grows while it is walked: breadth-first
         if diagram.weyl_dimension(lam) > bound:
             continue
         out.append(lam)

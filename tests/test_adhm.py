@@ -504,6 +504,10 @@ _NO_COLUMNS = mat([[]], rows=1, cols=0)  # p_i for d_i = 0, v_i = 1
 _NO_ROWS = mat([], rows=0, cols=1)  # q_i for d_i = 0, v_i = 1
 
 
+def _a2_v11():
+    return random_preprojective(A2, (1, 1), (1, 1), 3)
+
+
 @pytest.mark.parametrize(
     "build, message",
     [
@@ -537,13 +541,61 @@ _NO_ROWS = mat([], rows=0, cols=1)  # q_i for d_i = 0, v_i = 1
             ),
             "flag and datum live on different framing spaces",
         ),
+        (
+            lambda: ADHMDatum(A1, (1,), (-1,), {}, (mat([[1]]),), (mat([[1]]),)),
+            "dimension vector v = (-1,) has a negative entry",
+        ),
+        (
+            lambda: ADHMDatum(A1, (-2,), (1,), {}, (mat([[1]]),), (mat([[1]]),)),
+            "dimension vector d = (-2,) has a negative entry",
+        ),
+        (
+            lambda: closure(_a2_v11(), (full_space(1),)),
+            "graded subspace in dimensions (1,), but the datum has v = (1, 1)",
+        ),
+        (lambda: core(_a2_v11(), ()), "graded subspace in dimensions (), but the datum has v = (1, 1)"),
+        (
+            lambda: closure(_a2_v11(), (full_space(1),) * 3),
+            "graded subspace in dimensions (1, 1, 1), but the datum has v = (1, 1)",
+        ),
+        (
+            lambda: closure(_a2_v11(), (full_space(2), zero_space(1))),
+            "graded subspace in dimensions (2, 1), but the datum has v = (1, 1)",
+        ),
+        (
+            lambda: core(_a2_v11(), (full_space(2), full_space(1))),
+            "graded subspace in dimensions (2, 1), but the datum has v = (1, 1)",
+        ),
     ],
-    ids=["x-shape", "p-count", "p-shape", "q-shape", "no-step", "flag-ambient", "framing"],
+    ids=[
+        "x-shape", "p-count", "p-shape", "q-shape", "no-step", "flag-ambient", "framing",
+        "v-negative", "d-negative", "closure-short", "core-empty", "closure-long",
+        "closure-rows", "core-rows",
+    ],
 )
 def test_refusal_texts(build, message):
     with pytest.raises(ValueError) as err:
         build()
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "diagram, v, d, message",
+    [
+        (A2, (1, -1), (1, 0), "dimension vector v = (1, -1) has a negative entry"),
+        (A2, (2, 1), (-1, 0), "dimension vector d = (-1, 0) has a negative entry"),
+        (D4, (1, 1, -2, 0), (1, 0, 0, 0), "dimension vector v = (1, 1, -2, 0) has a negative entry"),
+        (A1, (-1,), (0,), "dimension vector v = (-1,) has a negative entry"),
+        (A1, (1,), (-1,), "dimension vector d = (-1,) has a negative entry"),
+    ],
+)
+def test_random_preprojective_refuses_a_negative_dimension_vector(diagram, v, d, message):
+    rng = Random(5)
+    state = rng.getstate()
+    with pytest.raises(ValueError) as err:
+        random_preprojective(diagram, v, d, rng)
+    assert str(err.value) == message
+    assert rng.getstate() == state  # refused before any draw
 
 
 def test_json_interchange():

@@ -431,8 +431,11 @@ def test_tensor_counts_match_brauer_klimyk(case):
         (dynkin("E", 8), (0, 0, 0, 0, 0, 0, 1, 0), 4, 5),
         # a half-spin crystal: 128**4, about 2.7 * 10**8 vertices
         (dynkin("D", 8), (0, 0, 0, 0, 0, 0, 0, 1), 4, 5),
+        # 912**6, about 5.8 * 10**17 vertices: `multiplicity` at all 311
+        # summands takes ~13 s, so it runs in the slow tier only
+        pytest.param(dynkin("E", 7), (0, 0, 0, 0, 0, 0, 1), 6, 1056, marks=pytest.mark.slow),
     ],
-    ids=["E6", "E7", "E8", "D8"],
+    ids=["E6", "E7", "E8", "D8", "E7-sixth"],
 )
 def test_tensor_powers_at_scale_match_brauer_klimyk(diagram, factor, power, trivial):
     expected = _check_against_brauer_klimyk(diagram, [factor] * power)
@@ -441,7 +444,7 @@ def test_tensor_powers_at_scale_match_brauer_klimyk(diagram, factor, power, triv
 
 def test_e7_912_to_the_sixth_matches_brauer_klimyk():
     # 912**6, about 5.8 * 10**17 vertices.  `multiplicity` runs at 0 and at
-    # the factor only: at each of the 311 summands it would take ~14 s.
+    # the factor only; the slow tier's E7-sixth case runs it at all 311 summands.
     E7, factor = dynkin("E", 7), (0, 0, 0, 0, 0, 0, 1)
     factors, size, zero = [factor] * 6, 912**6, (0,) * 7
     expected = brauer_klimyk(E7, factors)

@@ -332,18 +332,22 @@ def _interpolate(points) -> list[Fraction]:
     return coeffs
 
 
-@pytest.mark.parametrize("d1, d2", [(1, 1), (2, 1), (1, 2)])
+@pytest.mark.parametrize(
+    "d1, d2", [(1, 1), (2, 1), (1, 2), pytest.param(2, 2, marks=pytest.mark.slow)]
+)
 def test_a1_strata_have_monic_point_counts_of_their_dimension(d1, d2):
     # the paper's component theorem over F_ell, A1 with v = 1: each stratum
     # of stable data modulo GL_1 has ell^dim + lower terms points, and the
-    # strata of v_tuple = 0 number the vertices of weight d - 2v
-    d, v, primes = (d1 + d2,), (1,), (2, 3, 5, 7)
+    # strata of v_tuple = 0 number the vertices of weight d - 2v; d = 4
+    # reaches degree 4, so it takes a fifth prime (~12 s, the slow tier)
+    d, v = (d1 + d2,), (1,)
+    primes = (2, 3, 5, 7) if d1 + d2 < 4 else (2, 3, 5, 7, 11)
     counts = {ell: a1_v1_label_counts(d1, d2, ell) for ell in primes}
     labels = set().union(*counts.values())
     for v_tuple, vt_tuple in labels:
         params = StratumParams(A1, d, v, ((d1,), (d2,)), v_tuple, vt_tuple)
         degree = strat_dims(params)["dim_tensor_variety"]
-        assert 0 <= degree < len(primes)  # so four points over-determine the fit
+        assert 0 <= degree < len(primes)  # so the fit has a coefficient at that degree
         fit = _interpolate([(ell, counts[ell][v_tuple, vt_tuple]) for ell in primes])
         assert fit[degree:] == [1] + [0] * (len(primes) - 1 - degree), (v_tuple, vt_tuple)
     product = tensor(build_crystal(A1, (d1,)), build_crystal(A1, (d2,)))
