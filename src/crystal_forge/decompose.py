@@ -84,9 +84,10 @@ _reference_cache: dict[tuple, _Reference] = {}
 
 def _check_product(diagram: DynkinDiagram, factors, max_vertices: int) -> list[Weight]:
     """The factors as dominant weights of the diagram, checked in the order
-    a product of their crystals is: ValueError for a cap below 1, then for
-    each factor in turn for a wrong length or a negative entry, and
-    VertexCapError when the product's size is above the cap."""
+    a product of their crystals is: ValueError for a cap that is not an int
+    or is below 1, then for each factor in turn for a wrong length or a
+    negative entry, and VertexCapError when the product's size is above
+    the cap."""
     check_vertex_cap(max_vertices)
     checked = [diagram.check_dominant(f) for f in factors]
     size = prod(map(diagram._weyl_dimension, checked))
@@ -473,9 +474,10 @@ def tensor_summands(
     `_fold` without building the product, and made a Counter here.
 
     The factors are checked as a product of their crystals is: ValueError
-    for a cap below 1, then for each factor in turn for a wrong length or
-    a non-dominant weight, VertexCapError when the product would have more
-    than max_vertices vertices, and ValueError for no factor.
+    for a cap that is not an int or is below 1, then for each factor in
+    turn for a wrong length or a non-dominant weight, VertexCapError when
+    the product would have more than max_vertices vertices, and ValueError
+    for no factor.
     """
     factors = _check_product(diagram, factors, max_vertices)
     if not factors:

@@ -70,7 +70,10 @@ def counted(n: int, noun: str) -> str:
 
 
 def check_vertex_cap(max_vertices: int) -> None:
-    """Raise ValueError for a vertex cap below 1."""
+    """Raise ValueError for a vertex cap that is not an int (a bool is not
+    one) and for one below 1."""
+    if type(max_vertices) is bool or not isinstance(max_vertices, int):
+        raise ValueError(f"max_vertices must be an integer, got {max_vertices!r}")
     if max_vertices < 1:
         raise ValueError(f"max_vertices must be at least 1, got {as_text(max_vertices)}")
 
@@ -216,9 +219,9 @@ def build_crystal(
     """Close the straight dominant path under all lowering operators.
 
     Breadth-first; canonical paths are the vertex keys, so the vertex ids
-    and edge lists are deterministic.  Raises ValueError for a cap below
-    1 and VertexCapError when the crystal would exceed max_vertices, by
-    its Weyl dimension before anything is built.
+    and edge lists are deterministic.  Raises ValueError for a cap that is
+    not an int or is below 1, and VertexCapError when the crystal would
+    exceed max_vertices, by its Weyl dimension before anything is built.
     """
     check_vertex_cap(max_vertices)
     hw = diagram.check_dominant(hw, "highest weight")

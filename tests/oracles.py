@@ -36,19 +36,18 @@ Adjoint crystals B(theta), theta the highest root, are a second such
 reference, and E8's only one, as E8 has no minuscule node: the roots and
 one zero-weight vertex per simple root, again read off the Cartan matrix.
 The paper's strata have point counts over F_ell as their geometric
-reference: for A1 with v = 1 every subspace of V is 0 or V, so a label is
-read off which entries of p and q vanish, and the stable data are walked
-one per GL_1 orbit; for A2 with v = d = (1, 1) every graded subspace of V
-is a set of vertices, and all data are walked, (ell - 1)^2 per orbit of
-GL_1 x GL_1, so the edge maps and <Xv, v> take part.  String lengths
+reference, on thin quivers, where every v_i is 0 or 1: a graded subspace
+of V is then the set of vertices where it is all of V_i, so one rule reads
+a label off the nonzero edge scalars, p's first and q's last nonzero
+entries, and one counter walks a datum per orbit of G_v.  String lengths
 have iteration as their reference: f_i and its inverse applied up to n
 times from each vertex, with no walk from string starts.
 """
 
 from collections import Counter, deque
 from fractions import Fraction
-from itertools import product
-from operator import mul, sub
+from itertools import accumulate, product
+from math import prod
 
 from crystal_forge.adhm import kernel_of_q
 from crystal_forge.crystal import CrystalGraph, _graph
@@ -431,104 +430,100 @@ def stratum_label_per_step(datum, flag):
     return tuple(v_tuple), tuple(vt_tuple)
 
 
-def a1_v1_label(p, q, d1: int):
-    """`stratum_membership`'s label of an A1 datum with v = 1 and the flag
-    0 < F^(d1) < D, read off the row p: D -> V and the column q: V -> D.
+def _closure(edges, s: set) -> set:
+    """s with the head of each nonzero edge scalar whose tail it holds."""
+    return _fixpoint(lambda c: c | {b for a, b in edges if a in c}, s)
 
-    Entries may be integers (the field Q) or residues mod a prime.  Every
-    subspace of V = F^1 is 0 or V, so each is kept as its dimension, and
-    A1 has no edges, so a closure is an image and a core a preimage:
-    C_1 = p(F^(d1)), K_0 = ker q, K_1 = q^-1(F^(d1)), C_0 = 0 and C_2 = V.
+
+def _core(edges, s: set) -> set:
+    """s without the tail of each nonzero edge scalar whose head it lacks."""
+    return _fixpoint(lambda c: c - {a for a, b in edges if b not in c}, s)
+
+
+def _dims(s: set, n: int) -> tuple[int, ...]:
+    return tuple(int(i in s) for i in range(n))
+
+
+def thin_moment(x: dict) -> Counter:
+    """Per vertex i, the sum over edges j -> i of sign * x_(j,i) x_(i,j), the
+    sign +1 from the lower index to the higher, for edge scalars x: a thin
+    datum is preprojective when this is p_i . q_i at every vertex."""
+    out = Counter()
+    for (j, i), m in x.items():
+        out[i] += (1 if j < i else -1) * m * x[i, j]
+    return out
+
+
+def thin_label(v, d_tuple, x: dict, p, q):
+    """`stratum_membership`'s label, and the dimension vector of the core of
+    ker q, of a stable datum with every v_i 0 or 1, on the coordinate flag
+    whose step k is spanned by the first s_k[i] = d^1_i + ... + d^k_i
+    coordinates of D_i.  x holds the edge scalars between vertices with
+    v_i = 1, and p and q the rows p_i and columns q_i as tuples (empty
+    where v_i = 0), over Q or F_ell.  A subspace is the set of vertices
+    where it is all of V_i: p(F_k) holds i when p_i is nonzero on the
+    first s_k[i] coordinates, and q^-1(F_k) when q_i is zero past them.
     """
-    c1 = int(any(p[:d1]))
-    k0 = int(not any(q))
-    k1 = int(not any(q[d1:]))
-    if c1 > k1:  # C_1 is not inside K_1
-        return None
-    meet = min(c1, k0)  # dim (C_1 meet K_0); C_2 meet K_1 is K_1
-    return ((c1 - meet,), (1 - k1,)), ((meet,), (k1 - c1,))
+    n, edges = len(v), [h for h, m in x.items() if m]
+    support, sizes = {i for i in range(n) if v[i]}, [(0,) * n, *accumulate(d_tuple, vadd)]
+    closures = [_closure(edges, {i for i in support if any(p[i][: s[i]])}) for s in sizes]
+    if closures[-1] != support:
+        raise ValueError("stratum membership is defined for stable data only")
+    cores = [_core(edges, {i for i in support if not any(q[i][s[i] :])}) for s in sizes]
+    if not all(a <= b for a, b in zip(closures, cores)):
+        return None, _dims(cores[0], n)
+    closure_dims = [_dims(s, n) for s in closures]
+    meets = [_dims(a & b, n) for a, b in zip(closures[1:], cores)]  # C_k meet K_(k-1)
+    label = tuple(map(vsub, closure_dims[1:], meets)), tuple(map(vsub, meets, closure_dims))
+    return label, _dims(cores[0], n)
 
 
-def a1_v1_label_counts(d1: int, d2: int, ell: int) -> Counter:
-    """Points over F_ell of each A1 stratum with v = 1 and d = d1 + d2.
+def _by_last_position(p, r: int, ell: int) -> list[tuple[tuple[int, ...], int]]:
+    """The q in F_ell^d with p . q = r, for p zero or with first nonzero
+    entry 1, grouped by the position t of q's last nonzero entry: the unit
+    column e_t (0 for t = 0) and the group's size, per nonempty group."""
+    d, f = len(p), next((k for k, c in enumerate(p, 1) if c), len(p) + 1)
+    sizes = [int(r == 0)]  # q = 0
+    for t in range(1, d + 1):  # q_t != 0, and p_1 q_1 + ... + p_t q_t = r
+        if f > t:  # the equation reads 0 = r, with q_1 .. q_(t-1) free
+            sizes.append((r == 0) * (ell - 1) * ell ** (t - 1))
+        else:  # it fixes q_f given the rest, or reads q_t = r when f = t
+            sizes.append((ell - 1) * ell ** (t - 2) if f < t else (r != 0) * ell ** (t - 1))
+    return [(tuple(int(k == t) for k in range(1, d + 1)), n) for t, n in enumerate(sizes) if n]
 
-    Stable data have p onto V, i.e. p != 0; scaling p's first nonzero entry
-    to 1 picks one datum per GL_1 orbit.  A1 has no edges, so the moment
-    map is p q = 0.  Data on no stratum are not counted.
+
+def thin_label_counts(diagram: DynkinDiagram, v, d_tuple, ell: int) -> Counter:
+    """Points over F_ell, modulo G_v, of each stratum of stable data with
+    every v_i 0 or 1 on `thin_label`'s flag, keyed by its (label, core
+    dimensions); data on no stratum are not counted.  Each nonzero p_i is
+    taken with first nonzero entry 1, so a datum with z zero p_i stands
+    for (ell - 1)^-z orbits, and as G_v acts freely on stable data each
+    total divides exactly.  With x and p fixed, the moment map is linear
+    in q, and the label reads q_i only through its last nonzero position.
     """
-    vectors = list(product(range(ell), repeat=d1 + d2))
-    counts = Counter()
-    for p in vectors:
-        if next(filter(None, p), 0) != 1:
-            continue
-        for q in vectors:
-            if sum(map(mul, p, q)) % ell == 0:
-                label = a1_v1_label(p, q, d1)
+    n, d = diagram.rank, tuple(map(sum, zip(*d_tuple)))
+    pairs = [(a, b) for a in range(n) for b in range(n) if diagram.cartan[a][b] < 0 < v[a] * v[b]]
+    ones = [[p for p in product(range(ell), repeat=v[i] * d[i]) if next(filter(None, p), 1) == 1]
+            for i in range(n)]
+    tallies = Counter()
+    for scalars in product(range(ell), repeat=len(pairs)):
+        x = dict(zip(pairs, scalars))
+        moment = thin_moment(x)
+        for p in product(*ones):
+            zeros = sum(v[i] and not any(p[i]) for i in range(n))
+            groups = [_by_last_position(p[i], moment[i] % ell, ell) for i in range(n)]
+            for choice in product(*groups):
+                try:
+                    label, core_dims = thin_label(v, d_tuple, x, p, [q for q, _ in choice])
+                except ValueError:  # unstable, whatever q is
+                    break
                 if label is not None:
-                    counts[label] += 1
-    return counts
-
-
-def _a2_dims(s) -> tuple[int, int]:
-    return tuple(int(i in s) for i in (0, 1))
-
-
-def a2_v11_label(x01, x10, p, q, first: int):
-    """`stratum_membership`'s label of a stable A2 datum with v = d = (1, 1)
-    and the flag 0 < D_first < D, read off its six scalars: x01: V_0 -> V_1,
-    x10: V_1 -> V_0, p = (p_0, p_1) and q = (q_0, q_1).
-
-    Entries may be integers (the field Q) or residues mod a prime.  Every
-    graded subspace of V is the set of vertices i where it is all of V_i,
-    and so is each flag step of D.  A closure adds the head of a nonzero
-    edge map whose tail it holds; a core drops the tail of a nonzero edge
-    map whose head it lacks.
-    """
-    edges = [h for h, m in (((0, 1), x01), ((1, 0), x10)) if m]
-
-    def closure(s):
-        while (grown := s | {t for a, t in edges if a in s}) != s:
-            s = grown
-        return s
-
-    def core(s):
-        while (cut := s - {a for a, t in edges if t not in s}) != s:
-            s = cut
-        return s
-
-    steps = [set(), {first}, {0, 1}]  # F_0 = 0, F_1 = D_first, F_2 = D
-    closures = [closure({i for i in step if p[i]}) for step in steps]
-    cores = [core({i for i in (0, 1) if i in step or not q[i]}) for step in steps]
-    if not all(c <= k for c, k in zip(closures, cores)):
-        return None
-    meets = [_a2_dims(c & k) for c, k in zip(closures[1:], cores)]  # C_k meet K_(k-1)
-    dims = list(map(_a2_dims, closures))
-    return (
-        tuple(tuple(map(sub, c, m)) for c, m in zip(dims[1:], meets)),
-        tuple(tuple(map(sub, m, c)) for m, c in zip(meets, dims)),
-    )
-
-
-def a2_v11_stable(x01, x10, p) -> bool:
-    """Whether the closure of p(D) is all of V, for v = d = (1, 1) on A2."""
-    return all(p) or bool(p[0] and x01) or bool(p[1] and x10)
-
-
-def a2_v11_label_counts(first: int, ell: int) -> Counter:
-    """Points over F_ell of each A2 stratum with v = d = (1, 1) and the flag
-    0 < D_first < D, counted on all stable data, not modulo GL_v.
-
-    The moment map reads -x10 x01 - p_0 q_0 = 0 at vertex 0 and
-    x01 x10 - p_1 q_1 = 0 at vertex 1.  Data on no stratum are not counted.
-    """
+                    tallies[label, core_dims, zeros] += prod(size for _, size in choice)
     counts = Counter()
-    for x01, x10, p0, p1, q0, q1 in product(range(ell), repeat=6):
-        if (x10 * x01 + p0 * q0) % ell or (x01 * x10 - p1 * q1) % ell:
-            continue
-        if a2_v11_stable(x01, x10, (p0, p1)):
-            label = a2_v11_label(x01, x10, (p0, p1), (q0, q1), first)
-            if label is not None:
-                counts[label] += 1
+    for (label, core_dims, zeros), total in tallies.items():
+        orbits, rest = divmod(total, (ell - 1) ** zeros)
+        assert rest == 0, f"G_v does not act freely: {total} points at {label}"
+        counts[label, core_dims] += orbits
     return counts
 
 

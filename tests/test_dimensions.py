@@ -1,13 +1,23 @@
+from collections import Counter
 from fractions import Fraction
 from functools import cache
-from itertools import product as cartesian
+from itertools import accumulate, product as cartesian
 from random import Random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from crystal_forge.adhm import ADHMDatum, GradedFlag, check_preprojective, stratum_membership
+from crystal_forge.adhm import (
+    ADHMDatum,
+    GradedFlag,
+    check_preprojective,
+    core,
+    is_stable,
+    kernel_of_q,
+    stratum_membership,
+)
 from crystal_forge.crystal import tensor
+from crystal_forge.decompose import multiplicity, tensor_summands
 from crystal_forge.dimensions import (
     StratumParams,
     basic_dims,
@@ -23,16 +33,10 @@ from crystal_forge.dimensions import (
     v_from_weight,
 )
 from crystal_forge.dynkin import dynkin, pairing, vadd, vsub
-from crystal_forge.linalg import full_space, mat, span
+from crystal_forge.linalg import mat, span
 from crystal_forge.paths import build_crystal
 
-from oracles import (
-    a1_v1_label,
-    a1_v1_label_counts,
-    a2_v11_label,
-    a2_v11_label_counts,
-    a2_v11_stable,
-)
+from oracles import thin_label, thin_label_counts, thin_moment
 
 A1 = dynkin("A", 1)
 A2 = dynkin("A", 2)
@@ -332,24 +336,85 @@ def _interpolate(points) -> list[Fraction]:
     return coeffs
 
 
-@pytest.mark.parametrize(
-    "d1, d2", [(1, 1), (2, 1), (1, 2), pytest.param(2, 2, marks=pytest.mark.slow)]
-)
+# several tests read the same counts; none changes them
+_point_counts = cache(thin_label_counts)
+
+
+def _leading(counts, key, degree) -> int:
+    """The coefficient at degree of the polynomial through the point counts
+    {ell: Counter} at key, asserted to be integral with no higher term."""
+    fit = _interpolate([(ell, points[key]) for ell, points in counts.items()])
+    assert all(c.denominator == 1 for c in fit) and not any(fit[degree + 1 :]), (key, fit)
+    return fit[degree]
+
+
+def _by_label(counts) -> Counter:
+    """`thin_label_counts` summed over the core of ker q: points per label."""
+    out = Counter()
+    for (label, _), points in counts.items():
+        out[label] += points
+    return out
+
+
+def _coordinate_flag(diagram, d_tuple):
+    """The flag whose step k is spanned at vertex i by the first
+    d^1_i + ... + d^k_i coordinates of D_i."""
+    sizes = list(accumulate(d_tuple, vadd))
+    d = sizes[-1]
+    unit = [[[int(r == c) for r in range(n)] for c in range(n)] for n in d]
+    steps = [[span(unit[i][: s[i]], d[i]) for i in range(len(d))] for s in sizes]
+    return GradedFlag(diagram, d, steps)
+
+
+# the data below repeat a few tiny matrices, and a Mat is immutable
+_mat = cache(mat)
+
+
+def _compare_with_the_library(diagram, v, d_tuple, data):
+    """The thin oracle's moment map, stability, label and core of ker q
+    against the library's on integer data (x, p, q): edge scalars, rows p_i
+    and columns q_i.  Returns the labels of the stable preprojective data
+    and how many there were."""
+    d, flag = tuple(map(sum, zip(*d_tuple))), _coordinate_flag(diagram, d_tuple)
+    seen, stable = set(), 0
+    for x, p, q in data:
+        datum = ADHMDatum(
+            diagram, d, v, {h: _mat(((m,),)) for h, m in x.items()},
+            [_mat((row,) * v[i], v[i], d[i]) for i, row in enumerate(p)],
+            [_mat(tuple((c,) for c in col), d[i], v[i]) for i, col in enumerate(q)],
+        )
+        moment = thin_moment(x)
+        preprojective = all(moment[i] == pairing(p[i], q[i]) for i in range(diagram.rank))
+        assert check_preprojective(datum) == preprojective, (x, p, q)
+        if not preprojective:
+            continue
+        try:
+            label, kernel_core = thin_label(v, d_tuple, x, p, q)
+        except ValueError:  # refused as unstable
+            assert not is_stable(datum), (x, p, q)
+            continue
+        assert stratum_membership(datum, flag) == label, (x, p, q)
+        assert tuple(s.cols for s in core(datum, kernel_of_q(datum))) == kernel_core, (x, p, q)
+        seen.add(label)
+        stable += 1
+    return seen, stable
+
+
+@pytest.mark.parametrize("d1, d2", [(1, 1), (2, 1), (1, 2), (2, 2)])
 def test_a1_strata_have_monic_point_counts_of_their_dimension(d1, d2):
     # the paper's component theorem over F_ell, A1 with v = 1: each stratum
     # of stable data modulo GL_1 has ell^dim + lower terms points, and the
     # strata of v_tuple = 0 number the vertices of weight d - 2v; d = 4
-    # reaches degree 4, so it takes a fifth prime (~12 s, the slow tier)
+    # reaches degree 4, so it takes a fifth prime
     d, v = (d1 + d2,), (1,)
     primes = (2, 3, 5, 7) if d1 + d2 < 4 else (2, 3, 5, 7, 11)
-    counts = {ell: a1_v1_label_counts(d1, d2, ell) for ell in primes}
+    counts = {ell: _by_label(_point_counts(A1, v, ((d1,), (d2,)), ell)) for ell in primes}
     labels = set().union(*counts.values())
     for v_tuple, vt_tuple in labels:
         params = StratumParams(A1, d, v, ((d1,), (d2,)), v_tuple, vt_tuple)
         degree = strat_dims(params)["dim_tensor_variety"]
         assert 0 <= degree < len(primes)  # so the fit has a coefficient at that degree
-        fit = _interpolate([(ell, counts[ell][v_tuple, vt_tuple]) for ell in primes])
-        assert fit[degree:] == [1] + [0] * (len(primes) - 1 - degree), (v_tuple, vt_tuple)
+        assert _leading(counts, (v_tuple, vt_tuple), degree) == 1, (v_tuple, vt_tuple)
     product = tensor(build_crystal(A1, (d1,)), build_crystal(A1, (d2,)))
     tops = [label for label in labels if label[0] == ((0,), (0,))]
     assert len(tops) == product.weights.count(dominance_vector(A1, d, v)) == 2
@@ -357,49 +422,35 @@ def test_a1_strata_have_monic_point_counts_of_their_dimension(d1, d2):
 
 @pytest.mark.parametrize("d1, d2", [(1, 1), (2, 1), (1, 2)])
 def test_the_a1_point_count_label_is_stratum_membership(d1, d2):
-    # the counter's label rule against the library on integer data, p q = 0
-    d = d1 + d2
-    first = span([[int(r == c) for r in range(d)] for c in range(d1)], d)  # F^(d1)
-    flag = GradedFlag(A1, (d,), ((first,), (full_space(d),)))
-    seen = set()
-    for p in cartesian((-1, 0, 1), repeat=d):
-        for q in cartesian((-1, 0, 2), repeat=d):
-            if any(p) and pairing(p, q) == 0:
-                datum = ADHMDatum(A1, (d,), (1,), {}, (mat([p]),), (mat([[c] for c in q]),))
-                label = a1_v1_label(p, q, d1)
-                assert stratum_membership(datum, flag) == label, (p, q)
-                seen.add(label)
-    assert seen == {None, *a1_v1_label_counts(d1, d2, 3)}
+    # the oracle's label rule against the library on integer data
+    d_tuple = ((d1,), (d2,))
+    cube = list(cartesian((-1, 0, 1), repeat=d1 + d2))
+    data = [({}, (p,), (q,)) for p in cube for q in cartesian((-1, 0, 2), repeat=d1 + d2)]
+    seen, _ = _compare_with_the_library(A1, (1,), d_tuple, data)
+    assert seen == {None, *_by_label(_point_counts(A1, (1,), d_tuple, 3))}
 
 
-def _a2_flag(first):
-    """0 < D_first < D on A2 with d = (1, 1)."""
-    step = tuple(full_space(1) if i == first else span([], 1) for i in (0, 1))
-    return GradedFlag(A2, (1, 1), (step, (full_space(1), full_space(1))))
+def _a2_pieces(first):
+    """d = (1, 1) on A2 cut as D_first < D."""
+    bottom = tuple(int(i == first) for i in (0, 1))
+    return bottom, vsub((1, 1), bottom)
 
 
 @pytest.mark.parametrize("first", [0, 1])
 def test_a2_strata_have_monic_point_counts_of_their_dimension(first):
     # A2 with v = d = (1, 1), where the <Xv, v> term of the dimension is not
-    # zero: every stratum's count of stable data is (ell - 1)^2 times its
-    # count modulo GL_v, which is ell^dim + lower terms, and its labels
-    # number the vertices of weight d - Av in B(D_first) x B(D / D_first)
+    # zero: every stratum's count modulo GL_v is ell^dim + lower terms, and
+    # its labels number the vertices of weight d - Av in B(D_first) x
+    # B(D / D_first)
     d, v, primes = (1, 1), (1, 1), (2, 3, 5, 7)
-    bottom = tuple(int(i == first) for i in (0, 1))
-    pieces = (bottom, vsub(d, bottom))
-    counts = {ell: a2_v11_label_counts(first, ell) for ell in primes}
+    pieces = _a2_pieces(first)
+    counts = {ell: _by_label(_point_counts(A2, v, pieces, ell)) for ell in primes}
     labels = set().union(*counts.values())
     for v_tuple, vt_tuple in labels:
         params = StratumParams(A2, d, v, pieces, v_tuple, vt_tuple)
         degree = strat_dims(params)["dim_tensor_variety"]
         assert 0 <= degree < len(primes)  # so four points over-determine the fit
-        points = []
-        for ell in primes:
-            quotient, rest = divmod(counts[ell][v_tuple, vt_tuple], (ell - 1) ** 2)
-            assert rest == 0, (ell, v_tuple, vt_tuple)
-            points.append((ell, quotient))
-        fit = _interpolate(points)
-        assert fit[degree:] == [1] + [0] * (len(primes) - 1 - degree), (v_tuple, vt_tuple)
+        assert _leading(counts, (v_tuple, vt_tuple), degree) == 1, (v_tuple, vt_tuple)
     product = tensor(build_crystal(A2, pieces[0]), build_crystal(A2, pieces[1]))
     assert all(v_tuple == ((0, 0), (0, 0)) for v_tuple, _ in labels)
     assert len(labels) == product.weights.count(dominance_vector(A2, d, v)) == 3
@@ -407,20 +458,105 @@ def test_a2_strata_have_monic_point_counts_of_their_dimension(first):
 
 @pytest.mark.parametrize("first", [0, 1])
 def test_the_a2_point_count_label_is_stratum_membership(first):
-    # the counter's moment map and label rule against the library on
+    # the oracle's moment map and label rule against the library on
     # integer data
-    flag, seen, stable = _a2_flag(first), set(), 0
-    for x01, x10, p0, p1, q0, q1 in cartesian((-1, 0, 2), repeat=6):
-        datum = ADHMDatum(
-            A2, (1, 1), (1, 1), {(0, 1): mat([[x01]]), (1, 0): mat([[x10]])},
-            (mat([[p0]]), mat([[p1]])), (mat([[q0]]), mat([[q1]])),
-        )
-        preprojective = x10 * x01 + p0 * q0 == 0 == x01 * x10 - p1 * q1
-        assert check_preprojective(datum) == preprojective
-        if preprojective and a2_v11_stable(x01, x10, (p0, p1)):
-            label = a2_v11_label(x01, x10, (p0, p1), (q0, q1), first)
-            assert stratum_membership(datum, flag) == label, (x01, x10, p0, p1, q0, q1)
-            seen.add(label)
-            stable += 1
+    data = [
+        ({(0, 1): x01, (1, 0): x10}, ((p0,), (p1,)), ((q0,), (q1,)))
+        for x01, x10, p0, p1, q0, q1 in cartesian((-1, 0, 2), repeat=6)
+    ]
+    seen, stable = _compare_with_the_library(A2, (1, 1), _a2_pieces(first), data)
     assert stable == 44
-    assert seen == {None, *a2_v11_label_counts(first, 3)}
+    assert seen == {None, *_by_label(_point_counts(A2, (1, 1), _a2_pieces(first), 3))}
+
+
+def test_the_thin_oracle_sees_edges_and_signs_as_the_library_does():
+    # A2 with d = (2, 2): 2-dimensional D_i let the edge scalars move the
+    # core of ker q, and entries in {-1, 0, 1, 2} give preprojective data
+    # with x01 x10 != 0, where the moment map's orientation sign shows
+    rng = Random(20)
+    data = [
+        ({(0, 1): x01, (1, 0): x10}, ((p00, p01), (p10, p11)), ((q00, q01), (q10, q11)))
+        for x01, x10, p00, p01, p10, p11, q00, q01, q10, q11 in (
+            rng.choices((-1, 0, 1, 2), k=10) for _ in range(8_000)
+        )
+    ]
+    seen, stable = _compare_with_the_library(A2, (1, 1), ((1, 1), (1, 1)), data)
+    assert stable > 150 and None in seen
+
+
+_D4_CASE = D4, (1, 1, 1, 0), ((1, 0, 0, 0), (0, 0, 1, 0))  # B(w0) x B(w2) at weight w3
+
+
+def test_d4_strata_have_monic_point_counts_and_are_stratum_membership():
+    # the first point counts beyond type A: four labels, each with ell
+    # points, and four vertices of weight d - Cv = w3 in B(w0) x B(w2)
+    diagram, v, d_tuple = _D4_CASE
+    d, primes = (1, 0, 1, 0), (2, 3, 5, 7)
+    counts = {ell: _by_label(_point_counts(diagram, v, d_tuple, ell)) for ell in primes}
+    labels = set().union(*counts.values())
+    for label in labels:
+        degree = strat_dims(StratumParams(diagram, d, v, d_tuple, *label))["dim_tensor_variety"]
+        assert 0 <= degree < len(primes) and _leading(counts, label, degree) == 1, label
+    product = tensor(*(build_crystal(diagram, w) for w in d_tuple))
+    assert len(labels) == product.weights.count(dominance_vector(diagram, d, v)) == 4
+    # every datum with entries in {-1, 0, 2}: x01, x10, x12, x21, p0, p2, q0, q2
+    data = [
+        ({(0, 1): a, (1, 0): b, (1, 2): c, (2, 1): e}, ((f,), (), (g,), ()), ((h,), (), (k,), ()))
+        for a, b, c, e, f, g, h, k in cartesian((-1, 0, 2), repeat=8)
+    ]
+    seen, stable = _compare_with_the_library(diagram, v, d_tuple, data)
+    assert stable == 112 and seen - {None} == labels
+
+
+@pytest.mark.parametrize(
+    "diagram, v, d_tuple",
+    [_D4_CASE, (A2, (1, 1), ((1, 1), (1, 1)))],
+    ids=["D4-w0-w2", "A2-adjoint-squared"],
+)
+def test_point_counts_read_components_multiplicity_and_decomposition(diagram, v, d_tuple):
+    # the paper's three claims over F_ell, each figure read from the
+    # library.  On A2 adjoint x adjoint the four labels with v_tuple = 0
+    # count 2l^3 + l^2, 2l^3 + l^2, l^3 and l^3: a label is not a component.
+    primes = (2, 3, 5, 7)
+    counts = {ell: _point_counts(diagram, v, d_tuple, ell) for ell in primes}
+    d, zero = tuple(map(sum, zip(*d_tuple))), (0,) * diagram.rank
+    weight, top = dominance_vector(diagram, d, v), (zero,) * len(d_tuple)
+    # every v_tuple = 0 stratum has the dimension of the tensor product variety
+    degree = strat_dims(StratumParams(diagram, d, v, d_tuple, top))["dim_tensor_variety"]
+    assert 0 <= degree < len(primes)
+    by_label, by_core = {ell: Counter() for ell in primes}, {ell: Counter() for ell in primes}
+    for ell, points in counts.items():
+        for (label, core_dims), n in points.items():
+            if label[0] == top:
+                by_label[ell][label] += n
+                by_core[ell][core_dims] += n
+    # components: the leading coefficients number the vertices of weight d - Cv
+    leading = [_leading(by_label, label, degree) for label in set().union(*by_label.values())]
+    assert all(leading)
+    product = tensor(*(build_crystal(diagram, w) for w in d_tuple))
+    assert sum(leading) == product.weights.count(weight)
+    # decomposition: split by c = dim core(ker q), the top components with
+    # a given c number the summands lambda = d - C(v - c) times the
+    # multiplicity of weight d - Cv in B(lambda)
+    cores = set().union(*by_core.values())
+    observed = {c: lead for c in cores if (lead := _leading(by_core, c, degree))}
+    predicted = {}
+    for lam, m in tensor_summands(diagram, d_tuple).items():
+        if n := build_crystal(diagram, lam).weights.count(weight):
+            predicted[vsub(v, v_from_weight(diagram, d, lam))] = m * n
+    assert observed == predicted
+    # multiplicity: the bistable points, c = 0, carry the multiplicity of d - Cv
+    assert observed.get(zero, 0) == multiplicity(diagram, weight, d_tuple)
+
+
+@pytest.mark.slow
+def test_a2_adjoint_squared_strata_off_the_top_have_counts_of_their_dimension():
+    # the two labels with v_tuple != 0 count ell^4 - ell^2: degree 4, so a
+    # fifth prime
+    d, v, d_tuple, primes = (2, 2), (1, 1), ((1, 1), (1, 1)), (2, 3, 5, 7, 11)
+    counts = {ell: _by_label(_point_counts(A2, v, d_tuple, ell)) for ell in primes}
+    labels = set().union(*counts.values())
+    for label in labels:
+        degree = strat_dims(StratumParams(A2, d, v, d_tuple, *label))["dim_tensor_variety"]
+        assert 0 <= degree < len(primes) and _leading(counts, label, degree) > 0, label
+    assert any(label[0] != ((0, 0), (0, 0)) for label in labels)

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from crystal_forge import paths
 from crystal_forge.crystal import direct_sum
+from crystal_forge.decompose import multiplicity, tensor_summands
 from crystal_forge.dynkin import dynkin, parse_diagram
 from crystal_forge.paths import (
     VertexCapError,
@@ -62,6 +63,24 @@ def test_refusals_of_an_integer_above_the_digit_limit_are_the_refusals(hw, cap, 
     assert caught.type is error
     if _DIGIT_LIMIT:  # a Python without the limit writes the number out
         assert str(caught.value) == message
+
+
+@pytest.mark.parametrize("cap", [True, 2.5, 3.5, None, "10"])
+@pytest.mark.parametrize(
+    "request_with_cap",
+    [
+        lambda cap: build_crystal(A1, (2,), max_vertices=cap),
+        lambda cap: tensor_summands(A1, [(1,), (1,)], cap),
+        lambda cap: multiplicity(A1, (0,), [(1,), (1,)], max_vertices=cap),
+    ],
+    ids=["build_crystal", "tensor_summands", "multiplicity"],
+)
+def test_a_cap_that_is_not_an_integer_is_refused_by_name(request_with_cap, cap):
+    # a bool would count as 1, a float would compare, None and a str would
+    # raise TypeError from the comparison
+    with pytest.raises(ValueError) as caught:
+        request_with_cap(cap)
+    assert str(caught.value) == f"max_vertices must be an integer, got {cap!r}"
 
 
 def _endpoint(path, rank):
