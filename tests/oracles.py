@@ -39,13 +39,14 @@ The paper's strata have point counts over F_ell as their geometric
 reference, on thin quivers, where every v_i is 0 or 1: a graded subspace
 of V is then the set of vertices where it is all of V_i, so one rule reads
 a label off the nonzero edge scalars, p's first and q's last nonzero
-entries, and one counter walks a datum per orbit of G_v.  String lengths
-have iteration as their reference: f_i and its inverse applied up to n
-times from each vertex, with no walk from string starts.
+entries, and one counter sums the orbits of G_v grouped by them.  String
+lengths have iteration as their reference: f_i and its inverse applied up
+to n times from each vertex, with no walk from string starts.
 """
 
 from collections import Counter, deque
 from fractions import Fraction
+from functools import cache
 from itertools import accumulate, product
 from math import prod
 
@@ -460,16 +461,24 @@ def thin_label(v, d_tuple, x: dict, p, q):
     whose step k is spanned by the first s_k[i] = d^1_i + ... + d^k_i
     coordinates of D_i.  x holds the edge scalars between vertices with
     v_i = 1, and p and q the rows p_i and columns q_i as tuples (empty
-    where v_i = 0), over Q or F_ell.  A subspace is the set of vertices
-    where it is all of V_i: p(F_k) holds i when p_i is nonzero on the
-    first s_k[i] coordinates, and q^-1(F_k) when q_i is zero past them.
-    """
-    n, edges = len(v), [h for h, m in x.items() if m]
-    support, sizes = {i for i in range(n) if v[i]}, [(0,) * n, *accumulate(d_tuple, vadd)]
-    closures = [_closure(edges, {i for i in support if any(p[i][: s[i]])}) for s in sizes]
-    if closures[-1] != support:
-        raise ValueError("stratum membership is defined for stable data only")
-    cores = [_core(edges, {i for i in support if not any(q[i][s[i] :])}) for s in sizes]
+    where v_i = 0), over Q or F_ell.  (None, None) for an unstable datum."""
+    firsts = tuple(next((k for k, c in enumerate(row, 1) if c), len(row) + 1) for row in p)
+    lasts = tuple(max((k for k, c in enumerate(col, 1) if c), default=0) for col in q)
+    edges = tuple(h for h, m in x.items() if m)
+    return _thin_label(tuple(v), tuple(map(tuple, d_tuple)), edges, firsts, lasts)
+
+
+@cache
+def _thin_label(v, d_tuple, edges, firsts, lasts):
+    """`thin_label` from the nonzero edges and the positions of p_i's first
+    nonzero entry (past the end for p_i = 0) and q_i's last (0 for q_i = 0):
+    p(F_k) holds i when firsts[i] <= s_k[i], q^-1(F_k) when lasts[i] <= s_k[i]."""
+    n, sizes = len(v), [(0,) * len(v), *accumulate(d_tuple, vadd)]
+    support = {i for i in range(n) if v[i]}
+    closures = [_closure(edges, {i for i in support if firsts[i] <= s[i]}) for s in sizes]
+    if closures[-1] != support:  # unstable
+        return None, None
+    cores = [_core(edges, {i for i in support if lasts[i] <= s[i]}) for s in sizes]
     if not all(a <= b for a, b in zip(closures, cores)):
         return None, _dims(cores[0], n)
     closure_dims = [_dims(s, n) for s in closures]
@@ -478,47 +487,41 @@ def thin_label(v, d_tuple, x: dict, p, q):
     return label, _dims(cores[0], n)
 
 
-def _by_last_position(p, r: int, ell: int) -> list[tuple[tuple[int, ...], int]]:
-    """The q in F_ell^d with p . q = r, for p zero or with first nonzero
-    entry 1, grouped by the position t of q's last nonzero entry: the unit
-    column e_t (0 for t = 0) and the group's size, per nonempty group."""
-    d, f = len(p), next((k for k, c in enumerate(p, 1) if c), len(p) + 1)
-    sizes = [int(r == 0)]  # q = 0
-    for t in range(1, d + 1):  # q_t != 0, and p_1 q_1 + ... + p_t q_t = r
-        if f > t:  # the equation reads 0 = r, with q_1 .. q_(t-1) free
-            sizes.append((r == 0) * (ell - 1) * ell ** (t - 1))
-        else:  # it fixes q_f given the rest, or reads q_t = r when f = t
-            sizes.append((ell - 1) * ell ** (t - 2) if f < t else (r != 0) * ell ** (t - 1))
-    return [(tuple(int(k == t) for k in range(1, d + 1)), n) for t, n in enumerate(sizes) if n]
+def _pairs_by_position(e: int, r: int, ell: int):
+    """The pairs (p, q) in F_ell^e with p . q = r and p zero or with first
+    nonzero entry 1, as (f, t, count) per nonempty group: p_f is p's first
+    nonzero entry (f = e + 1 for p = 0) and q_t its last (t = 0 for q = 0)."""
+    for f, t in product(range(1, e + 2), range(e + 1)):
+        if f > t:  # p . q = 0: q = 0, or q_t != 0 with q_1 .. q_(t-1) free
+            n = (r == 0) * ((ell - 1) * ell ** (t - 1) if t else 1)
+        else:  # p . q = q_t when f = t; for f < t it fixes q_f given the rest
+            n = (r != 0) * ell ** (t - 1) if f == t else (ell - 1) * ell ** (t - 2)
+        if n:
+            yield f, t, ell ** max(e - f, 0) * n
 
 
 def thin_label_counts(diagram: DynkinDiagram, v, d_tuple, ell: int) -> Counter:
     """Points over F_ell, modulo G_v, of each stratum of stable data with
     every v_i 0 or 1 on `thin_label`'s flag, keyed by its (label, core
     dimensions); data on no stratum are not counted.  Each nonzero p_i is
-    taken with first nonzero entry 1, so a datum with z zero p_i stands
-    for (ell - 1)^-z orbits, and as G_v acts freely on stable data each
-    total divides exactly.  With x and p fixed, the moment map is linear
-    in q, and the label reads q_i only through its last nonzero position.
-    """
-    n, d = diagram.rank, tuple(map(sum, zip(*d_tuple)))
+    taken with first nonzero entry 1, so a datum with z zero p_i stands for
+    (ell - 1)^-z orbits, and as G_v acts freely on stable data each total
+    divides exactly.  The data are summed in `_pairs_by_position`'s groups,
+    as the moment map is linear in q once x and p are fixed."""
+    n, v, d_tuple = diagram.rank, tuple(v), tuple(map(tuple, d_tuple))
+    dims = [v[i] * sum(col) for i, col in enumerate(zip(*d_tuple))]  # of p_i and q_i
     pairs = [(a, b) for a in range(n) for b in range(n) if diagram.cartan[a][b] < 0 < v[a] * v[b]]
-    ones = [[p for p in product(range(ell), repeat=v[i] * d[i]) if next(filter(None, p), 1) == 1]
-            for i in range(n)]
     tallies = Counter()
     for scalars in product(range(ell), repeat=len(pairs)):
         x = dict(zip(pairs, scalars))
-        moment = thin_moment(x)
-        for p in product(*ones):
-            zeros = sum(v[i] and not any(p[i]) for i in range(n))
-            groups = [_by_last_position(p[i], moment[i] % ell, ell) for i in range(n)]
-            for choice in product(*groups):
-                try:
-                    label, core_dims = thin_label(v, d_tuple, x, p, [q for q, _ in choice])
-                except ValueError:  # unstable, whatever q is
-                    break
-                if label is not None:
-                    tallies[label, core_dims, zeros] += prod(size for _, size in choice)
+        moment, edges = thin_moment(x), tuple(h for h, m in x.items() if m)
+        groups = [_pairs_by_position(e, moment[i] % ell, ell) for i, e in enumerate(dims)]
+        for choice in product(*groups):
+            firsts, lasts, sizes = zip(*choice)
+            label, core_dims = _thin_label(v, d_tuple, edges, firsts, lasts)
+            if label is not None:
+                zeros = sum(a and f > e for a, f, e in zip(v, firsts, dims))
+                tallies[label, core_dims, zeros] += prod(sizes)
     counts = Counter()
     for (label, core_dims, zeros), total in tallies.items():
         orbits, rest = divmod(total, (ell - 1) ** zeros)

@@ -336,10 +336,6 @@ def _interpolate(points) -> list[Fraction]:
     return coeffs
 
 
-# several tests read the same counts; none changes them
-_point_counts = cache(thin_label_counts)
-
-
 def _leading(counts, key, degree) -> int:
     """The coefficient at degree of the polynomial through the point counts
     {ell: Counter} at key, asserted to be integral with no higher term."""
@@ -388,10 +384,9 @@ def _compare_with_the_library(diagram, v, d_tuple, data):
         assert check_preprojective(datum) == preprojective, (x, p, q)
         if not preprojective:
             continue
-        try:
-            label, kernel_core = thin_label(v, d_tuple, x, p, q)
-        except ValueError:  # refused as unstable
-            assert not is_stable(datum), (x, p, q)
+        label, kernel_core = thin_label(v, d_tuple, x, p, q)
+        assert is_stable(datum) == (kernel_core is not None), (x, p, q)
+        if kernel_core is None:
             continue
         assert stratum_membership(datum, flag) == label, (x, p, q)
         assert tuple(s.cols for s in core(datum, kernel_of_q(datum))) == kernel_core, (x, p, q)
@@ -408,7 +403,7 @@ def test_a1_strata_have_monic_point_counts_of_their_dimension(d1, d2):
     # reaches degree 4, so it takes a fifth prime
     d, v = (d1 + d2,), (1,)
     primes = (2, 3, 5, 7) if d1 + d2 < 4 else (2, 3, 5, 7, 11)
-    counts = {ell: _by_label(_point_counts(A1, v, ((d1,), (d2,)), ell)) for ell in primes}
+    counts = {ell: _by_label(thin_label_counts(A1, v, ((d1,), (d2,)), ell)) for ell in primes}
     labels = set().union(*counts.values())
     for v_tuple, vt_tuple in labels:
         params = StratumParams(A1, d, v, ((d1,), (d2,)), v_tuple, vt_tuple)
@@ -427,7 +422,7 @@ def test_the_a1_point_count_label_is_stratum_membership(d1, d2):
     cube = list(cartesian((-1, 0, 1), repeat=d1 + d2))
     data = [({}, (p,), (q,)) for p in cube for q in cartesian((-1, 0, 2), repeat=d1 + d2)]
     seen, _ = _compare_with_the_library(A1, (1,), d_tuple, data)
-    assert seen == {None, *_by_label(_point_counts(A1, (1,), d_tuple, 3))}
+    assert seen == {None, *_by_label(thin_label_counts(A1, (1,), d_tuple, 3))}
 
 
 def _a2_pieces(first):
@@ -444,7 +439,7 @@ def test_a2_strata_have_monic_point_counts_of_their_dimension(first):
     # B(D / D_first)
     d, v, primes = (1, 1), (1, 1), (2, 3, 5, 7)
     pieces = _a2_pieces(first)
-    counts = {ell: _by_label(_point_counts(A2, v, pieces, ell)) for ell in primes}
+    counts = {ell: _by_label(thin_label_counts(A2, v, pieces, ell)) for ell in primes}
     labels = set().union(*counts.values())
     for v_tuple, vt_tuple in labels:
         params = StratumParams(A2, d, v, pieces, v_tuple, vt_tuple)
@@ -466,7 +461,7 @@ def test_the_a2_point_count_label_is_stratum_membership(first):
     ]
     seen, stable = _compare_with_the_library(A2, (1, 1), _a2_pieces(first), data)
     assert stable == 44
-    assert seen == {None, *_by_label(_point_counts(A2, (1, 1), _a2_pieces(first), 3))}
+    assert seen == {None, *_by_label(thin_label_counts(A2, (1, 1), _a2_pieces(first), 3))}
 
 
 def test_the_thin_oracle_sees_edges_and_signs_as_the_library_does():
@@ -492,7 +487,7 @@ def test_d4_strata_have_monic_point_counts_and_are_stratum_membership():
     # points, and four vertices of weight d - Cv = w3 in B(w0) x B(w2)
     diagram, v, d_tuple = _D4_CASE
     d, primes = (1, 0, 1, 0), (2, 3, 5, 7)
-    counts = {ell: _by_label(_point_counts(diagram, v, d_tuple, ell)) for ell in primes}
+    counts = {ell: _by_label(thin_label_counts(diagram, v, d_tuple, ell)) for ell in primes}
     labels = set().union(*counts.values())
     for label in labels:
         degree = strat_dims(StratumParams(diagram, d, v, d_tuple, *label))["dim_tensor_variety"]
@@ -518,7 +513,7 @@ def test_point_counts_read_components_multiplicity_and_decomposition(diagram, v,
     # library.  On A2 adjoint x adjoint the four labels with v_tuple = 0
     # count 2l^3 + l^2, 2l^3 + l^2, l^3 and l^3: a label is not a component.
     primes = (2, 3, 5, 7)
-    counts = {ell: _point_counts(diagram, v, d_tuple, ell) for ell in primes}
+    counts = {ell: thin_label_counts(diagram, v, d_tuple, ell) for ell in primes}
     d, zero = tuple(map(sum, zip(*d_tuple))), (0,) * diagram.rank
     weight, top = dominance_vector(diagram, d, v), (zero,) * len(d_tuple)
     # every v_tuple = 0 stratum has the dimension of the tensor product variety
@@ -549,14 +544,13 @@ def test_point_counts_read_components_multiplicity_and_decomposition(diagram, v,
     assert observed.get(zero, 0) == multiplicity(diagram, weight, d_tuple)
 
 
-@pytest.mark.slow
-def test_a2_adjoint_squared_strata_off_the_top_have_counts_of_their_dimension():
+def test_a2_adjoint_squared_strata_off_the_top_have_monic_counts_of_their_dimension():
     # the two labels with v_tuple != 0 count ell^4 - ell^2: degree 4, so a
     # fifth prime
     d, v, d_tuple, primes = (2, 2), (1, 1), ((1, 1), (1, 1)), (2, 3, 5, 7, 11)
-    counts = {ell: _by_label(_point_counts(A2, v, d_tuple, ell)) for ell in primes}
-    labels = set().union(*counts.values())
+    counts = {ell: _by_label(thin_label_counts(A2, v, d_tuple, ell)) for ell in primes}
+    labels = [label for label in set().union(*counts.values()) if label[0] != ((0, 0), (0, 0))]
+    assert len(labels) == 2
     for label in labels:
         degree = strat_dims(StratumParams(A2, d, v, d_tuple, *label))["dim_tensor_variety"]
-        assert 0 <= degree < len(primes) and _leading(counts, label, degree) > 0, label
-    assert any(label[0] != ((0, 0), (0, 0)) for label in labels)
+        assert 0 <= degree < len(primes) and _leading(counts, label, degree) == 1, label
